@@ -177,14 +177,6 @@ class Poly:
         return Poly(self.dim, {mono_mul(m, n): c for n, c in self.coeffs.items()})
 
 
-def poly_add(a: Poly, b: Poly) -> Poly:
-    return a + b
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 # -- assignments ------------------------------------------------------------
 
 

@@ -1,14 +1,17 @@
 """Exact lattice-polytope geometry for polynomial supports.
 
-Everything here is computed over exact rationals: vertex detection is a small
-linear-program feasibility question, solved by a dense two-phase simplex with
-Bland's pivoting rule.  No floating point enters any geometric predicate.
+Vertex detection and cone witnesses are small linear programs, solved by a
+two-phase simplex with Bland's pivoting rule on an integer tableau that shares
+one positive common denominator (fraction-free, Bareiss-style pivoting).
+Rational input rows are scaled to integers and results come back as exact
+`Fraction`s.  No floating point enters any geometric predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .algebra import INF, Monomial, Poly, mono_leq, mono_mul
@@ -41,125 +44,155 @@ class LPResult:
     value: Fraction = Fraction(0)
 
 
-def _pivot(T, basis, r, c):
-    piv = T[r][c]
-    T[r] = [v / piv for v in T[r]]
-    for i, row in enumerate(T):
-        if i != r and row[c] != 0:
-            f = row[c]
-            T[i] = [a - f * b for a, b in zip(row, T[r])]
-    basis[r] = c
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-def _simplex(T, basis, c, blocked):
-    """Maximize c.x on the tableau T with Bland's rule.
+def _integral(values) -> tuple:
+    """A rational row scaled by the least positive integer s making it
+    integral; returns (the scaled row as ints, s)."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    fracs = [Fraction(v) for v in values]
+    s = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (s // f.denominator) for f in fracs], s
 
-    `blocked` columns may never (re)enter the basis.  Returns "optimal" or
-    "unbounded"; the tableau and basis are updated in place.
+
+def _pivot(T, basis, r, c, D) -> int:
+    """Pivot the integer tableau T over denominator D on (r, c).
+
+    Every row but r becomes (T[i][j]*piv - T[i][c]*T[r][j]) / D, which divides
+    exactly (Bareiss); row r is kept.  Returns the new denominator piv, made
+    positive by negating the tableau after a negative pivot.
     """
-    m = len(T)
+    top = T[r]
+    piv = top[c]
+    for i, row in enumerate(T):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            T[i] = [(a * piv - f * b) // D for a, b in zip(row, top)]
+        elif piv != D:
+            T[i] = [a * piv // D for a in row]
+    basis[r] = c
+    if piv < 0:
+        T[:] = [[-a for a in row] for row in T]
+        return -piv
+    return piv
+
+
+def _simplex(T, basis, c, D, blocked) -> tuple:
+    """Maximize c.x with Bland's rule on the integer tableau T over D > 0.
+
+    The rational tableau is T / D, so reduced costs have the sign of
+    c[j]*D - sum(cb[i]*T[i][j]) and ratios compare by cross-multiplication.
+    `blocked` columns may never (re)enter the basis.  Returns the status,
+    "optimal" or "unbounded", and the final denominator; T and basis are
+    updated in place.
+    """
     ncols = len(T[0]) - 1
     while True:
-        cb = [c[b] for b in basis]
+        in_basis = set(basis)
+        costed = [(c[b], T[i]) for i, b in enumerate(basis) if c[b]]
         enter = -1
         for j in range(ncols):
-            if j in blocked or j in basis:
+            if j in blocked or j in in_basis:
                 continue
-            reduced = c[j] - sum(cb[i] * T[i][j] for i in range(m))
-            if reduced > 0:
+            if c[j] * D - sum(cb * row[j] for cb, row in costed) > 0:
                 enter = j
                 break  # Bland: smallest improving index
         if enter < 0:
-            return "optimal"
+            return "optimal", D
         leave = -1
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
+        for i, row in enumerate(T):
+            a = row[enter]
+            if a > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                # row[-1] / a against the best ratio so far, both a > 0.
+                lhs = row[-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return "unbounded"
-        _pivot(T, basis, leave, enter)
+            return "unbounded", D
+        D = _pivot(T, basis, leave, enter, D)
 
 
 def lp_solve(prob: LPProblem) -> LPResult:
+    """Solve prob exactly by a two-phase simplex on an integer tableau.
+
+    Each row is scaled to integers on its own; its slack and artificial
+    columns keep coefficient 1, so phase 1 weighs the artificial of a row
+    scaled by s by 1/s (times a common multiple, to stay integral).
+    """
     n = len(prob.objective)
     rows = []
     for coeffs, sense, rhs in prob.rows:
-        coeffs = [Fraction(a) for a in coeffs]
         if len(coeffs) != n:
             raise GeometryError("row length does not match objective length")
-        rhs = Fraction(rhs)
-        if rhs < 0:
-            coeffs = [-a for a in coeffs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        rows.append((coeffs, sense, rhs))
+        ints, s = _integral((*coeffs, rhs))
+        if ints[-1] < 0:
+            ints = [-a for a in ints]
+            sense = _FLIP[sense]
+        rows.append((ints, s, sense))
 
-    m = len(rows)
-    n_slack = sum(1 for _, sense, _ in rows if sense != "=")
-    n_art = sum(1 for _, sense, _ in rows if sense != "<=")
+    n_slack = sum(1 for _, _, sense in rows if sense != "=")
+    n_art = sum(1 for _, _, sense in rows if sense != "<=")
     ncols = n + n_slack + n_art
 
     T = []
     basis = []
     slack_at = n
     art_at = n + n_slack
-    art_cols = set()
-    for coeffs, sense, rhs in rows:
-        row = list(coeffs) + [Fraction(0)] * (n_slack + n_art) + [rhs]
+    art_scale = {}  # artificial column -> scale of its row
+    for ints, s, sense in rows:
+        row = ints[:-1] + [0] * (n_slack + n_art) + ints[-1:]
         if sense == "<=":
-            row[slack_at] = Fraction(1)
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
-        elif sense == ">=":
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.add(art_at)
-            art_at += 1
         else:
-            row[art_at] = Fraction(1)
+            if sense == ">=":
+                row[slack_at] = -1
+                slack_at += 1
+            row[art_at] = 1
             basis.append(art_at)
-            art_cols.add(art_at)
+            art_scale[art_at] = s
             art_at += 1
         T.append(row)
 
-    zero = Fraction(0)
-    if art_cols:
-        phase1 = [zero] * ncols
-        for j in art_cols:
-            phase1[j] = Fraction(-1)
-        _simplex(T, basis, phase1, blocked=set())
-        value = sum(phase1[b] * T[i][-1] for i, b in enumerate(basis))
-        if value < 0:
+    D = 1
+    if art_scale:
+        common = lcm(*art_scale.values())
+        phase1 = [0] * ncols
+        for j, s in art_scale.items():
+            phase1[j] = -(common // s)
+        _, D = _simplex(T, basis, phase1, D, blocked=())
+        if sum(phase1[b] * T[i][-1] for i, b in enumerate(basis)) < 0:
             return LPResult("infeasible")
         # Pivot any zero-valued artificial out of the basis if possible.
         for i, b in enumerate(basis):
-            if b in art_cols:
+            if b in art_scale:
                 for j in range(ncols):
-                    if j not in art_cols and T[i][j] != 0:
-                        _pivot(T, basis, i, j)
+                    if j not in art_scale and T[i][j] != 0:
+                        D = _pivot(T, basis, i, j, D)
                         break
 
     sign = 1 if prob.maximize else -1
-    c = [sign * Fraction(a) for a in prob.objective] + [zero] * (n_slack + n_art)
-    status = _simplex(T, basis, c, blocked=art_cols)
+    objective, scale = _integral(prob.objective)
+    c = [sign * a for a in objective] + [0] * (n_slack + n_art)
+    status, D = _simplex(T, basis, c, D, blocked=art_scale)
     if status == "unbounded":
         return LPResult("unbounded")
-    x = [zero] * n
+    x = [Fraction(0)] * n
+    total = 0
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = T[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c[:n], x))
-    return LPResult("optimal", tuple(x), sign * value)
+            x[b] = Fraction(T[i][-1], D)
+            total += objective[b] * T[i][-1]
+    return LPResult("optimal", tuple(x), Fraction(total, scale * D))
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +218,9 @@ def _is_vertex(p, others) -> bool:
     if not others:
         return True
     d = len(p)
-    rows = []
-    for c in range(d):
-        rows.append((tuple(Fraction(q[c]) for q in others), "=", Fraction(p[c])))
-    rows.append((tuple(Fraction(1) for _ in others), "=", Fraction(1)))
-    prob = LPProblem(tuple(Fraction(0) for _ in others), tuple(rows))
+    rows = [(tuple(q[c] for q in others), "=", p[c]) for c in range(d)]
+    rows.append(((1,) * len(others), "=", 1))
+    prob = LPProblem((0,) * len(others), tuple(rows))
     return lp_solve(prob).status == "infeasible"
 
 
@@ -309,7 +340,7 @@ class HalfspaceSystem:
     """A homogeneous system { x >= 0 : row . x <= 0 for every row }."""
 
     dim: int
-    rows: tuple  # of tuples of Fraction
+    rows: tuple  # of tuples of ints or Fractions
 
     def contains(self, z, slack=Fraction(0)) -> bool:
         """Membership of a non-negative point, with optional numeric slack.
@@ -354,9 +385,7 @@ def normal_cone(mu: Monomial, s: Poly) -> tuple:
     if mu not in s.coeffs:
         raise GeometryError(f"{mu} is not in the support")
     d = s.dim
-    rows = sorted(
-        {tuple(Fraction(a - b) for a, b in zip(mu, nu)) for nu in s.coeffs if nu != mu}
-    )
+    rows = sorted({tuple(a - b for a, b in zip(mu, nu)) for nu in s.coeffs if nu != mu})
     system = HalfspaceSystem(d, tuple(rows))
     return system, _cone_witness(system)
 
@@ -366,19 +395,15 @@ def _cone_witness(system: HalfspaceSystem):
     if not system.rows:
         return tuple(Fraction(1) for _ in range(d))
     # Variables: x_1..x_d, t.  Maximize t with row.x + t <= 0, sum x <= 1.
-    lp_rows = [(row + (Fraction(1),), "<=", Fraction(0)) for row in system.rows]
-    lp_rows.append((tuple(Fraction(1) for _ in range(d)) + (Fraction(0),), "<=", Fraction(1)))
-    res = lp_solve(
-        LPProblem(tuple(Fraction(0) for _ in range(d)) + (Fraction(1),), tuple(lp_rows))
-    )
+    lp_rows = [(row + (1,), "<=", 0) for row in system.rows]
+    lp_rows.append(((1,) * d + (0,), "<=", 1))
+    res = lp_solve(LPProblem((0,) * d + (1,), tuple(lp_rows)))
     if res.status == "optimal" and res.value > 0:
         return res.x[:d]
     # No interior: look for a non-zero boundary point.
-    lp_rows = [(row, "<=", Fraction(0)) for row in system.rows]
-    lp_rows.append((tuple(Fraction(1) for _ in range(d)), "<=", Fraction(1)))
-    res = lp_solve(
-        LPProblem(tuple(Fraction(1) for _ in range(d)), tuple(lp_rows))
-    )
+    lp_rows = [(row, "<=", 0) for row in system.rows]
+    lp_rows.append(((1,) * d, "<=", 1))
+    res = lp_solve(LPProblem((1,) * d, tuple(lp_rows)))
     if res.status == "optimal" and res.value > 0:
         return res.x
     return None
@@ -392,8 +417,8 @@ def reduce_rows(system: HalfspaceSystem) -> HalfspaceSystem:
         others = [r for r in kept if r != row]
         # row is redundant iff max row.x over the others (bounded by the
         # unit simplex, by homogeneity) cannot exceed 0.
-        lp_rows = [(r, "<=", Fraction(0)) for r in others]
-        lp_rows.append((tuple(Fraction(1) for _ in row), "<=", Fraction(1)))
+        lp_rows = [(r, "<=", 0) for r in others]
+        lp_rows.append(((1,) * len(row), "<=", 1))
         res = lp_solve(LPProblem(row, tuple(lp_rows)))
         if res.status == "optimal" and res.value <= 0:
             kept = others

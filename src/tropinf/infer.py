@@ -66,8 +66,7 @@ def analyze(program: Program, target: int, config: Config | None = None,
     result = typesys.stabilize(
         program, target, window=config.window, max_rounds=config.max_rounds
     )
-    entry = typesys.conclusion_entry(result.derivation, target)
-    hinted = entry.traces if entry is not None else {}
+    hinted = result.entry.traces if result.entry is not None else {}
     selected = []
     for mu in result.poly.support():
         word = _resolve_word(program, target, mu, hinted.get(mu), config)
@@ -178,12 +177,12 @@ def solve_i2(report: AnalysisReport, mu: Monomial) -> I2Result:
     return I2Result(mu, reduce_rows(cone), witness)
 
 
-def i2_contains(result: I2Result, p: ProbAssignment, slack: float = 1e-12) -> bool:
+def i2_contains(result: I2Result, p: ProbAssignment) -> bool:
     """Does a probability assignment fall in the region (boundary included)?
 
-    Exact rational probabilities are tested exactly (the halfspace test
-    (mu - nu) . z <= 0 at z = -ln p is equivalent to p^nu <= p^mu); the slack
-    only matters for the infinite coordinates bookkeeping of p in {0, 1}.
+    Exact rational probabilities are tested exactly: the halfspace test
+    (mu - nu) . z <= 0 at z = -ln p is equivalent to p^nu <= p^mu, and a
+    zero probability (an infinite weight) is handled case by case.
     """
     if 2 * p.k != result.cone.dim:
         raise InferError(f"expected {result.cone.dim // 2} probabilities, got {p.k}")

@@ -104,6 +104,24 @@ def numeral_value(t: Term) -> int | None:
     return n if isinstance(t, Zero) else None
 
 
+_CHILDREN = ("body", "fun", "arg", "scrutinee", "then", "orelse", "left", "right")
+
+
+def term_depth(t: Term) -> int:
+    """The height of a term's syntax tree, computed without recursion; the
+    numeral n nests n + 1 levels (n succs around 0)."""
+    deepest = 0
+    stack = [(t, 1)]
+    while stack:
+        t, depth = stack.pop()
+        deepest = max(deepest, depth)
+        for name in _CHILDREN:
+            child = getattr(t, name, None)
+            if child is not None:
+                stack.append((child, depth + 1))
+    return deepest
+
+
 def free_vars(t: Term) -> frozenset:
     if isinstance(t, Var):
         return frozenset({t.name})
@@ -181,6 +199,12 @@ def _atom_text(t: Term) -> str:
 
 _KEYWORDS = {"succ", "pred", "fix", "ifz", "then", "else", "params"}
 
+# Deepest nesting a program may have, both in its source (parentheses,
+# binders, choices, succ/pred/fix, ifz) and in its syntax tree.  The parser,
+# type checker, search and reducer recurse once or a few times per level, so
+# this keeps every pass well inside Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 def _tokenize(source: str):
     tokens = []
@@ -240,6 +264,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -259,6 +284,19 @@ class _Parser:
             )
         return tok
 
+    def nested(self, parse, pos):
+        """Run parse() one nesting level deeper than the current one."""
+        if self.depth >= MAX_DEPTH:
+            raise ParseError(
+                f"nesting deeper than the limit of {MAX_DEPTH} levels at line "
+                f"{pos[0]}, column {pos[1]}"
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def parse_program(self) -> Program:
         declared = None
         while self.peek()[0] == "kw" and self.peek()[1] == "params":
@@ -271,6 +309,12 @@ class _Parser:
         if tok[0] != "eof":
             raise ParseError(
                 f"trailing input at line {tok[2][0]}, column {tok[2][1]}: {tok[1]!r}"
+            )
+        depth = term_depth(term)
+        if depth > MAX_DEPTH:
+            raise ParseError(
+                f"term nesting depth {depth} exceeds the limit of {MAX_DEPTH} "
+                "(the numeral n nests n + 1 levels)"
             )
         used = max_param(term)
         if declared is not None:
@@ -288,19 +332,19 @@ class _Parser:
 
     def parse_term(self) -> Term:
         if self.peek()[0] == "\\":
-            self.next()
+            pos = self.next()[2]
             name = self.expect("ident", "binder name")[1]
             self.expect(".")
-            return Lam(name, self.parse_term())
+            return Lam(name, self.nested(self.parse_term, pos))
         return self.parse_choice()
 
     def parse_choice(self) -> Term:
         left = self.parse_app()
         if self.peek()[0] == "+[":
-            self.next()
+            pos = self.next()[2]
             param = self._parse_param()
             self.expect("]")
-            right = self.parse_choice()  # right-associative
+            right = self.nested(self.parse_choice, pos)  # right-associative
             return Choice(param, left, right)
         return left
 
@@ -335,7 +379,7 @@ class _Parser:
             return Var(text)
         if kind == "(":
             self.next()
-            term = self.parse_term()
+            term = self.nested(self.parse_term, pos)
             self.expect(")")
             return term
         if kind == "\\":
@@ -343,20 +387,20 @@ class _Parser:
         if kind == "kw":
             if text == "succ":
                 self.next()
-                return Succ(self.parse_atom())
+                return Succ(self.nested(self.parse_atom, pos))
             if text == "pred":
                 self.next()
-                return Pred(self.parse_atom())
+                return Pred(self.nested(self.parse_atom, pos))
             if text == "fix":
                 self.next()
-                return Fix(self.parse_atom())
+                return Fix(self.nested(self.parse_atom, pos))
             if text == "ifz":
                 self.next()
-                scrutinee = self.parse_term()
+                scrutinee = self.nested(self.parse_term, pos)
                 self._expect_kw("then")
-                then = self.parse_term()
+                then = self.nested(self.parse_term, pos)
                 self._expect_kw("else")
-                orelse = self.parse_term()
+                orelse = self.nested(self.parse_term, pos)
                 return Ifz(scrutinee, then, orelse)
         raise ParseError(
             f"unexpected {text!r} at line {pos[0]}, column {pos[1]}"

@@ -529,7 +529,11 @@ def conclusion_entry(deriv: TropDerivation, target: int) -> Entry | None:
     if not hits:
         return None
     merged = merge(hits, split_fixes=False)
-    assert len(merged) == 1
+    if len(merged) != 1:
+        raise TypesysError(
+            f"closed rows at atom {target} merged into {len(merged)} entries, "
+            "expected one"
+        )
     return merged[0]
 
 
@@ -571,6 +575,7 @@ def bound_schedule():
 @dataclass
 class StabilizeResult:
     derivation: TropDerivation
+    entry: Entry | None  # conclusion_entry of the last round, None if no row
     poly: Poly
     stable: bool
     rounds: list  # of (n, p) actually run
@@ -589,14 +594,15 @@ def stabilize(
     """
     history = []
     rounds = []
-    deriv = None
+    deriv = entry = None
     for n, p in itertools.islice(bound_schedule(), max_rounds):
         deriv = search(program, target, n, p)
-        poly = conclusion_poly(deriv, target)
+        entry = conclusion_entry(deriv, target)
+        poly = Poly.zero(deriv.conclusion.dim) if entry is None else entry.poly
         rounds.append((n, p))
         history.append(poly)
         if len(history) >= window + 1 and all(
             h == history[-1] for h in history[-(window + 1):]
         ):
-            return StabilizeResult(deriv, poly, True, rounds)
-    return StabilizeResult(deriv, history[-1], False, rounds)
+            return StabilizeResult(deriv, entry, poly, True, rounds)
+    return StabilizeResult(deriv, entry, history[-1], False, rounds)

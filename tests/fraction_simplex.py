@@ -1,0 +1,130 @@
+"""The dense two-phase simplex on a `Fraction` tableau, kept as a reference.
+
+This is the LP solver tropinf used before its integer kernel.  Tests compare
+`tropinf.geometry.lp_solve` against it: both use Bland's rule with the same
+tie-breaks, so they must agree exactly on status, point and value.
+"""
+
+from fractions import Fraction
+
+from tropinf.geometry import GeometryError, LPProblem, LPResult
+
+
+def _pivot(T, basis, r, c):
+    piv = T[r][c]
+    T[r] = [v / piv for v in T[r]]
+    for i, row in enumerate(T):
+        if i != r and row[c] != 0:
+            f = row[c]
+            T[i] = [a - f * b for a, b in zip(row, T[r])]
+    basis[r] = c
+
+
+def _simplex(T, basis, c, blocked):
+    """Maximize c.x on the tableau T with Bland's rule.
+
+    `blocked` columns may never (re)enter the basis.  Returns "optimal" or
+    "unbounded"; the tableau and basis are updated in place.
+    """
+    m = len(T)
+    ncols = len(T[0]) - 1
+    while True:
+        cb = [c[b] for b in basis]
+        enter = -1
+        for j in range(ncols):
+            if j in blocked or j in basis:
+                continue
+            reduced = c[j] - sum(cb[i] * T[i][j] for i in range(m))
+            if reduced > 0:
+                enter = j
+                break  # Bland: smallest improving index
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(T, basis, leave, enter)
+
+
+def lp_solve(prob: LPProblem) -> LPResult:
+    n = len(prob.objective)
+    rows = []
+    for coeffs, sense, rhs in prob.rows:
+        coeffs = [Fraction(a) for a in coeffs]
+        if len(coeffs) != n:
+            raise GeometryError("row length does not match objective length")
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            coeffs = [-a for a in coeffs]
+            rhs = -rhs
+            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
+        rows.append((coeffs, sense, rhs))
+
+    n_slack = sum(1 for _, sense, _ in rows if sense != "=")
+    n_art = sum(1 for _, sense, _ in rows if sense != "<=")
+    ncols = n + n_slack + n_art
+
+    T = []
+    basis = []
+    slack_at = n
+    art_at = n + n_slack
+    art_cols = set()
+    for coeffs, sense, rhs in rows:
+        row = list(coeffs) + [Fraction(0)] * (n_slack + n_art) + [rhs]
+        if sense == "<=":
+            row[slack_at] = Fraction(1)
+            basis.append(slack_at)
+            slack_at += 1
+        elif sense == ">=":
+            row[slack_at] = Fraction(-1)
+            slack_at += 1
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_cols.add(art_at)
+            art_at += 1
+        else:
+            row[art_at] = Fraction(1)
+            basis.append(art_at)
+            art_cols.add(art_at)
+            art_at += 1
+        T.append(row)
+
+    zero = Fraction(0)
+    if art_cols:
+        phase1 = [zero] * ncols
+        for j in art_cols:
+            phase1[j] = Fraction(-1)
+        _simplex(T, basis, phase1, blocked=set())
+        value = sum(phase1[b] * T[i][-1] for i, b in enumerate(basis))
+        if value < 0:
+            return LPResult("infeasible")
+        # Pivot any zero-valued artificial out of the basis if possible.
+        for i, b in enumerate(basis):
+            if b in art_cols:
+                for j in range(ncols):
+                    if j not in art_cols and T[i][j] != 0:
+                        _pivot(T, basis, i, j)
+                        break
+
+    sign = 1 if prob.maximize else -1
+    c = [sign * Fraction(a) for a in prob.objective] + [zero] * (n_slack + n_art)
+    status = _simplex(T, basis, c, blocked=art_cols)
+    if status == "unbounded":
+        return LPResult("unbounded")
+    x = [zero] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] = T[i][-1]
+    value = sum(ci * xi for ci, xi in zip(c[:n], x))
+    return LPResult("optimal", tuple(x), sign * value)

@@ -112,6 +112,27 @@ class TestI2:
         assert runner.invoke(main, ["i2", M1, "--monomial", "x"]).exit_code == 1
 
 
+class TestDeepNesting:
+    """Deeply nested programs end with exit 0 or 1, never an internal error."""
+
+    @pytest.mark.parametrize(
+        "source",
+        ["3000\n", "(" * 2000 + "0" + ")" * 2000 + "\n"],
+        ids=["numeral-3000", "parens-2000"],
+    )
+    def test_check_exits_cleanly(self, tmp_path, source):
+        path = tmp_path / "deep.pcfx"
+        path.write_text(source)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropinf.cli", "check", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        if proc.returncode == 1:
+            assert "nesting" in proc.stderr and "internal error" not in proc.stderr
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(

@@ -16,6 +16,7 @@ from tropinf.infer import (
     solve_i1,
     solve_i2,
 )
+from tropinf import typesys
 from tropinf.lang import replay_word
 
 from conftest import load, load_source
@@ -37,6 +38,18 @@ class TestAnalyze:
         assert poly_to_text(rep.poly) == "~X1^3 + X1^2"
         assert rep.degree_estimate == 3
         assert {s.monomial for s in rep.selected} == {(2, 0), (0, 3)}
+
+    def test_root_merge_once_per_round(self, monkeypatch):
+        calls = []
+        real = typesys.conclusion_entry
+
+        def counted(deriv, target):
+            calls.append(target)
+            return real(deriv, target)
+
+        monkeypatch.setattr(typesys, "conclusion_entry", counted)
+        rep = analyze(load("m4_3"), 1)
+        assert len(calls) == len(rep.rounds)
 
     def test_words_replay(self, m1_report):
         program = load("m1")

@@ -5,6 +5,7 @@ import pytest
 from conftest import load, random_program
 from tropinf.algebra import ProbAssignment, eval_prob, Poly
 from tropinf.lang import (
+    MAX_DEPTH,
     App,
     Arrow,
     BOOL,
@@ -26,6 +27,7 @@ from tropinf.lang import (
     numeral,
     numeral_value,
     parse,
+    term_depth,
     replay_word,
     term_to_text,
     type_check,
@@ -90,6 +92,17 @@ class TestParser:
             parse("params 1; 0 +[X2] 1")  # undeclared parameter
         with pytest.raises(ParseError):
             parse("1 2 3 !")
+
+    def test_nesting_limit(self):
+        nested = "(" * MAX_DEPTH + "0" + ")" * MAX_DEPTH
+        assert parse(nested).term == Zero()
+        assert term_depth(parse(str(MAX_DEPTH - 1)).term) == MAX_DEPTH
+        with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH} levels at line 1, column"):
+            parse("(" + nested + ")")
+        with pytest.raises(ParseError, match=f"depth {MAX_DEPTH + 1} exceeds the limit"):
+            parse(str(MAX_DEPTH))
+        with pytest.raises(ParseError, match="nesting"):
+            parse("succ " * MAX_DEPTH + "0")
 
     def test_roundtrip_through_text(self, rng):
         for _ in range(50):

@@ -233,6 +233,19 @@ class TestStabilize:
         assert words["X1^3"] == ((1, 0), (1, 0), (1, 0))
         assert words["~X1^3"] == ((1, 1), (1, 1), (1, 1))
 
+    def test_result_keeps_the_last_root_merge(self):
+        res = stabilize(load("m4_3"), 1)
+        assert res.entry == conclusion_entry(res.derivation, 1)
+        assert res.entry.poly == res.poly
+
+    def test_root_merge_into_several_rows_is_an_error(self, monkeypatch):
+        import tropinf.typesys as typesys
+
+        deriv = search(load("m1"), 1, 1, 1)
+        monkeypatch.setattr(typesys, "merge", lambda entries, **kw: list(entries) * 2)
+        with pytest.raises(TypesysError, match="expected one"):
+            conclusion_entry(deriv, 1)
+
     def test_random_programs_match_enumeration(self, rng):
         for _ in range(15):
             program = random_program(rng, max_nodes=10)
