@@ -303,12 +303,15 @@ def eval_trop(s: Poly, z) -> tuple:
     return best, tuple(winners)
 
 
-def minimal_support(s: Poly) -> list:
-    """The pointwise-minimal elements of the support of s, sorted."""
-    supp = list(s.coeffs)
+def minimal_support(points: Iterable[Monomial]) -> list:
+    """The pointwise-minimal elements of a set of monomials, sorted.
+
+    Pass `s.coeffs` for the minimal part of the support of a polynomial s.
+    """
+    pts = list(points)
     out = []
-    for m in supp:
-        if any(n != m and mono_leq(n, m) for n in supp):
+    for m in pts:
+        if any(n != m and mono_leq(n, m) for n in pts):
             continue
         out.append(m)
     return sorted(out)

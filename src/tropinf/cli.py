@@ -61,6 +61,22 @@ def _analyze(program, source, target, window, max_rounds):
         raise CliError(str(exc))
 
 
+def _analysis_options(command):
+    """The options shared by every command that runs the analysis."""
+    options = (
+        click.option("--target", default=1, show_default=True, help="Ground numeral to reach."),
+        click.option("--window", type=click.IntRange(min=1), default=2, show_default=True,
+                     help="Unchanged bound increments needed to call the result stable."),
+        click.option("--max-rounds", type=click.IntRange(min=1), default=16, show_default=True,
+                     help="Most search rounds to run before giving up."),
+        click.option("--output", type=click.Choice(["text", "json"]), default="text",
+                     show_default=True),
+    )
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
 @click.group()
 def main():
     """Static analysis of probabilistic programs with parametric choice."""
@@ -127,10 +143,7 @@ def _report_text(report):
 
 @main.command()
 @click.argument("path", type=click.Path())
-@click.option("--target", default=1, show_default=True, help="Ground numeral to reach.")
-@click.option("--window", default=2, show_default=True)
-@click.option("--max-rounds", default=16, show_default=True)
-@click.option("--output", type=click.Choice(["text", "json"]), default="text", show_default=True)
+@_analysis_options
 def analyze(path, target, window, max_rounds, output):
     """Compute the stabilized minimal weight polynomial and certificates."""
     program, source = _load(path)
@@ -144,10 +157,7 @@ def analyze(path, target, window, max_rounds, output):
 @main.command()
 @click.argument("path", type=click.Path())
 @click.option("--probs", required=True, help="Comma-separated branch probabilities, one per parameter.")
-@click.option("--target", default=1, show_default=True)
-@click.option("--window", default=2, show_default=True)
-@click.option("--max-rounds", default=16, show_default=True)
-@click.option("--output", type=click.Choice(["text", "json"]), default="text", show_default=True)
+@_analysis_options
 def i1(path, probs, target, window, max_rounds, output):
     """Most likely trajectory class at the given probabilities."""
     program, source = _load(path)
@@ -183,10 +193,7 @@ def i1(path, probs, target, window, max_rounds, output):
 @click.argument("path", type=click.Path())
 @click.option("--monomial", required=True, help="Comma-separated exponents, layout X1,~X1,X2,~X2,...")
 @click.option("--probs", default=None, help="Optional probabilities to test for membership.")
-@click.option("--target", default=1, show_default=True)
-@click.option("--window", default=2, show_default=True)
-@click.option("--max-rounds", default=16, show_default=True)
-@click.option("--output", type=click.Choice(["text", "json"]), default="text", show_default=True)
+@_analysis_options
 def i2(path, monomial, probs, target, window, max_rounds, output):
     """Region of probabilities where a trajectory class is most likely."""
     program, source = _load(path)
@@ -229,9 +236,9 @@ def i2(path, monomial, probs, target, window, max_rounds, output):
 def run():
     try:
         main(standalone_mode=False)
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # a user error, bad arguments included
         exc.show()
-        sys.exit(exc.exit_code)
+        sys.exit(1)
     except click.Abort:
         sys.exit(1)
     except Exception as exc:  # internal error

@@ -9,12 +9,12 @@ Rational input rows are scaled to integers and results come back as exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .algebra import INF, Monomial, Poly, mono_leq, mono_mul
+from .algebra import INF, Monomial, Poly, minimal_support, mono_mul
 
 Sense = str  # "<=", "=", ">="
 
@@ -200,19 +200,6 @@ def lp_solve(prob: LPProblem) -> LPResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
-    """A lattice polytope given by its vertex set (sorted, deduplicated)."""
-
-    dim: int
-    vertices: tuple
-
-    def __post_init__(self):
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise GeometryError(f"vertex {v} does not have dimension {self.dim}")
-
-
 def _is_vertex(p, others) -> bool:
     """True iff p is not a convex combination of the other points."""
     if not others:
@@ -224,22 +211,16 @@ def _is_vertex(p, others) -> bool:
     return lp_solve(prob).status == "infeasible"
 
 
-def hull_vertices(points: Iterable[Monomial], dim: int | None = None) -> LatticePolytope:
-    """Vertices of the convex hull of a finite set of lattice points."""
+def hull_vertices(points: Iterable[Monomial]) -> tuple:
+    """The vertices of the convex hull of a finite set of lattice points,
+    sorted and deduplicated."""
     pts = sorted(set(tuple(p) for p in points))
-    if not pts:
-        if dim is None:
-            raise GeometryError("empty point set with unspecified dimension")
-        return LatticePolytope(dim, ())
-    d = len(pts[0])
-    if dim is not None and dim != d:
-        raise GeometryError("dimension mismatch")
-    if len(pts) == 1:
-        return LatticePolytope(d, tuple(pts))
+    if len(pts) <= 1:
+        return tuple(pts)
 
     # Cheap pass: a unique extreme along any coordinate direction is a vertex.
     sure = set()
-    for c in range(d):
+    for c in range(len(pts[0])):
         for pick in (min, max):
             ext = pick(p[c] for p in pts)
             hits = [p for p in pts if p[c] == ext]
@@ -250,54 +231,29 @@ def hull_vertices(points: Iterable[Monomial], dim: int | None = None) -> Lattice
     for p in pts:
         if p in sure or _is_vertex(p, [q for q in pts if q != p]):
             verts.append(p)
-    return LatticePolytope(d, tuple(verts))
+    return tuple(verts)
 
 
-def minkowski_vertices(a: LatticePolytope, b: LatticePolytope) -> LatticePolytope:
-    """Vertices of the Minkowski sum of two polytopes given by vertices."""
-    if a.dim != b.dim:
-        raise GeometryError("dimension mismatch in Minkowski sum")
-    sums = {mono_mul(p, q) for p in a.vertices for q in b.vertices}
-    return hull_vertices(sums, a.dim)
+def np_min(s: Poly) -> Poly:
+    """The minimal polynomial of s: the all-one polynomial on the
+    pointwise-minimal vertices of the Newton polytope of s.
 
-
-def _minimal_filter(points: Sequence[Monomial]) -> list:
-    out = []
-    for p in points:
-        if any(q != p and mono_leq(q, p) for q in points):
-            continue
-        out.append(p)
-    return sorted(out)
-
-
-def np_min(s: Poly) -> tuple:
-    """Newton polytope and minimal polynomial of s.
-
-    Returns (polytope, minimal) where polytope is the Newton polytope of s and
-    minimal is the all-one polynomial on its pointwise-minimal vertices.  For
-    non-negative weight assignments, minimizing m . z over the support of s
-    and over the support of the minimal polynomial give the same value.
+    For non-negative weight assignments, minimizing m . z over the support of
+    s and over the support of the minimal polynomial give the same value.
     """
-    poly = hull_vertices(s.coeffs, s.dim)
-    return poly, Poly.from_support(s.dim, _minimal_filter(poly.vertices))
-
-
-def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
-    """Minimal polynomial of a product, without expanding the product.
-
-    Folds pairwise Minkowski vertex sums over the factor supports and applies
-    the minimal filter to the final vertex set.  The empty product is the unit
-    polynomial (dim must then be given).
-    """
-    return vn_with_witness(polys, dim)[0]
+    return Poly.from_support(s.dim, minimal_support(hull_vertices(s.coeffs)))
 
 
 def vn_with_witness(polys: Sequence[Poly], dim: int | None = None) -> tuple:
-    """Like vn, but also returns one factorization per output monomial.
+    """Minimal polynomial of a product, without expanding the product, and one
+    factorization per output monomial.
 
-    The second component maps each monomial of the result to a tuple with one
-    monomial per input factor whose product it is; when several factorizations
-    produce the same point the lexicographically smallest tuple is kept.
+    Folds pairwise Minkowski vertex sums over the factor supports and keeps
+    the pointwise-minimal points of the final vertex set.  The second
+    component maps each monomial of the result to a tuple with one monomial
+    per input factor whose product it is; when several factorizations produce
+    the same point the lexicographically smallest tuple is kept.  The empty
+    product is the unit polynomial (dim must then be given).
     """
     if not polys:
         if dim is None:
@@ -321,9 +277,9 @@ def vn_with_witness(polys: Sequence[Poly], dim: int | None = None) -> tuple:
                 cand = witness[p] + (q,)
                 if r not in new_witness or cand < new_witness[r]:
                     new_witness[r] = cand
-        points = set(hull_vertices(new_witness, d).vertices)
+        points = set(hull_vertices(new_witness))
         witness = {m: w for m, w in new_witness.items() if m in points}
-    minimal = _minimal_filter(points)
+    minimal = minimal_support(points)
     return (
         Poly.from_support(d, minimal),
         {m: witness[m] for m in minimal},
@@ -436,14 +392,6 @@ def _frac_to_json(q) -> str:
 
 def _frac_from_json(text: str):
     return INF if text == "inf" else Fraction(text)
-
-
-def polytope_to_json(p: LatticePolytope) -> dict:
-    return {"dim": p.dim, "vertices": [list(v) for v in p.vertices]}
-
-
-def polytope_from_json(obj: dict) -> LatticePolytope:
-    return LatticePolytope(obj["dim"], tuple(tuple(v) for v in obj["vertices"]))
 
 
 def cone_to_json(system: HalfspaceSystem, witness=None) -> dict:

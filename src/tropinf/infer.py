@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra, geometry, lang, typesys
 from .algebra import INF, Monomial, Poly, ProbAssignment
 from .geometry import HalfspaceSystem, normal_cone, reduce_rows
-from .lang import ChoiceWord, Program, find_word, replay_word, word_monomial
+from .lang import ChoiceWord, Program, find_word, replay_word
+
+# Reduction steps allowed when replaying or searching for a word.
+ORACLE_BUDGET = 10000
 
 
 class InferError(Exception):
@@ -23,8 +26,6 @@ class InferError(Exception):
 class Config:
     window: int = 2
     max_rounds: int = 16
-    oracle_budget: int = 10000
-    reduce_cones: bool = True
 
 
 @dataclass
@@ -44,8 +45,8 @@ class SelectedTrajectory:
 
 @dataclass
 class AnalysisReport:
-    program: Program
-    source: str
+    params: int
+    input_sha256: str  # of the program source
     target: int
     poly: Poly
     stable: bool
@@ -69,14 +70,12 @@ def analyze(program: Program, target: int, config: Config | None = None,
     hinted = result.entry.traces if result.entry is not None else {}
     selected = []
     for mu in result.poly.support():
-        word = _resolve_word(program, target, mu, hinted.get(mu), config)
+        word = _resolve_word(program, target, mu, hinted.get(mu))
         cone, witness = normal_cone(mu, result.poly)
-        if config.reduce_cones:
-            cone = reduce_rows(cone)
-        selected.append(SelectedTrajectory(mu, word, cone, witness))
+        selected.append(SelectedTrajectory(mu, word, reduce_rows(cone), witness))
     return AnalysisReport(
-        program=program,
-        source=source,
+        params=program.params,
+        input_sha256=hashlib.sha256(source.encode()).hexdigest(),
         target=target,
         poly=result.poly,
         stable=result.stable,
@@ -86,18 +85,18 @@ def analyze(program: Program, target: int, config: Config | None = None,
     )
 
 
-def _resolve_word(program, target, mu, hint, config):
+def _resolve_word(program, target, mu, hint):
     """Validate the compositional trace against the reducer; if replay does
     not reproduce the monomial, recover a word by guided search."""
     if hint is not None:
-        nf, mono, _ = replay_word(program, hint, config.oracle_budget)
+        nf, mono, _ = replay_word(program, hint, ORACLE_BUDGET)
         if nf == target and mono == mu:
             return hint
-    word = find_word(program, target, mu, config.oracle_budget)
+    word = find_word(program, target, mu, ORACLE_BUDGET)
     if word is None:
         raise InferError(
             f"no reduction with weight {algebra.mono_to_text(mu)} found within "
-            f"{config.oracle_budget} steps"
+            f"{ORACLE_BUDGET} steps"
         )
     return word
 
@@ -232,8 +231,8 @@ def report_to_json(report: AnalysisReport) -> dict:
     return {
         "schema": SCHEMA,
         "tool_version": TOOL_VERSION,
-        "input_sha256": hashlib.sha256(report.source.encode()).hexdigest(),
-        "params": report.program.params,
+        "input_sha256": report.input_sha256,
+        "params": report.params,
         "target": report.target,
         "stable": report.stable,
         "rounds": [list(r) for r in report.rounds],
@@ -269,8 +268,8 @@ def report_from_json(obj: dict) -> AnalysisReport:
             )
         )
     return AnalysisReport(
-        program=Program(lang.Zero(), obj["params"]),
-        source="",
+        params=obj["params"],
+        input_sha256=obj["input_sha256"],
         target=obj["target"],
         poly=poly,
         stable=obj["stable"],

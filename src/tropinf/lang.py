@@ -9,10 +9,9 @@ scrutinee of ifz.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
 
-from .algebra import Monomial, mono_unit
+from .algebra import Monomial
 
 
 class LangError(Exception):

@@ -7,16 +7,16 @@ with its Minkowski-sum minimization and re-minimizing after every merge of
 equal (context, type) rows.  The family computed for the whole program under
 bounds (n, p) collects every derivation that uses at most n fixpoint rule
 applications and multisets of size at most p whose member types only mention
-ground atoms up to p.
+ground atoms up to p.  Only the rows are kept, never the derivations: each
+rule maps the rows of the premises to the rows of the conclusion.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .algebra import Monomial, Poly, mono_mul, mono_unit
+from .algebra import Poly, mono_mul, mono_unit
 from .geometry import np_min, vn_with_witness
 from .lang import (
     App,
@@ -24,7 +24,6 @@ from .lang import (
     BOOL,
     Choice,
     Fix,
-    Ground,
     Ifz,
     Lam,
     NAT,
@@ -165,15 +164,13 @@ def ctx_to_text(ctx: ITypeContext) -> str:
 class Entry:
     """One row of a judgement: context |-^poly itype, with bookkeeping.
 
-    full is the same polynomial computed with plain products and sums instead
-    of minimized ones; fixes counts fixpoint rule uses; traces maps each
+    poly is minimized; fixes counts fixpoint rule uses; traces maps each
     monomial of poly to one choice word producing it.
     """
 
     ctx: ITypeContext
     itype: ITypeExpr
     poly: Poly
-    full: Poly
     fixes: int
     traces: dict
 
@@ -191,20 +188,8 @@ class TropJudgement:
     dim: int
 
 
-@dataclass
-class TropDerivation:
-    rule: str
-    premises: tuple
-    conclusion: TropJudgement
-
-
 def _unit_entry(dim: int, ctx: ITypeContext, itype: ITypeExpr) -> Entry:
-    u = Poly.unit(dim)
-    return Entry(ctx, itype, u, u, 0, {mono_unit(dim): ()})
-
-
-def minimize(poly: Poly) -> Poly:
-    return np_min(poly)[1]
+    return Entry(ctx, itype, Poly.unit(dim), 0, {mono_unit(dim): ()})
 
 
 def merge(entries, *, split_fixes: bool = True) -> list:
@@ -225,39 +210,32 @@ def merge(entries, *, split_fixes: bool = True) -> list:
             out.append(first)
             continue
         poly = first.poly
-        full = first.full
         traces = dict(first.traces)
         for e in group[1:]:
             poly = poly + e.poly
-            full = full + e.full
             for m, w in e.traces.items():
                 if m not in traces or w < traces[m]:
                     traces[m] = w
-        poly = minimize(poly)
+        poly = np_min(poly)
         traces = {m: w for m, w in traces.items() if m in poly.coeffs}
-        out.append(
-            Entry(first.ctx, first.itype, poly, full, first.fixes, traces)
-        )
+        out.append(Entry(first.ctx, first.itype, poly, first.fixes, traces))
     out.sort(key=lambda e: e.sort_key())
     return out
 
 
-def _combine(entries, dim: int) -> Entry:
-    """Multiply a list of rows: contexts add, polynomials multiply minimized,
-    traces concatenate along one witness factorization per monomial."""
+def _combine(entries, itype: ITypeExpr, fixes: int, dim: int) -> Entry:
+    """Multiply a list of rows into a row of type itype: contexts add,
+    polynomials multiply minimized, traces concatenate along one witness
+    factorization per monomial."""
     ctx = ctx_sum(*(e.ctx for e in entries))
-    fixes = sum(e.fixes for e in entries)
     poly, witness = vn_with_witness([e.poly for e in entries], dim)
-    full = Poly.unit(dim)
-    for e in entries:
-        full = full * e.full
     traces = {}
     for m, factors in witness.items():
         word = ()
         for e, f in zip(entries, factors):
             word = word + e.traces[f]
         traces[m] = word
-    return Entry(ctx, None, poly, full, fixes, traces)
+    return Entry(ctx, itype, poly, fixes, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +248,7 @@ def _rule_succ(entries, dim):
     for e in entries:
         if not isinstance(e.itype, IAtom):
             raise TypesysError("succ applied to a non-atom refinement")
-        out.append(Entry(e.ctx, IAtom(e.itype.n + 1), e.poly, e.full, e.fixes, e.traces))
+        out.append(Entry(e.ctx, IAtom(e.itype.n + 1), e.poly, e.fixes, e.traces))
     return merge(out)
 
 
@@ -279,9 +257,7 @@ def _rule_pred(entries, dim):
     for e in entries:
         if not isinstance(e.itype, IAtom):
             raise TypesysError("pred applied to a non-atom refinement")
-        out.append(
-            Entry(e.ctx, IAtom(max(e.itype.n - 1, 0)), e.poly, e.full, e.fixes, e.traces)
-        )
+        out.append(Entry(e.ctx, IAtom(max(e.itype.n - 1, 0)), e.poly, e.fixes, e.traces))
     return merge(out)
 
 
@@ -297,7 +273,6 @@ def _rule_choice(param, left_entries, right_entries, dim):
                     e.ctx,
                     e.itype,
                     e.poly.shift(shift),
-                    e.full.shift(shift),
                     e.fixes,
                     {
                         mono_mul(shift, mono): ((param, bit),) + w
@@ -315,11 +290,9 @@ def _rule_ifz(scrutinee_entries, then_entries, else_entries, dim, max_fixes):
             raise TypesysError("ifz scrutinee with a non-atom refinement")
         branch = then_entries if e_s.itype.n == 0 else else_entries
         for e_b in branch:
-            if e_s.fixes + e_b.fixes > max_fixes:
-                continue
-            c = _combine([e_s, e_b], dim)
-            c.itype = e_b.itype
-            out.append(c)
+            fixes = e_s.fixes + e_b.fixes
+            if fixes <= max_fixes:
+                out.append(_combine([e_s, e_b], e_b.itype, fixes, dim))
     return merge(out)
 
 
@@ -331,9 +304,7 @@ def _rule_lam(name, entries, dim, p):
             continue
         if any(max_atom(t) > p for t in ms):
             continue
-        out.append(
-            Entry(rest, iarrow(ms, e.itype), e.poly, e.full, e.fixes, e.traces)
-        )
+        out.append(Entry(rest, iarrow(ms, e.itype), e.poly, e.fixes, e.traces))
     return merge(out)
 
 
@@ -367,36 +338,19 @@ def _pool(entries) -> dict:
     return pool
 
 
-def _rule_app(fun_entries, arg_entries, dim, max_fixes):
+def _rule_app(fun_entries, arg_entries, dim, max_fixes, fix=0):
+    """Arrow rows of the function against one argument row per member of the
+    argument multiset.  A fixpoint unfolding is the same rule with the current
+    fixpoint rows as arguments and fix=1 more fixpoint use."""
     out = []
     pool = _pool(arg_entries)
     for e_f in fun_entries:
         if not isinstance(e_f.itype, IArrow):
             continue
         for picked in _assignments(e_f.itype.args, pool):
-            if e_f.fixes + sum(e.fixes for e in picked) > max_fixes:
-                continue
-            c = _combine([e_f] + picked, dim)
-            c.itype = e_f.itype.res
-            out.append(c)
-    return merge(out)
-
-
-def _rule_fix_round(fun_entries, rec_entries, dim, max_fixes):
-    """One unfolding: arrow rows of the body against current fixpoint rows."""
-    out = []
-    pool = _pool(rec_entries)
-    for e_f in fun_entries:
-        if not isinstance(e_f.itype, IArrow):
-            continue
-        for picked in _assignments(e_f.itype.args, pool):
-            fixes = e_f.fixes + sum(e.fixes for e in picked) + 1
-            if fixes > max_fixes:
-                continue
-            c = _combine([e_f] + picked, dim)
-            c.itype = e_f.itype.res
-            c.fixes = fixes
-            out.append(c)
+            fixes = e_f.fixes + sum(e.fixes for e in picked) + fix
+            if fixes <= max_fixes:
+                out.append(_combine([e_f] + picked, e_f.itype.res, fixes, dim))
     return merge(out)
 
 
@@ -405,126 +359,68 @@ def _rule_fix_round(fun_entries, rec_entries, dim, max_fixes):
 # ---------------------------------------------------------------------------
 
 
-def apply_rule(rule: str, premises, site: Term, *, dim: int, p: int = None, n: int = None):
-    """Apply one typing rule to premise judgements, returning the entries.
-
-    Exposed for tests and interactive exploration; the bounded search uses the
-    same rule bodies.  p and n default to "unbounded".
-    """
-    p = 10**9 if p is None else p
-    n = 10**9 if n is None else n
-    pe = [prem.entries if isinstance(prem, TropJudgement) else prem for prem in premises]
-    if rule == "Succ":
-        return _rule_succ(pe[0], dim)
-    if rule == "Pred":
-        return _rule_pred(pe[0], dim)
-    if rule == "Oplus":
-        return _rule_choice(site.param, pe[0], pe[1], dim)
-    if rule == "Ifz":
-        return _rule_ifz(pe[0], pe[1], pe[2], dim, n)
-    if rule == "Lambda":
-        return _rule_lam(site.name, pe[0], dim, p)
-    if rule == "App":
-        return _rule_app(pe[0], pe[1], dim, n)
-    if rule == "Fix":
-        return _rule_fix_round(pe[0], pe[1], dim, n)
-    raise TypesysError(f"unknown rule {rule!r}")
-
-
 class _Search:
     def __init__(self, k: int, n: int, p: int):
         self.dim = 2 * k
         self.n = n
         self.p = p
 
-    def build(self, tt: TypedTerm) -> TropDerivation:
+    def build(self, tt: TypedTerm) -> list:
+        """The rows of the bounded family of typings of tt."""
         term = tt.term
         dim = self.dim
         value = numeral_value(term)
         if value is not None:
-            entries = [_unit_entry(dim, (), IAtom(value))]
-            return TropDerivation("Num", (), TropJudgement(term, entries, dim))
+            return [_unit_entry(dim, (), IAtom(value))]
         if isinstance(term, Var):
-            entries = [
+            return [
                 _unit_entry(dim, ctx_of(term.name, a), a)
                 for a in refinements(tt.ty, self.p)
             ]
-            return TropDerivation("Id", (), TropJudgement(term, entries, dim))
+        subs = [self.build(c) for c in tt.children]
         if isinstance(term, Succ):
-            sub = self.build(tt.children[0])
-            entries = _rule_succ(sub.conclusion.entries, dim)
-            return TropDerivation("Succ", (sub,), TropJudgement(term, entries, dim))
+            return _rule_succ(subs[0], dim)
         if isinstance(term, Pred):
-            sub = self.build(tt.children[0])
-            entries = _rule_pred(sub.conclusion.entries, dim)
-            return TropDerivation("Pred", (sub,), TropJudgement(term, entries, dim))
+            return _rule_pred(subs[0], dim)
         if isinstance(term, Choice):
-            left = self.build(tt.children[0])
-            right = self.build(tt.children[1])
-            entries = _rule_choice(
-                term.param, left.conclusion.entries, right.conclusion.entries, dim
-            )
-            return TropDerivation("Oplus", (left, right), TropJudgement(term, entries, dim))
+            return _rule_choice(term.param, subs[0], subs[1], dim)
         if isinstance(term, Ifz):
-            subs = tuple(self.build(c) for c in tt.children)
-            entries = _rule_ifz(
-                subs[0].conclusion.entries,
-                subs[1].conclusion.entries,
-                subs[2].conclusion.entries,
-                dim,
-                self.n,
-            )
-            return TropDerivation("Ifz", subs, TropJudgement(term, entries, dim))
+            return _rule_ifz(subs[0], subs[1], subs[2], dim, self.n)
         if isinstance(term, Lam):
-            sub = self.build(tt.children[0])
-            entries = _rule_lam(term.name, sub.conclusion.entries, dim, self.p)
-            return TropDerivation("Lambda", (sub,), TropJudgement(term, entries, dim))
+            return _rule_lam(term.name, subs[0], dim, self.p)
         if isinstance(term, App):
-            fun = self.build(tt.children[0])
-            arg = self.build(tt.children[1])
-            entries = _rule_app(
-                fun.conclusion.entries, arg.conclusion.entries, dim, self.n
-            )
-            return TropDerivation("App", (fun, arg), TropJudgement(term, entries, dim))
+            return _rule_app(subs[0], subs[1], dim, self.n)
         if isinstance(term, Fix):
-            fun = self.build(tt.children[0])
-            deriv = TropDerivation("Empty", (), TropJudgement(term, [], dim))
-            seen = None
+            # Unfold until a round reproduces the previous one's rows.
+            entries, seen = [], None
             while True:
-                entries = _rule_fix_round(
-                    fun.conclusion.entries, deriv.conclusion.entries, dim, self.n
-                )
+                unfolded = _rule_app(subs[0], entries, dim, self.n, fix=1)
                 fingerprint = [
-                    (e.ctx, itype_key(e.itype), e.fixes, e.poly, e.full)
-                    for e in entries
+                    (e.ctx, itype_key(e.itype), e.fixes, e.poly) for e in unfolded
                 ]
                 if fingerprint == seen:
-                    return deriv
-                seen = fingerprint
-                deriv = TropDerivation(
-                    "Fix", (fun, deriv), TropJudgement(term, entries, dim)
-                )
+                    return entries
+                entries, seen = unfolded, fingerprint
         raise TypesysError(f"cannot type {term!r}")
 
 
-def search(program: Program, target: int, n: int, p: int) -> TropDerivation:
+def search(program: Program, target: int, n: int, p: int) -> TropJudgement:
     """The bounded family of typings of a program under bounds (n, p).
 
-    Returns the derivation for the whole program; use conclusion_entry to
+    Returns the judgement for the whole program; use conclusion_entry to
     extract the closed row at a ground target atom.
     """
     tt = annotate(program.term)
     if isinstance(tt.ty, Arrow):
         raise TypeCheckError("program has an arrow type; a ground type is required")
-    return _Search(program.params, n, p).build(tt)
+    bounded = _Search(program.params, n, p)
+    return TropJudgement(program.term, bounded.build(tt), bounded.dim)
 
 
-def conclusion_entry(deriv: TropDerivation, target: int) -> Entry | None:
+def conclusion_entry(judgement: TropJudgement, target: int) -> Entry | None:
     """Merge the closed rows at atom `target` across fixpoint counts."""
     hits = [
-        e
-        for e in deriv.conclusion.entries
-        if e.ctx == () and e.itype == IAtom(target)
+        e for e in judgement.entries if e.ctx == () and e.itype == IAtom(target)
     ]
     if not hits:
         return None
@@ -537,23 +433,11 @@ def conclusion_entry(deriv: TropDerivation, target: int) -> Entry | None:
     return merged[0]
 
 
-def conclusion_poly(deriv: TropDerivation, target: int) -> Poly:
-    e = conclusion_entry(deriv, target)
+def conclusion_poly(judgement: TropJudgement, target: int) -> Poly:
+    e = conclusion_entry(judgement, target)
     if e is None:
-        return Poly.zero(deriv.conclusion.dim)
+        return Poly.zero(judgement.dim)
     return e.poly
-
-
-def traj_poly(deriv: TropDerivation, target: int) -> Poly:
-    """The un-minimized weight polynomial of the closed target rows.
-
-    Computed with plain sums and products in place of every minimization;
-    minimizing it recovers conclusion_poly.
-    """
-    e = conclusion_entry(deriv, target)
-    if e is None:
-        return conclusion_poly(deriv, target)
-    return e.full
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +458,7 @@ def bound_schedule():
 
 @dataclass
 class StabilizeResult:
-    derivation: TropDerivation
+    judgement: TropJudgement
     entry: Entry | None  # conclusion_entry of the last round, None if no row
     poly: Poly
     stable: bool
@@ -591,18 +475,22 @@ def stabilize(
     schedule alternates increments of n and p, the default window of 2 only
     accepts a polynomial that survived both a recursion-budget increase and a
     multiset-size increase.  Gives up (stable=False) after max_rounds rounds.
+    Raises ValueError unless window and max_rounds are at least 1.
     """
+    if window < 1 or max_rounds < 1:
+        raise ValueError(
+            f"window and max_rounds must be at least 1, got {window} and {max_rounds}"
+        )
     history = []
     rounds = []
-    deriv = entry = None
     for n, p in itertools.islice(bound_schedule(), max_rounds):
-        deriv = search(program, target, n, p)
-        entry = conclusion_entry(deriv, target)
-        poly = Poly.zero(deriv.conclusion.dim) if entry is None else entry.poly
+        judgement = search(program, target, n, p)
+        entry = conclusion_entry(judgement, target)
+        poly = Poly.zero(judgement.dim) if entry is None else entry.poly
         rounds.append((n, p))
         history.append(poly)
         if len(history) >= window + 1 and all(
             h == history[-1] for h in history[-(window + 1):]
         ):
-            return StabilizeResult(deriv, entry, poly, True, rounds)
-    return StabilizeResult(deriv, entry, history[-1], False, rounds)
+            return StabilizeResult(judgement, entry, poly, True, rounds)
+    return StabilizeResult(judgement, entry, poly, False, rounds)

@@ -22,7 +22,7 @@ from tropinf.algebra import (
     poly_to_text,
     tropicalize,
 )
-from tropinf.geometry import hull_vertices, np_min, vn
+from tropinf.geometry import hull_vertices, np_min, vn_with_witness
 from tropinf.infer import analyze, i2_contains, solve_i1, solve_i2
 from tropinf.lang import enumerate_trajectories, replay_word
 from tropinf.typesys import conclusion_entry, stabilize
@@ -86,7 +86,7 @@ def test_minimized_powers_collapse_to_pure_monomials():
             naive = naive * s
         expected = math.comb(k + 2, 2)
         ok = ok and len(naive.coeffs) == expected
-        out = vn([s] * k)
+        out = vn_with_witness([s] * k)[0]
         ok = ok and out.support() == [(0, 0, k), (0, k, 0), (k, 0, 0)]
     _report("minimized k-th powers keep 3 monomials vs C(k+2,2) naive", ok, t())
 
@@ -95,8 +95,8 @@ def test_hull_then_dominance_on_six_point_support():
     t = timed()
     v = [(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3), (5, 4, 3), (4, 2, 3)]
     hull = hull_vertices(v)
-    ok = set(hull.vertices) == set(v) - {(4, 2, 3)}  # the midpoint of v[3], v[4]
-    _, mini = np_min(Poly.from_support(3, v))
+    ok = set(hull) == set(v) - {(4, 2, 3)}  # the midpoint of v[3], v[4]
+    mini = np_min(Poly.from_support(3, v))
     ok = ok and set(mini.coeffs) == {(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3)}
     _report("six-point support: hull drops the midpoint, dominance drops (5,4,3)", ok, t())
 
@@ -108,7 +108,7 @@ def test_three_level_tower_reduces_to_two_runs():
     ok = len(trajs) == 8
     res = stabilize(program, 1)
     ok = ok and res.stable and poly_to_text(res.poly) == "~X1^3 + X1^3"
-    entry = conclusion_entry(res.derivation, 1)
+    entry = conclusion_entry(res.judgement, 1)
     words = {m: "".join(str(b) for _, b in w) for m, w in entry.traces.items()}
     ok = ok and words == {(3, 0): "000", (0, 3): "111"}
     _report("choice tower: 8 trajectories reduce to the 000/111 pair", ok, t())
@@ -146,13 +146,11 @@ def test_minimized_product_matches_naive_oracle():
                 for _ in range(rng.randint(1, 6))
             }
             pts = {p for p in pts if sum(p) <= 6} or {(0,) * d}
-            return np_min(Poly.from_support(d, pts))[1]
+            return np_min(Poly.from_support(d, pts))
         s, u = rand_minimal(), rand_minimal()
-        out = vn([s, u])
+        out = vn_with_witness([s, u])[0]
         naive = s * u
-        oracle = minimal_support(
-            Poly.from_support(d, hull_vertices(naive.coeffs, d).vertices)
-        )
+        oracle = minimal_support(hull_vertices(naive.coeffs))
         ok = ok and out.support() == oracle
         for _ in range(50):
             z = [F(rng.randint(0, 40), rng.randint(1, 5)) for _ in range(d)]
@@ -181,7 +179,7 @@ def test_typing_agrees_with_enumeration_on_random_programs():
         dim = 2 * max(program.params, 1)
         onto = {tr.monomial for tr in trajs if tr.normal_form == 1}
         mini = (
-            set(np_min(Poly.from_support(dim, onto))[1].coeffs) if onto else set()
+            set(np_min(Poly.from_support(dim, onto)).coeffs) if onto else set()
         )
         ok = ok and set(res.poly.coeffs) <= onto and mini <= set(res.poly.coeffs)
         if not ok:

@@ -133,6 +133,20 @@ class TestDeepNesting:
             assert "nesting" in proc.stderr and "internal error" not in proc.stderr
 
 
+class TestBadBounds:
+    """Search bounds below 1 are bad arguments: exit 1 with a message."""
+
+    @pytest.mark.parametrize("option", ["--max-rounds", "--window"])
+    def test_zero_exits_1(self, option):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropinf.cli", "analyze", M1, option, "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert option in proc.stderr and "internal error" not in proc.stderr
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tropinf.infer import analyze, report_to_json
+from tropinf.infer import analyze, report_from_json, report_to_json
 
 from conftest import load, load_source
 
@@ -29,6 +29,12 @@ def report_of(name: str) -> dict:
 def test_report_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())
     assert report_of(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_golden_round_trips(name):
+    golden = json.loads(GOLDEN.read_text())
+    assert report_to_json(report_from_json(golden[name])) == golden[name]
 
 
 if __name__ == "__main__":

@@ -43,9 +43,9 @@ class TestAnalyze:
         calls = []
         real = typesys.conclusion_entry
 
-        def counted(deriv, target):
+        def counted(judgement, target):
             calls.append(target)
-            return real(deriv, target)
+            return real(judgement, target)
 
         monkeypatch.setattr(typesys, "conclusion_entry", counted)
         rep = analyze(load("m4_3"), 1)
