@@ -130,9 +130,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_all_one(self) -> bool:
-        return all(c == 1 for c in self.coeffs.values())
-
     def degree(self) -> int:
         """Maximal total degree of a monomial (0 for the zero polynomial)."""
         return max((mono_degree(m) for m in self.coeffs), default=0)
@@ -201,13 +198,6 @@ class ProbAssignment:
         for p in self.ps:
             out.append(p)
             out.append(1 - p)
-        return out
-
-    def trop_vector(self) -> list:
-        """The matching tropical point z = (-ln p1, -ln(1-p1), ...)."""
-        out = []
-        for q in self.vector():
-            out.append(INF if q == 0 else -math.log(q))
         return out
 
     def __repr__(self):

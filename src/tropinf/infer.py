@@ -214,11 +214,6 @@ def i2_contains(result: I2Result, p: ProbAssignment) -> bool:
     return True
 
 
-def i2_contains_float(result: I2Result, z, slack: float = 1e-12) -> bool:
-    """Membership of a numeric weight vector, with a small comparison slack."""
-    return result.cone.contains(list(z), slack=slack)
-
-
 # ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Quantitative refinement typing with minimized weight polynomials.
 
 Each subterm is assigned a family of typings (context, weight polynomial,
-refinement type).  Contexts map variables to multisets of refinement types;
+refinement type).  A refinement type is a plain value that orders itself: the
+singleton type of the numeral n is the int n, and an arrow is an IArrow of a
+sorted multiset of argument types and a result type.  Refinements of one
+simple type are all ints or all IArrows, so sorting, grouping and hashing
+need no key function.  Contexts map variables to multisets of refinement types;
 weight polynomials are kept minimal throughout by replacing every product
 with its Minkowski-sum minimization and re-minimizing after every merge of
 equal (context, type) rows.  The family computed for the whole program under
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Poly, mono_mul, mono_unit
 from .geometry import np_min, vn_with_witness
@@ -31,7 +36,6 @@ from .lang import (
     Program,
     SimpleType,
     Succ,
-    Term,
     TypedTerm,
     TypeCheckError,
     Var,
@@ -49,46 +53,27 @@ class TypesysError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ITypeExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class IAtom(ITypeExpr):
-    """The singleton type of the numeral n."""
-
-    n: int
-
-
-@dataclass(frozen=True)
-class IArrow(ITypeExpr):
+class IArrow(NamedTuple):
     """A multiset of argument types (canonically sorted) and a result type."""
 
     args: tuple
-    res: ITypeExpr
-
-
-def itype_key(t: ITypeExpr):
-    if isinstance(t, IAtom):
-        return (0, t.n)
-    return (1, tuple(itype_key(a) for a in t.args), itype_key(t.res))
+    res: object
 
 
 def iarrow(args, res) -> IArrow:
-    return IArrow(tuple(sorted(args, key=itype_key)), res)
+    return IArrow(tuple(sorted(args)), res)
 
 
-def itype_to_text(t: ITypeExpr) -> str:
-    if isinstance(t, IAtom):
-        return str(t.n)
+def itype_to_text(t) -> str:
+    if isinstance(t, int):
+        return str(t)
     inner = ", ".join(itype_to_text(a) for a in t.args)
     return f"[{inner}] -o {itype_to_text(t.res)}"
 
 
-def max_atom(t: ITypeExpr) -> int:
-    if isinstance(t, IAtom):
-        return t.n
+def max_atom(t) -> int:
+    if isinstance(t, int):
+        return t
     return max([max_atom(t.res)] + [max_atom(a) for a in t.args])
 
 
@@ -99,9 +84,9 @@ def refinements(ty: SimpleType, p: int) -> list:
     to a multiset of at most p argument refinements and a result refinement.
     """
     if ty == BOOL:
-        return [IAtom(0), IAtom(1)]
+        return [0, 1]
     if ty == NAT:
-        return [IAtom(i) for i in range(max(p, 1) + 1)]
+        return list(range(max(p, 1) + 1))
     if isinstance(ty, Arrow):
         arg_refs = refinements(ty.arg, p)
         out = []
@@ -109,7 +94,7 @@ def refinements(ty: SimpleType, p: int) -> list:
             for size in range(p + 1):
                 for combo in itertools.combinations_with_replacement(arg_refs, size):
                     out.append(iarrow(combo, res))
-        return sorted(out, key=itype_key)
+        return sorted(out)
     raise TypesysError(f"cannot refine {ty!r}")
 
 
@@ -122,7 +107,7 @@ def refinements(ty: SimpleType, p: int) -> list:
 ITypeContext = tuple
 
 
-def ctx_of(name: str, itype: ITypeExpr) -> ITypeContext:
+def ctx_of(name: str, itype) -> ITypeContext:
     return ((name, (itype,)),)
 
 
@@ -131,9 +116,7 @@ def ctx_sum(*ctxs: ITypeContext) -> ITypeContext:
     for ctx in ctxs:
         for name, ms in ctx:
             bags.setdefault(name, []).extend(ms)
-    return tuple(
-        (name, tuple(sorted(bags[name], key=itype_key))) for name in sorted(bags)
-    )
+    return tuple((name, tuple(sorted(bags[name]))) for name in sorted(bags))
 
 
 def ctx_split(ctx: ITypeContext, name: str) -> tuple:
@@ -146,10 +129,6 @@ def ctx_split(ctx: ITypeContext, name: str) -> tuple:
         else:
             rest.append((key, bag))
     return ms, tuple(rest)
-
-
-def ctx_key(ctx: ITypeContext):
-    return tuple((name, tuple(itype_key(t) for t in ms)) for name, ms in ctx)
 
 
 def ctx_to_text(ctx: ITypeContext) -> str:
@@ -169,40 +148,35 @@ class Entry:
     """
 
     ctx: ITypeContext
-    itype: ITypeExpr
+    itype: object
     poly: Poly
     fixes: int
     traces: dict
 
     def key(self):
-        return (self.ctx, itype_key(self.itype), self.fixes)
-
-    def sort_key(self):
-        return (ctx_key(self.ctx), itype_key(self.itype), self.fixes)
+        return (self.ctx, self.itype, self.fixes)
 
 
 @dataclass
 class TropJudgement:
-    subject: Term
     entries: list
     dim: int
 
 
-def _unit_entry(dim: int, ctx: ITypeContext, itype: ITypeExpr) -> Entry:
+def _unit_entry(dim: int, ctx: ITypeContext, itype) -> Entry:
     return Entry(ctx, itype, Poly.unit(dim), 0, {mono_unit(dim): ()})
 
 
-def merge(entries, *, split_fixes: bool = True) -> list:
-    """Collapse rows with equal (context, type), summing and re-minimizing.
+def merge(entries) -> list:
+    """Collapse rows with equal (context, type, fixpoint count), summing and
+    re-minimizing.
 
-    With split_fixes (the default inside the bounded search) rows are also
-    kept apart by their fixpoint-use count so budget accounting stays exact.
-    Trace ties on a shared monomial resolve to the smallest word.
+    Rows are kept apart by their fixpoint-use count so budget accounting stays
+    exact.  Trace ties on a shared monomial resolve to the smallest word.
     """
     groups: dict = {}
     for e in entries:
-        key = e.key() if split_fixes else (e.ctx, itype_key(e.itype))
-        groups.setdefault(key, []).append(e)
+        groups.setdefault(e.key(), []).append(e)
     out = []
     for group in groups.values():
         first = group[0]
@@ -219,11 +193,11 @@ def merge(entries, *, split_fixes: bool = True) -> list:
         poly = np_min(poly)
         traces = {m: w for m, w in traces.items() if m in poly.coeffs}
         out.append(Entry(first.ctx, first.itype, poly, first.fixes, traces))
-    out.sort(key=lambda e: e.sort_key())
+    out.sort(key=Entry.key)
     return out
 
 
-def _combine(entries, itype: ITypeExpr, fixes: int, dim: int) -> Entry:
+def _combine(entries, itype, fixes: int, dim: int) -> Entry:
     """Multiply a list of rows into a row of type itype: contexts add,
     polynomials multiply minimized, traces concatenate along one witness
     factorization per monomial."""
@@ -243,21 +217,13 @@ def _combine(entries, itype: ITypeExpr, fixes: int, dim: int) -> Entry:
 # ---------------------------------------------------------------------------
 
 
-def _rule_succ(entries, dim):
+def _rule_atom(op: str, step, entries):
+    """succ and pred: map the atom of every row through step."""
     out = []
     for e in entries:
-        if not isinstance(e.itype, IAtom):
-            raise TypesysError("succ applied to a non-atom refinement")
-        out.append(Entry(e.ctx, IAtom(e.itype.n + 1), e.poly, e.fixes, e.traces))
-    return merge(out)
-
-
-def _rule_pred(entries, dim):
-    out = []
-    for e in entries:
-        if not isinstance(e.itype, IAtom):
-            raise TypesysError("pred applied to a non-atom refinement")
-        out.append(Entry(e.ctx, IAtom(max(e.itype.n - 1, 0)), e.poly, e.fixes, e.traces))
+        if not isinstance(e.itype, int):
+            raise TypesysError(f"{op} applied to a non-atom refinement")
+        out.append(Entry(e.ctx, step(e.itype), e.poly, e.fixes, e.traces))
     return merge(out)
 
 
@@ -286,9 +252,9 @@ def _rule_choice(param, left_entries, right_entries, dim):
 def _rule_ifz(scrutinee_entries, then_entries, else_entries, dim, max_fixes):
     out = []
     for e_s in scrutinee_entries:
-        if not isinstance(e_s.itype, IAtom):
+        if not isinstance(e_s.itype, int):
             raise TypesysError("ifz scrutinee with a non-atom refinement")
-        branch = then_entries if e_s.itype.n == 0 else else_entries
+        branch = then_entries if e_s.itype == 0 else else_entries
         for e_b in branch:
             fixes = e_s.fixes + e_b.fixes
             if fixes <= max_fixes:
@@ -311,14 +277,14 @@ def _rule_lam(name, entries, dim, p):
 def _assignments(args, pool):
     """All unordered ways to pick one pool entry per multiset element.
 
-    args is a sorted tuple of refinement types; pool maps a type key to the
+    args is a sorted tuple of refinement types; pool maps a type to the
     candidate entries with that type.  Yields lists of entries aligned with
     args (used both by application and by fixpoint unfolding).
     """
     by_type = []
-    for key, group in itertools.groupby(args, key=itype_key):
+    for itype, group in itertools.groupby(args):
         count = len(list(group))
-        candidates = pool.get(key, [])
+        candidates = pool.get(itype, [])
         by_type.append((count, candidates))
     choices_per_type = []
     for count, candidates in by_type:
@@ -334,7 +300,7 @@ def _assignments(args, pool):
 def _pool(entries) -> dict:
     pool: dict = {}
     for e in entries:
-        pool.setdefault(itype_key(e.itype), []).append(e)
+        pool.setdefault(e.itype, []).append(e)
     return pool
 
 
@@ -371,7 +337,7 @@ class _Search:
         dim = self.dim
         value = numeral_value(term)
         if value is not None:
-            return [_unit_entry(dim, (), IAtom(value))]
+            return [_unit_entry(dim, (), value)]
         if isinstance(term, Var):
             return [
                 _unit_entry(dim, ctx_of(term.name, a), a)
@@ -379,9 +345,9 @@ class _Search:
             ]
         subs = [self.build(c) for c in tt.children]
         if isinstance(term, Succ):
-            return _rule_succ(subs[0], dim)
+            return _rule_atom("succ", lambda n: n + 1, subs[0])
         if isinstance(term, Pred):
-            return _rule_pred(subs[0], dim)
+            return _rule_atom("pred", lambda n: max(n - 1, 0), subs[0])
         if isinstance(term, Choice):
             return _rule_choice(term.param, subs[0], subs[1], dim)
         if isinstance(term, Ifz):
@@ -395,9 +361,7 @@ class _Search:
             entries, seen = [], None
             while True:
                 unfolded = _rule_app(subs[0], entries, dim, self.n, fix=1)
-                fingerprint = [
-                    (e.ctx, itype_key(e.itype), e.fixes, e.poly) for e in unfolded
-                ]
+                fingerprint = [(e.key(), e.poly) for e in unfolded]
                 if fingerprint == seen:
                     return entries
                 entries, seen = unfolded, fingerprint
@@ -414,17 +378,22 @@ def search(program: Program, target: int, n: int, p: int) -> TropJudgement:
     if isinstance(tt.ty, Arrow):
         raise TypeCheckError("program has an arrow type; a ground type is required")
     bounded = _Search(program.params, n, p)
-    return TropJudgement(program.term, bounded.build(tt), bounded.dim)
+    return TropJudgement(bounded.build(tt), bounded.dim)
 
 
 def conclusion_entry(judgement: TropJudgement, target: int) -> Entry | None:
-    """Merge the closed rows at atom `target` across fixpoint counts."""
+    """Merge the closed rows at atom `target` across fixpoint counts.
+
+    The merged row counts no fixpoint uses: its rows differ only in that count.
+    """
     hits = [
-        e for e in judgement.entries if e.ctx == () and e.itype == IAtom(target)
+        Entry(e.ctx, e.itype, e.poly, 0, e.traces)
+        for e in judgement.entries
+        if e.ctx == () and e.itype == target
     ]
     if not hits:
         return None
-    merged = merge(hits, split_fixes=False)
+    merged = merge(hits)
     if len(merged) != 1:
         raise TypesysError(
             f"closed rows at atom {target} merged into {len(merged)} entries, "

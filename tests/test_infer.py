@@ -10,7 +10,6 @@ from tropinf.infer import (
     InferError,
     analyze,
     i2_contains,
-    i2_contains_float,
     report_from_json,
     report_to_json,
     solve_i1,
@@ -146,9 +145,9 @@ class TestI2:
                 hi = mid
         pstar = (lo + hi) / 2
         assert (1 - pstar) ** 3 == pytest.approx(pstar**2, rel=1e-12)
-        assert i2_contains_float(res, zvec(pstar), slack=1e-12)
-        assert i2_contains_float(res, zvec(0.25))
-        assert not i2_contains_float(res, zvec(0.5))
+        assert res.cone.contains(zvec(pstar), slack=1e-12)
+        assert res.cone.contains(zvec(0.25), slack=1e-12)
+        assert not res.cone.contains(zvec(0.5), slack=1e-12)
 
     def test_degenerate_probabilities(self, m1_report):
         res = solve_i2(m1_report, (0, 3))

@@ -12,8 +12,8 @@ from tropinf.lang import (
 )
 from tropinf.typesys import (
     Entry,
-    IAtom,
     IArrow,
+    TropJudgement,
     TypesysError,
     _rule_choice,
     _rule_ifz,
@@ -44,21 +44,33 @@ class TestRefinements:
         assert len(refinements(Arrow(BOOL, BOOL), 1)) == 6
         assert len(refinements(Arrow(BOOL, BOOL), 2)) == 12
 
+    @pytest.mark.parametrize("p, count", [(1, 42), (2, 1092)])
+    def test_order_two_strictly_increasing(self, p, count):
+        # Refinement types order themselves: the list is sorted and has no
+        # duplicates, and every argument multiset is sorted too.
+        ty = Arrow(Arrow(BOOL, BOOL), Arrow(BOOL, BOOL))
+        refs = refinements(ty, p)
+        assert len(refs) == count
+        assert refs == sorted(set(refs))
+        for t in refs:
+            assert isinstance(t, IArrow) and isinstance(t.res, IArrow)
+            assert list(t.args) == sorted(t.args)
+
     def test_atom_bound(self):
-        atoms = {it.n for it in refinements(NAT, 2)}
+        atoms = set(refinements(NAT, 2))
         assert atoms == {0, 1, 2}
 
     def test_text(self):
-        assert itype_to_text(IAtom(3)) == "3"
-        assert itype_to_text(iarrow([IAtom(0), IAtom(0)], IAtom(1))) == "[0, 0] -o 1"
-        assert itype_to_text(iarrow([], IAtom(1))) == "[] -o 1"
+        assert itype_to_text(3) == "3"
+        assert itype_to_text(iarrow([0, 0], 1)) == "[0, 0] -o 1"
+        assert itype_to_text(iarrow([], 1)) == "[] -o 1"
 
 
 class TestMerge:
     def unit(self, mono, fixes=0, word=None):
         p = Poly.monomial(mono)
         traces = {tuple(mono): word} if word is not None else {}
-        return Entry(ctx=(), itype=IAtom(1), poly=p, fixes=fixes, traces=traces)
+        return Entry(ctx=(), itype=1, poly=p, fixes=fixes, traces=traces)
 
     def test_same_key_summed(self):
         out = merge([self.unit((1, 0)), self.unit((0, 1))])
@@ -68,7 +80,8 @@ class TestMerge:
     def test_fix_counts_kept_separate(self):
         a, b = self.unit((1, 0), fixes=0), self.unit((1, 0), fixes=1)
         assert len(merge([a, b])) == 2
-        assert len(merge([a, b], split_fixes=False)) == 1
+        root = conclusion_entry(TropJudgement([a, b], 2), 1)
+        assert root.poly == a.poly and root.fixes == 0
 
     def test_dominated_monomial_dropped(self):
         out = merge([self.unit((1, 0)), self.unit((2, 1))])
@@ -93,30 +106,30 @@ class TestMerge:
 
 class TestApplyRule:
     def test_choice_shifts_weight(self):
-        unit = Entry((), IAtom(1), Poly.unit(2), 0, {(0, 0): ()})
+        unit = Entry((), 1, Poly.unit(2), 0, {(0, 0): ()})
         out = _rule_choice(1, [unit], [unit], dim=2)
         assert len(out) == 1
         assert out[0].poly.support() == [(0, 1), (1, 0)]
         assert out[0].traces == {(1, 0): ((1, 0),), (0, 1): ((1, 1),)}
 
     def test_ifz_selects_on_scrutinee_atom(self):
-        z = Entry((), IAtom(0), Poly.monomial((1, 0)), 0, {(1, 0): ((1, 0),)})
-        nz = Entry((), IAtom(2), Poly.monomial((0, 1)), 0, {(0, 1): ((1, 1),)})
-        then = Entry((), IAtom(1), Poly.unit(2), 0, {(0, 0): ()})
-        orelse = Entry((), IAtom(0), Poly.unit(2), 0, {(0, 0): ()})
+        z = Entry((), 0, Poly.monomial((1, 0)), 0, {(1, 0): ((1, 0),)})
+        nz = Entry((), 2, Poly.monomial((0, 1)), 0, {(0, 1): ((1, 1),)})
+        then = Entry((), 1, Poly.unit(2), 0, {(0, 0): ()})
+        orelse = Entry((), 0, Poly.unit(2), 0, {(0, 0): ()})
         out = _rule_ifz([z, nz], [then], [orelse], dim=2, max_fixes=0)
-        got = {(e.itype.n, e.poly.support()[0]) for e in out}
+        got = {(e.itype, e.poly.support()[0]) for e in out}
         assert got == {(1, (1, 0)), (0, (0, 1))}
 
 
 class TestCtx:
     def test_ctx_sum_merges_multisets(self):
-        a = (("x", (IAtom(0),)),)
-        b = (("x", (IAtom(0), IAtom(1))), ("y", (IAtom(1),)))
+        a = (("x", (0,)),)
+        b = (("x", (0, 1)), ("y", (1,)))
         out = ctx_sum(a, b)
         d = dict(out)
-        assert d["x"] == (IAtom(0), IAtom(0), IAtom(1))
-        assert d["y"] == (IAtom(1),)
+        assert d["x"] == (0, 0, 1)
+        assert d["y"] == (1,)
 
 
 class TestSearchGoldens:
