@@ -49,6 +49,20 @@ def _parse_probs(text: str, k: int) -> ProbAssignment:
         raise CliError(str(exc))
 
 
+def _parse_monomial(text: str, k: int) -> tuple:
+    layout = ",".join(algebra.var_names(2 * k))
+    try:
+        mu = tuple(int(e) for e in text.split(","))
+    except ValueError:
+        mu = None
+    if mu is None or len(mu) != 2 * k or any(e < 0 for e in mu):
+        raise CliError(
+            f"bad monomial {text!r}: expected {2 * k} non-negative exponents "
+            f"in the layout {layout}"
+        )
+    return mu
+
+
 def _analyze(program, source, target, window, max_rounds):
     try:
         return infer.analyze(
@@ -64,7 +78,8 @@ def _analyze(program, source, target, window, max_rounds):
 def _analysis_options(command):
     """The options shared by every command that runs the analysis."""
     options = (
-        click.option("--target", default=1, show_default=True, help="Ground numeral to reach."),
+        click.option("--target", type=click.IntRange(min=0), default=1, show_default=True,
+                     help="Ground numeral to reach."),
         click.option("--window", type=click.IntRange(min=1), default=2, show_default=True,
                      help="Unchanged bound increments needed to call the result stable."),
         click.option("--max-rounds", type=click.IntRange(min=1), default=16, show_default=True,
@@ -96,7 +111,8 @@ def check(path):
 
 @main.command()
 @click.argument("path", type=click.Path())
-@click.option("--budget", default=200, show_default=True, help="Total step budget per path.")
+@click.option("--budget", type=click.IntRange(min=0), default=200, show_default=True,
+              help="Total step budget per path.")
 @click.option("--target", type=int, default=None, help="Only show paths reaching this numeral.")
 def enumerate(path, budget, target):
     """List reduction paths with their choice words and weights."""
@@ -197,10 +213,7 @@ def i1(path, probs, target, window, max_rounds, output):
 def i2(path, monomial, probs, target, window, max_rounds, output):
     """Region of probabilities where a trajectory class is most likely."""
     program, source = _load(path)
-    try:
-        mu = tuple(int(e) for e in monomial.split(","))
-    except ValueError as exc:
-        raise CliError(f"bad monomial: {exc}")
+    mu = _parse_monomial(monomial, program.params)
     report = _analyze(program, source, target, window, max_rounds)
     try:
         res = infer.solve_i2(report, mu)

@@ -1,10 +1,14 @@
 """Exact lattice-polytope geometry for polynomial supports.
 
-Vertex detection and cone witnesses are small linear programs, solved by a
-two-phase simplex with Bland's pivoting rule on an integer tableau that shares
-one positive common denominator (fraction-free, Bareiss-style pivoting).
-Rational input rows are scaled to integers and results come back as exact
-`Fraction`s.  No floating point enters any geometric predicate.
+Hull vertices are settled by exact integer certificates first: a set of at
+most two points, a coordinate extreme attained by at most two points, the
+unique maximizer along the direction from the centroid (a vertex), and the
+midpoint of two other points (not a vertex).  A small linear program decides
+only the points these leave open.  Those LPs and the cone witnesses are
+solved by a two-phase simplex with Bland's pivoting rule on an integer tableau
+that shares one positive common denominator (fraction-free, Bareiss-style
+pivoting).  Rational input rows are scaled to integers and results come back
+as exact `Fraction`s.  No floating point enters any geometric predicate.
 """
 
 from __future__ import annotations
@@ -211,27 +215,60 @@ def _is_vertex(p, others) -> bool:
     return lp_solve(prob).status == "infeasible"
 
 
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 def hull_vertices(points: Iterable[Monomial]) -> tuple:
     """The vertices of the convex hull of a finite set of lattice points,
-    sorted and deduplicated."""
-    pts = sorted(set(tuple(p) for p in points))
-    if len(pts) <= 1:
+    sorted and deduplicated.
+
+    Each point is settled by an exact certificate where one exists, and the
+    LP of `_is_vertex` decides only the points left open.
+    """
+    present = {tuple(p) for p in points}
+    pts = sorted(present)
+    # Distinct points are always vertices of their own hull.
+    if len(pts) <= 2:
         return tuple(pts)
 
-    # Cheap pass: a unique extreme along any coordinate direction is a vertex.
+    # The points at an extreme of one coordinate span a face of the hull, and
+    # a vertex of a face is a vertex of the hull: a face of one or two points
+    # has only vertices.
     sure = set()
     for c in range(len(pts[0])):
         for pick in (min, max):
             ext = pick(p[c] for p in pts)
             hits = [p for p in pts if p[c] == ext]
-            if len(hits) == 1:
-                sure.add(hits[0])
+            if len(hits) <= 2:
+                sure.update(hits)
 
-    verts = []
+    total = [sum(col) for col in zip(*pts)]
+    rejected = set()
+    undecided = []
     for p in pts:
-        if p in sure or _is_vertex(p, [q for q in pts if q != p]):
-            verts.append(p)
-    return tuple(verts)
+        if p in sure:
+            continue
+        # p is exposed if it is the unique maximizer of c.x, where c points
+        # from the centroid to p (scaled by len(pts) to stay integral).
+        c = [len(pts) * a - t for a, t in zip(p, total)]
+        top = _dot(c, p)
+        if all(_dot(c, q) < top for q in pts if q != p):
+            sure.add(p)
+        # p is the midpoint of q and 2p - q, two other points of the set.
+        elif any(tuple(2 * a - b for a, b in zip(p, q)) in present for q in pts if q != p):
+            rejected.add(p)
+        else:
+            undecided.append(p)
+
+    # A non-vertex lies in the hull of the vertices, and no rejected point is
+    # a vertex, so the LP may leave the rejected points out.
+    for p in undecided:
+        if _is_vertex(p, [q for q in pts if q != p and q not in rejected]):
+            sure.add(p)
+        else:
+            rejected.add(p)
+    return tuple(p for p in pts if p in sure)
 
 
 def np_min(s: Poly) -> Poly:

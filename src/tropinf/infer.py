@@ -141,12 +141,9 @@ def solve_i1(report: AnalysisReport, p: ProbAssignment) -> I1Result:
             winners = [mu]
         elif prob == best:
             winners.append(mu)
-    value = INF if best == 0 else -_log_fraction(best)
+    # -ln(num/den) as ln(den) - ln(num): a probability of 1 gives 0.0, not -0.0.
+    value = INF if best == 0 else math.log(best.denominator) - math.log(best.numerator)
     return I1Result(value, tuple(winners), best)
-
-
-def _log_fraction(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
 
 
 # ---------------------------------------------------------------------------

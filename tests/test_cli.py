@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -89,6 +90,13 @@ class TestI1:
         assert "winners: X1^2" in res.output
         assert "probability: 1/4" in res.output
 
+    def test_certain_winner_json_value_is_positive_zero(self, runner):
+        res = runner.invoke(main, ["i1", M1, "--probs", "0", "--output", "json"])
+        assert res.exit_code == 0
+        value = json.loads(res.output)["value"]
+        assert value == 0 and math.copysign(1, value) == 1
+        assert "-0.0" not in res.output
+
     def test_bad_probs(self, runner):
         assert runner.invoke(main, ["i1", M1, "--probs", "bad"]).exit_code == 1
         assert runner.invoke(main, ["i1", M1, "--probs", "3/2"]).exit_code == 1
@@ -145,6 +153,44 @@ class TestBadBounds:
         )
         assert proc.returncode == 1, proc.stderr
         assert option in proc.stderr and "internal error" not in proc.stderr
+
+
+class TestBadArguments:
+    """Out-of-range or ill-shaped arguments exit 1 with a message that names
+    what was expected."""
+
+    @staticmethod
+    def _run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "tropinf.cli", *args], capture_output=True, text=True
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", M1, "--target", "-1"],
+            ["i1", M1, "--probs", "1/2", "--target", "-1"],
+            ["i2", M1, "--monomial", "0,3", "--target", "-1"],
+        ],
+        ids=["analyze", "i1", "i2"],
+    )
+    def test_negative_target(self, args):
+        proc = self._run(*args)
+        assert proc.returncode == 1, proc.stderr
+        assert "--target" in proc.stderr and "internal error" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "monomial", ["0,3,1", "-1,3", "3", "x"], ids=["three", "negative", "one", "text"]
+    )
+    def test_monomial_layout(self, monomial):
+        proc = self._run("i2", M1, f"--monomial={monomial}")
+        assert proc.returncode == 1, proc.stderr
+        assert "X1,~X1" in proc.stderr and "not a monomial" not in proc.stderr
+
+    def test_negative_budget(self):
+        proc = self._run("enumerate", M1, "--budget", "-5")
+        assert proc.returncode == 1, proc.stderr
+        assert "--budget" in proc.stderr and "internal error" not in proc.stderr
 
 
 class TestEntryPoint:

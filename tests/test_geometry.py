@@ -2,8 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
+from tropinf import geometry, infer
 from tropinf.algebra import INF, Poly, eval_trop, minimal_support, tropicalize
 from tropinf.geometry import (
     GeometryError,
@@ -17,7 +18,12 @@ from tropinf.geometry import (
     vn_with_witness,
 )
 
+from conftest import SEED, load
+from hull_reference import hull_vertices as reference_hull_vertices
+
 F = Fraction
+
+SIX_POINTS = [(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3), (5, 4, 3), (4, 2, 3)]
 
 
 class TestLP:
@@ -75,6 +81,69 @@ class TestHull:
 
     def test_empty(self):
         assert hull_vertices([]) == ()
+
+
+@st.composite
+def lattice_sets(draw):
+    """Lattice point sets of dimension 2-10, with planted midpoints (a + b is
+    the midpoint of 2a and 2b) and collinear triples (a, a + b, a + 2b)."""
+    d = draw(st.integers(2, 10))
+    point = st.tuples(*[st.integers(0, 3)] * d)
+    pts = draw(st.lists(point, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(point), draw(point)
+        pts += [tuple(2 * x for x in a), tuple(2 * y for y in b), tuple(x + y for x, y in zip(a, b))]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(point), draw(point)
+        pts += [a, tuple(x + y for x, y in zip(a, b)), tuple(x + 2 * y for x, y in zip(a, b))]
+    return pts
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the vertex LPs `hull_vertices` solves."""
+    calls = []
+    solve = geometry._is_vertex
+
+    def counted(p, others):
+        calls.append(p)
+        return solve(p, others)
+
+    monkeypatch.setattr(geometry, "_is_vertex", counted)
+    return calls
+
+
+class TestHullCertificates:
+    """Certificates settle most points; the LP-only reference decides all."""
+
+    @seed(SEED)
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_sets())
+    @example(SIX_POINTS)
+    @example([(0, 0), (1, 1), (2, 2), (3, 3)])
+    @example([(1, 1, 1), (2, 2, 2), (2, 2, 2)])
+    def test_matches_lp_reference(self, pts):
+        assert hull_vertices(pts) == reference_hull_vertices(pts)
+
+    def test_two_points_need_no_lp(self, lp_calls):
+        assert hull_vertices([(1, 2, 3), (3, 2, 1), (1, 2, 3)]) == ((1, 2, 3), (3, 2, 1))
+        assert lp_calls == []
+
+    def test_six_point_midpoint_support_needs_no_lp(self, lp_calls):
+        assert set(hull_vertices(SIX_POINTS)) == set(SIX_POINTS) - {(4, 2, 3)}
+        assert lp_calls == []
+
+    def test_centroid_direction_settles_the_grid_corners(self, lp_calls):
+        # Every coordinate extreme of the 3x3 grid is attained by three
+        # points, so only the centroid direction settles the corners; the
+        # other five points are midpoints.
+        grid = list(itertools.product(range(3), repeat=2))
+        assert hull_vertices(grid) == ((0, 0), (0, 2), (2, 0), (2, 2))
+        assert lp_calls == []
+
+    def test_analyze_m2_solves_few_lps(self, lp_calls):
+        infer.analyze(load("m2"), 1)
+        assert 0 < len(lp_calls) <= 16
 
 
 class TestNpMin:

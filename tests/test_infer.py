@@ -115,6 +115,12 @@ class TestI1:
         res1 = solve_i1(m1_report, ProbAssignment([F(1)]))
         assert res1.winners == ((2, 0),) and res1.probability == 1
 
+    @pytest.mark.parametrize("q", [F(0), F(1)])
+    def test_certain_winner_value_is_positive_zero(self, m1_report, q):
+        res = solve_i1(m1_report, ProbAssignment([q]))
+        assert res.probability == 1
+        assert res.value == 0 and math.copysign(1, res.value) == 1
+
     def test_dimension_mismatch(self, m1_report):
         with pytest.raises(InferError):
             solve_i1(m1_report, ProbAssignment([F(1, 2), F(1, 2)]))
