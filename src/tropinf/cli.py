@@ -52,7 +52,7 @@ def _parse_probs(text: str, k: int) -> ProbAssignment:
 def _parse_monomial(text: str, k: int) -> tuple:
     layout = ",".join(algebra.var_names(2 * k))
     try:
-        mu = tuple(int(e) for e in text.split(","))
+        mu = tuple(int(e) for e in text.split(",")) if text.strip() else ()
     except ValueError:
         mu = None
     if mu is None or len(mu) != 2 * k or any(e < 0 for e in mu):
@@ -214,15 +214,13 @@ def i2(path, monomial, probs, target, window, max_rounds, output):
     """Region of probabilities where a trajectory class is most likely."""
     program, source = _load(path)
     mu = _parse_monomial(monomial, program.params)
+    p = None if probs is None else _parse_probs(probs, program.params)
     report = _analyze(program, source, target, window, max_rounds)
     try:
         res = infer.solve_i2(report, mu)
     except infer.InferError as exc:
         raise CliError(str(exc))
-    member = None
-    if probs is not None:
-        p = _parse_probs(probs, program.params)
-        member = infer.i2_contains(res, p)
+    member = None if p is None else infer.i2_contains(res, p)
     if output == "json":
         obj = {
             "schema": infer.SCHEMA,

@@ -281,46 +281,27 @@ def np_min(s: Poly) -> Poly:
     return Poly.from_support(s.dim, minimal_support(hull_vertices(s.coeffs)))
 
 
-def vn_with_witness(polys: Sequence[Poly], dim: int | None = None) -> tuple:
-    """Minimal polynomial of a product, without expanding the product, and one
-    factorization per output monomial.
+def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
+    """Minimal polynomial of a product, without expanding the product.
 
     Folds pairwise Minkowski vertex sums over the factor supports and keeps
-    the pointwise-minimal points of the final vertex set.  The second
-    component maps each monomial of the result to a tuple with one monomial
-    per input factor whose product it is; when several factorizations produce
-    the same point the lexicographically smallest tuple is kept.  The empty
-    product is the unit polynomial (dim must then be given).
+    the pointwise-minimal points of the final vertex set.  The empty product
+    is the unit polynomial (dim must then be given).
     """
     if not polys:
         if dim is None:
             raise GeometryError("empty product with unspecified dimension")
-        u = Poly.unit(dim)
-        return u, {(0,) * dim: ()}
+        return Poly.unit(dim)
     d = polys[0].dim
     for s in polys:
         if s.dim != d:
             raise GeometryError("dimension mismatch in product")
         if s.is_zero():
-            return Poly.zero(d), {}
-
-    witness = {m: (m,) for m in polys[0].coeffs}
-    points = set(witness)
+            return Poly.zero(d)
+    points = polys[0].coeffs
     for s in polys[1:]:
-        new_witness: dict = {}
-        for p in sorted(points):
-            for q in sorted(s.coeffs):
-                r = mono_mul(p, q)
-                cand = witness[p] + (q,)
-                if r not in new_witness or cand < new_witness[r]:
-                    new_witness[r] = cand
-        points = set(hull_vertices(new_witness))
-        witness = {m: w for m, w in new_witness.items() if m in points}
-    minimal = minimal_support(points)
-    return (
-        Poly.from_support(d, minimal),
-        {m: witness[m] for m in minimal},
-    )
+        points = hull_vertices({mono_mul(p, q) for p in points for q in s.coeffs})
+    return Poly.from_support(d, minimal_support(points))
 
 
 # ---------------------------------------------------------------------------

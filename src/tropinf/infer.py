@@ -12,9 +12,9 @@ from fractions import Fraction
 from . import algebra, geometry, lang, typesys
 from .algebra import INF, Monomial, Poly, ProbAssignment
 from .geometry import HalfspaceSystem, normal_cone, reduce_rows
-from .lang import ChoiceWord, Program, find_word, replay_word
+from .lang import ChoiceWord, Program, find_word
 
-# Reduction steps allowed when replaying or searching for a word.
+# Reduction steps allowed on each path of the search for a word.
 ORACLE_BUDGET = 10000
 
 
@@ -32,7 +32,8 @@ class Config:
 class SelectedTrajectory:
     """One monomial of the stabilized polynomial with its certificate.
 
-    word replays through the reducer to the target with exactly this weight;
+    word is the smallest choice word whose run reaches the target with
+    exactly this weight, found by a budgeted search of the reducer;
     cone is the region of weight vectors where the monomial attains the
     tropical minimum, with a rational witness point when one exists.
     """
@@ -67,10 +68,9 @@ def analyze(program: Program, target: int, config: Config | None = None,
     result = typesys.stabilize(
         program, target, window=config.window, max_rounds=config.max_rounds
     )
-    hinted = result.entry.traces if result.entry is not None else {}
     selected = []
     for mu in result.poly.support():
-        word = _resolve_word(program, target, mu, hinted.get(mu))
+        word = _resolve_word(program, target, mu)
         cone, witness = normal_cone(mu, result.poly)
         selected.append(SelectedTrajectory(mu, word, reduce_rows(cone), witness))
     return AnalysisReport(
@@ -85,13 +85,8 @@ def analyze(program: Program, target: int, config: Config | None = None,
     )
 
 
-def _resolve_word(program, target, mu, hint):
-    """Validate the compositional trace against the reducer; if replay does
-    not reproduce the monomial, recover a word by guided search."""
-    if hint is not None:
-        nf, mono, _ = replay_word(program, hint, ORACLE_BUDGET)
-        if nf == target and mono == mu:
-            return hint
+def _resolve_word(program, target, mu):
+    """The smallest choice word of a run to target with weight mu."""
     word = find_word(program, target, mu, ORACLE_BUDGET)
     if word is None:
         raise InferError(

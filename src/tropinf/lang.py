@@ -883,24 +883,19 @@ def find_word(
 ) -> ChoiceWord | None:
     """Search for a reduction to `target` whose weight is exactly `monomial`.
 
-    Depth-first over the choice tree, pruned by the remaining exponent budget;
-    returns the lexicographically smallest such word, or None within the step
-    budget.
+    Depth-first over the choice tree, left branch first and pruned by the
+    remaining exponent budget, so complete words come in lexicographic order:
+    returns the first, hence smallest, such word, or None within the step
+    budget of each path.
     """
-    k = program.params
     stack = [(program.term, 0, (), list(monomial))]
-    best = None
     while stack:
         term, steps, word, remaining = stack.pop()
         while steps < max_steps:
             step = reduce_once(term)
             if isinstance(step, NormalForm):
-                if (
-                    numeral_value(term) == target
-                    and not any(remaining)
-                    and (best is None or word < best)
-                ):
-                    best = word
+                if numeral_value(term) == target and not any(remaining):
+                    return word
                 break
             if isinstance(step, Deterministic):
                 term = step.term
@@ -919,4 +914,4 @@ def find_word(
             term = step.left
             word = word + ((i, 0),)
             steps += 1
-    return best
+    return None

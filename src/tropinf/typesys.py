@@ -12,7 +12,8 @@ equal (context, type) rows.  The family computed for the whole program under
 bounds (n, p) collects every derivation that uses at most n fixpoint rule
 applications and multisets of size at most p whose member types only mention
 ground atoms up to p.  Only the rows are kept, never the derivations: each
-rule maps the rows of the premises to the rows of the conclusion.
+rule maps the rows of the premises to the rows of the conclusion.  A row
+names no run: the reducer does (`lang.find_word`, called by `infer.analyze`).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import Poly, mono_mul, mono_unit
-from .geometry import np_min, vn_with_witness
+from .algebra import Poly
+from .geometry import np_min, vn
 from .lang import (
     App,
     Arrow,
@@ -141,17 +142,15 @@ def ctx_to_text(ctx: ITypeContext) -> str:
 
 @dataclass
 class Entry:
-    """One row of a judgement: context |-^poly itype, with bookkeeping.
+    """One row of a judgement: context |-^poly itype.
 
-    poly is minimized; fixes counts fixpoint rule uses; traces maps each
-    monomial of poly to one choice word producing it.
+    poly is minimized; fixes counts fixpoint rule uses.
     """
 
     ctx: ITypeContext
     itype: object
     poly: Poly
     fixes: int
-    traces: dict
 
     def key(self):
         return (self.ctx, self.itype, self.fixes)
@@ -163,8 +162,12 @@ class TropJudgement:
     dim: int
 
 
-def _unit_entry(dim: int, ctx: ITypeContext, itype) -> Entry:
-    return Entry(ctx, itype, Poly.unit(dim), 0, {mono_unit(dim): ()})
+def _sum_min(polys: list) -> Poly:
+    """The minimized sum of a non-empty list of minimized polynomials; a
+    single one is returned as it is."""
+    if len(polys) == 1:
+        return polys[0]
+    return np_min(sum(polys[1:], polys[0]))
 
 
 def merge(entries) -> list:
@@ -172,44 +175,24 @@ def merge(entries) -> list:
     re-minimizing.
 
     Rows are kept apart by their fixpoint-use count so budget accounting stays
-    exact.  Trace ties on a shared monomial resolve to the smallest word.
+    exact.
     """
     groups: dict = {}
     for e in entries:
         groups.setdefault(e.key(), []).append(e)
-    out = []
-    for group in groups.values():
-        first = group[0]
-        if len(group) == 1:
-            out.append(first)
-            continue
-        poly = first.poly
-        traces = dict(first.traces)
-        for e in group[1:]:
-            poly = poly + e.poly
-            for m, w in e.traces.items():
-                if m not in traces or w < traces[m]:
-                    traces[m] = w
-        poly = np_min(poly)
-        traces = {m: w for m, w in traces.items() if m in poly.coeffs}
-        out.append(Entry(first.ctx, first.itype, poly, first.fixes, traces))
+    out = [
+        Entry(g[0].ctx, g[0].itype, _sum_min([e.poly for e in g]), g[0].fixes)
+        for g in groups.values()
+    ]
     out.sort(key=Entry.key)
     return out
 
 
 def _combine(entries, itype, fixes: int, dim: int) -> Entry:
     """Multiply a list of rows into a row of type itype: contexts add,
-    polynomials multiply minimized, traces concatenate along one witness
-    factorization per monomial."""
+    polynomials multiply minimized."""
     ctx = ctx_sum(*(e.ctx for e in entries))
-    poly, witness = vn_with_witness([e.poly for e in entries], dim)
-    traces = {}
-    for m, factors in witness.items():
-        word = ()
-        for e, f in zip(entries, factors):
-            word = word + e.traces[f]
-        traces[m] = word
-    return Entry(ctx, itype, poly, fixes, traces)
+    return Entry(ctx, itype, vn([e.poly for e in entries], dim), fixes)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +206,7 @@ def _rule_atom(op: str, step, entries):
     for e in entries:
         if not isinstance(e.itype, int):
             raise TypesysError(f"{op} applied to a non-atom refinement")
-        out.append(Entry(e.ctx, step(e.itype), e.poly, e.fixes, e.traces))
+        out.append(Entry(e.ctx, step(e.itype), e.poly, e.fixes))
     return merge(out)
 
 
@@ -234,18 +217,7 @@ def _rule_choice(param, left_entries, right_entries, dim):
         m[2 * (param - 1) + bit] = 1
         shift = tuple(m)
         for e in entries:
-            out.append(
-                Entry(
-                    e.ctx,
-                    e.itype,
-                    e.poly.shift(shift),
-                    e.fixes,
-                    {
-                        mono_mul(shift, mono): ((param, bit),) + w
-                        for mono, w in e.traces.items()
-                    },
-                )
-            )
+            out.append(Entry(e.ctx, e.itype, e.poly.shift(shift), e.fixes))
     return merge(out)
 
 
@@ -270,7 +242,7 @@ def _rule_lam(name, entries, dim, p):
             continue
         if any(max_atom(t) > p for t in ms):
             continue
-        out.append(Entry(rest, iarrow(ms, e.itype), e.poly, e.fixes, e.traces))
+        out.append(Entry(rest, iarrow(ms, e.itype), e.poly, e.fixes))
     return merge(out)
 
 
@@ -337,10 +309,10 @@ class _Search:
         dim = self.dim
         value = numeral_value(term)
         if value is not None:
-            return [_unit_entry(dim, (), value)]
+            return [Entry((), value, Poly.unit(dim), 0)]
         if isinstance(term, Var):
             return [
-                _unit_entry(dim, ctx_of(term.name, a), a)
+                Entry(ctx_of(term.name, a), a, Poly.unit(dim), 0)
                 for a in refinements(tt.ty, self.p)
             ]
         subs = [self.build(c) for c in tt.children]
@@ -371,8 +343,8 @@ class _Search:
 def search(program: Program, target: int, n: int, p: int) -> TropJudgement:
     """The bounded family of typings of a program under bounds (n, p).
 
-    Returns the judgement for the whole program; use conclusion_entry to
-    extract the closed row at a ground target atom.
+    Returns the judgement for the whole program; use conclusion_poly to
+    extract the polynomial of the closed rows at a ground target atom.
     """
     tt = annotate(program.term)
     if isinstance(tt.ty, Arrow):
@@ -381,32 +353,13 @@ def search(program: Program, target: int, n: int, p: int) -> TropJudgement:
     return TropJudgement(bounded.build(tt), bounded.dim)
 
 
-def conclusion_entry(judgement: TropJudgement, target: int) -> Entry | None:
-    """Merge the closed rows at atom `target` across fixpoint counts.
-
-    The merged row counts no fixpoint uses: its rows differ only in that count.
-    """
-    hits = [
-        Entry(e.ctx, e.itype, e.poly, 0, e.traces)
-        for e in judgement.entries
-        if e.ctx == () and e.itype == target
-    ]
-    if not hits:
-        return None
-    merged = merge(hits)
-    if len(merged) != 1:
-        raise TypesysError(
-            f"closed rows at atom {target} merged into {len(merged)} entries, "
-            "expected one"
-        )
-    return merged[0]
-
-
 def conclusion_poly(judgement: TropJudgement, target: int) -> Poly:
-    e = conclusion_entry(judgement, target)
-    if e is None:
+    """The minimized sum of the closed rows at atom `target`, across fixpoint
+    counts; the zero polynomial when there is none."""
+    hits = [e.poly for e in judgement.entries if e.ctx == () and e.itype == target]
+    if not hits:
         return Poly.zero(judgement.dim)
-    return e.poly
+    return _sum_min(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +381,6 @@ def bound_schedule():
 @dataclass
 class StabilizeResult:
     judgement: TropJudgement
-    entry: Entry | None  # conclusion_entry of the last round, None if no row
     poly: Poly
     stable: bool
     rounds: list  # of (n, p) actually run
@@ -454,12 +406,11 @@ def stabilize(
     rounds = []
     for n, p in itertools.islice(bound_schedule(), max_rounds):
         judgement = search(program, target, n, p)
-        entry = conclusion_entry(judgement, target)
-        poly = Poly.zero(judgement.dim) if entry is None else entry.poly
+        poly = conclusion_poly(judgement, target)
         rounds.append((n, p))
         history.append(poly)
         if len(history) >= window + 1 and all(
             h == history[-1] for h in history[-(window + 1):]
         ):
-            return StabilizeResult(judgement, entry, poly, True, rounds)
-    return StabilizeResult(judgement, entry, poly, False, rounds)
+            return StabilizeResult(judgement, poly, True, rounds)
+    return StabilizeResult(judgement, poly, False, rounds)

@@ -22,10 +22,10 @@ from tropinf.algebra import (
     poly_to_text,
     tropicalize,
 )
-from tropinf.geometry import hull_vertices, np_min, vn_with_witness
+from tropinf.geometry import hull_vertices, np_min, vn
 from tropinf.infer import analyze, i2_contains, solve_i1, solve_i2
 from tropinf.lang import enumerate_trajectories, replay_word
-from tropinf.typesys import conclusion_entry, stabilize
+from tropinf.typesys import stabilize
 
 from conftest import SEED, load, load_source, random_program
 
@@ -86,7 +86,7 @@ def test_minimized_powers_collapse_to_pure_monomials():
             naive = naive * s
         expected = math.comb(k + 2, 2)
         ok = ok and len(naive.coeffs) == expected
-        out = vn_with_witness([s] * k)[0]
+        out = vn([s] * k)
         ok = ok and out.support() == [(0, 0, k), (0, k, 0), (k, 0, 0)]
     _report("minimized k-th powers keep 3 monomials vs C(k+2,2) naive", ok, t())
 
@@ -106,10 +106,9 @@ def test_three_level_tower_reduces_to_two_runs():
     program = load("m4_3")
     trajs = enumerate_trajectories(program, 60)
     ok = len(trajs) == 8
-    res = stabilize(program, 1)
-    ok = ok and res.stable and poly_to_text(res.poly) == "~X1^3 + X1^3"
-    entry = conclusion_entry(res.judgement, 1)
-    words = {m: "".join(str(b) for _, b in w) for m, w in entry.traces.items()}
+    rep = analyze(program, 1)
+    ok = ok and rep.stable and poly_to_text(rep.poly) == "~X1^3 + X1^3"
+    words = {s.monomial: "".join(str(b) for _, b in s.word) for s in rep.selected}
     ok = ok and words == {(3, 0): "000", (0, 3): "111"}
     _report("choice tower: 8 trajectories reduce to the 000/111 pair", ok, t())
 
@@ -148,7 +147,7 @@ def test_minimized_product_matches_naive_oracle():
             pts = {p for p in pts if sum(p) <= 6} or {(0,) * d}
             return np_min(Poly.from_support(d, pts))
         s, u = rand_minimal(), rand_minimal()
-        out = vn_with_witness([s, u])[0]
+        out = vn([s, u])
         naive = s * u
         oracle = minimal_support(hull_vertices(naive.coeffs))
         ok = ok and out.support() == oracle

@@ -119,6 +119,17 @@ class TestI2:
         assert runner.invoke(main, ["i2", M1, "--monomial", "9,9"]).exit_code == 1
         assert runner.invoke(main, ["i2", M1, "--monomial", "x"]).exit_code == 1
 
+    def test_parameter_free_program(self, runner, tmp_path):
+        # Its one monomial has no exponents, written as blank text.
+        path = tmp_path / "one.pcfx"
+        path.write_text("1\n")
+        res = runner.invoke(main, ["i2", str(path), "--monomial", "", "--probs", ""])
+        assert res.exit_code == 0, res.output
+        assert "monomial: 1" in res.output and "member: true" in res.output
+        res = runner.invoke(main, ["i2", str(path), "--monomial", " ", "--output", "json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["monomial"] == []
+
 
 class TestDeepNesting:
     """Deeply nested programs end with exit 0 or 1, never an internal error."""
@@ -180,12 +191,22 @@ class TestBadArguments:
         assert "--target" in proc.stderr and "internal error" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "monomial", ["0,3,1", "-1,3", "3", "x"], ids=["three", "negative", "one", "text"]
+        "monomial",
+        ["0,3,1", "-1,3", "3", "x", ""],
+        ids=["three", "negative", "one", "text", "blank"],
     )
     def test_monomial_layout(self, monomial):
         proc = self._run("i2", M1, f"--monomial={monomial}")
         assert proc.returncode == 1, proc.stderr
         assert "X1,~X1" in proc.stderr and "not a monomial" not in proc.stderr
+
+    def test_i2_parses_probs_before_the_analysis(self):
+        # The monomial is well formed but not in m2's polynomial; the bad
+        # probability list must be reported first.
+        proc = self._run("i2", M2, "--monomial", ",".join("0" * 10), "--probs", "bad")
+        assert proc.returncode == 1, proc.stderr
+        assert "bad probability list" in proc.stderr
+        assert "not a monomial" not in proc.stderr
 
     def test_negative_budget(self):
         proc = self._run("enumerate", M1, "--budget", "-5")

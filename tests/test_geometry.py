@@ -15,7 +15,7 @@ from tropinf.geometry import (
     normal_cone,
     np_min,
     reduce_rows,
-    vn_with_witness,
+    vn,
 )
 
 from conftest import SEED, load
@@ -172,27 +172,16 @@ class TestVN:
     def test_power_golden(self):
         s = Poly.from_support(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         for k in range(2, 6):
-            out = vn_with_witness([s] * k)[0]
+            out = vn([s] * k)
             assert out.support() == [
                 (0, 0, k), (0, k, 0), (k, 0, 0)
             ]
 
     def test_empty_product_is_unit(self):
-        assert vn_with_witness([], dim=2) == (Poly.unit(2), {(0, 0): ()})
+        assert vn([], dim=2) == Poly.unit(2)
 
     def test_zero_factor(self):
-        assert vn_with_witness([Poly.zero(2), Poly.unit(2)]) == (Poly.zero(2), {})
-
-    def test_witness_factorization(self):
-        s = Poly.from_support(2, [(1, 0), (0, 1)])
-        out, witness = vn_with_witness([s, s, s])
-        assert set(out.coeffs) == {(3, 0), (0, 3)}
-        for m, factors in witness.items():
-            prod = (0, 0)
-            for f in factors:
-                prod = (prod[0] + f[0], prod[1] + f[1])
-                assert f in s.coeffs
-            assert prod == m
+        assert vn([Poly.zero(2), Poly.unit(2)]) == Poly.zero(2)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -212,7 +201,7 @@ class TestVN:
         d, supp_s, supp_t = data
         s = np_min(Poly.from_support(d, supp_s))
         t = np_min(Poly.from_support(d, supp_t))
-        out = vn_with_witness([s, t])[0]
+        out = vn([s, t])
         naive = s * t
         oracle = minimal_support(hull_vertices(naive.coeffs))
         assert out.support() == oracle

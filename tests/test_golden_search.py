@@ -1,9 +1,9 @@
 """Golden root rows of the bounded typing search.
 
 The file pins every row of `search(program, target, 2, 2)` for the corpus
-programs at targets 0 and 1: context, refinement type, fixpoint count,
-minimized polynomial and the choice word kept for each monomial.  The report
-goldens only see the one closed row at the target; these pin the rest.
+programs at targets 0 and 1: context, refinement type, fixpoint count and
+minimized polynomial.  The report goldens only see the one closed row at the
+target; these pin the rest.
 
 Regenerate (only on purpose, saying why in CHANGES.md) with
 `PYTHONPATH=src python tests/test_golden_search.py`.
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tropinf.algebra import mono_to_text, poly_to_json
+from tropinf.algebra import poly_to_json
 from tropinf.typesys import ctx_to_text, itype_to_text, search
 
 from conftest import load
@@ -34,7 +34,6 @@ def rows_of(name: str, target: int) -> list:
             "type": itype_to_text(e.itype),
             "fixes": e.fixes,
             "polynomial": poly_to_json(e.poly),
-            "traces": {mono_to_text(m): [list(c) for c in w] for m, w in sorted(e.traces.items())},
         }
         for e in search(load(name), target, 2, 2).entries
     ]

@@ -16,9 +16,9 @@ from tropinf.infer import (
     solve_i2,
 )
 from tropinf import typesys
-from tropinf.lang import replay_word
+from tropinf.lang import enumerate_trajectories, parse, replay_word
 
-from conftest import load, load_source
+from conftest import load, load_source, random_program
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +40,13 @@ class TestAnalyze:
 
     def test_root_merge_once_per_round(self, monkeypatch):
         calls = []
-        real = typesys.conclusion_entry
+        real = typesys.conclusion_poly
 
         def counted(judgement, target):
             calls.append(target)
             return real(judgement, target)
 
-        monkeypatch.setattr(typesys, "conclusion_entry", counted)
+        monkeypatch.setattr(typesys, "conclusion_poly", counted)
         rep = analyze(load("m4_3"), 1)
         assert len(calls) == len(rep.rounds)
 
@@ -75,6 +75,30 @@ class TestAnalyze:
         for sel in rep.selected:
             nf, mono, _ = replay_word(load("m2"), sel.word, 200)
             assert nf == 1 and mono == sel.monomial
+
+    def test_words_are_the_smallest_runs(self, rng):
+        # On fix-free programs every run is enumerable: each reported word is
+        # the smallest word of a run with its target and monomial.  Two runs
+        # rarely share a kept monomial, so the first program pins such a tie
+        # (01 and 10 both give X1*~X1 at 1).
+        programs = [parse("(0 +[X1] 1) +[X1] (1 +[X1] 0)")]
+        programs += [random_program(rng, max_nodes=30, k=1) for _ in range(200)]
+        checked = ties = 0
+        for program in programs:
+            trajs = enumerate_trajectories(program, 400)
+            if any(t.normal_form is None for t in trajs):
+                continue
+            for target in (0, 1):
+                for sel in analyze(program, target).selected:
+                    words = [
+                        t.word
+                        for t in trajs
+                        if t.normal_form == target and t.monomial == sel.monomial
+                    ]
+                    assert sel.word == min(words), program
+                    checked += 1
+                    ties += len(words) > 1
+        assert checked > 100 and ties > 0
 
     def test_unstable_is_labelled(self):
         rep = analyze(load("m3"), 1, config=Config(max_rounds=1))
