@@ -36,7 +36,7 @@ def _load(path: str) -> tuple:
 
 
 def _parse_probs(text: str, k: int) -> ProbAssignment:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     try:
         ps = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:

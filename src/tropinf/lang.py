@@ -850,34 +850,6 @@ def enumerate_trajectories(program: Program, max_steps: int) -> list:
     return out
 
 
-def replay_word(program: Program, word: ChoiceWord, max_steps: int):
-    """Follow a choice word through the reducer.
-
-    Returns (normal_form, monomial, steps); normal_form is None when the word
-    is inconsistent with the program or the step budget runs out.
-    """
-    term = program.term
-    k = program.params
-    steps = 0
-    pos = 0
-    while steps < max_steps:
-        step = reduce_once(term)
-        if isinstance(step, NormalForm):
-            n = numeral_value(term)
-            if n is None or pos != len(word):
-                return None, word_monomial(word[:pos], k), steps
-            return n, word_monomial(word, k), steps
-        if isinstance(step, Deterministic):
-            term = step.term
-        else:
-            if pos >= len(word) or word[pos][0] != step.param:
-                return None, word_monomial(word[:pos], k), steps
-            term = step.left if word[pos][1] == 0 else step.right
-            pos += 1
-        steps += 1
-    return None, word_monomial(word[:pos], k), steps
-
-
 def find_word(
     program: Program, target: int, monomial: Monomial, max_steps: int
 ) -> ChoiceWord | None:

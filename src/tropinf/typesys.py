@@ -10,10 +10,14 @@ weight polynomials are kept minimal throughout by replacing every product
 with its Minkowski-sum minimization and re-minimizing after every merge of
 equal (context, type) rows.  The family computed for the whole program under
 bounds (n, p) collects every derivation that uses at most n fixpoint rule
-applications and multisets of size at most p whose member types only mention
-ground atoms up to p.  Only the rows are kept, never the derivations: each
-rule maps the rows of the premises to the rows of the conclusion.  A row
-names no run: the reducer does (`lang.find_word`, called by `infer.analyze`).
+applications and multisets of size at most p.  The binder of a β-redex
+(λx. M) N is typed only at the types of N's rows, which may mention atoms
+above p: a row of λx. M whose multiset holds any other type is never picked
+by the application rule.  Every other binder (a λ passed as an argument, or
+under fix) still ranges over `refinements`, whose atoms stop at p.  Only the
+rows are kept, never the derivations: each rule maps the rows of the premises
+to the rows of the conclusion.  A row names no run: the reducer does
+(`lang.find_word`, called by `infer.analyze`).
 """
 
 from __future__ import annotations
@@ -72,17 +76,14 @@ def itype_to_text(t) -> str:
     return f"[{inner}] -o {itype_to_text(t.res)}"
 
 
-def max_atom(t) -> int:
-    if isinstance(t, int):
-        return t
-    return max([max_atom(t.res)] + [max_atom(a) for a in t.args])
-
-
 def refinements(ty: SimpleType, p: int) -> list:
     """All refinement types of a simple type under the bound p.
 
     Ground types refine to atoms (0/1 for Bool, 0..p for Nat); arrows refine
     to a multiset of at most p argument refinements and a result refinement.
+    Only the binders that flow does not reach yet use it: those of a λ that is
+    not the function of a β-redex, such as a λ passed as an argument or the
+    binders under fix.
     """
     if ty == BOOL:
         return [0, 1]
@@ -240,8 +241,6 @@ def _rule_lam(name, entries, dim, p):
         ms, rest = ctx_split(e.ctx, name)
         if len(ms) > p:
             continue
-        if any(max_atom(t) > p for t in ms):
-            continue
         out.append(Entry(rest, iarrow(ms, e.itype), e.poly, e.fixes))
     return merge(out)
 
@@ -303,19 +302,33 @@ class _Search:
         self.n = n
         self.p = p
 
-    def build(self, tt: TypedTerm) -> list:
-        """The rows of the bounded family of typings of tt."""
+    def build(self, tt: TypedTerm, env: dict) -> list:
+        """The rows of the bounded family of typings of tt.
+
+        env maps a β-redex binder in scope to the sorted types of its
+        argument's rows; every other variable ranges over `refinements`.
+        """
         term = tt.term
         dim = self.dim
         value = numeral_value(term)
         if value is not None:
             return [Entry((), value, Poly.unit(dim), 0)]
         if isinstance(term, Var):
-            return [
-                Entry(ctx_of(term.name, a), a, Poly.unit(dim), 0)
-                for a in refinements(tt.ty, self.p)
-            ]
-        subs = [self.build(c) for c in tt.children]
+            types = env.get(term.name)
+            if types is None:
+                types = refinements(tt.ty, self.p)
+            return [Entry(ctx_of(term.name, a), a, Poly.unit(dim), 0) for a in types]
+        if isinstance(term, App) and isinstance(term.fun, Lam):
+            # A λ row whose binder takes a type no argument row has is never
+            # picked by _rule_app, so the body is typed at the argument's types.
+            lam, name = tt.children[0], term.fun.name
+            arg = self.build(tt.children[1], env)
+            types = sorted({e.itype for e in arg})
+            body = self.build(lam.children[0], {**env, name: types})
+            return _rule_app(_rule_lam(name, body, dim, self.p), arg, dim, self.n)
+        if isinstance(term, Lam):
+            env = {x: types for x, types in env.items() if x != term.name}
+        subs = [self.build(c, env) for c in tt.children]
         if isinstance(term, Succ):
             return _rule_atom("succ", lambda n: n + 1, subs[0])
         if isinstance(term, Pred):
@@ -350,7 +363,7 @@ def search(program: Program, target: int, n: int, p: int) -> TropJudgement:
     if isinstance(tt.ty, Arrow):
         raise TypeCheckError("program has an arrow type; a ground type is required")
     bounded = _Search(program.params, n, p)
-    return TropJudgement(bounded.build(tt), bounded.dim)
+    return TropJudgement(bounded.build(tt, {}), bounded.dim)
 
 
 def conclusion_poly(judgement: TropJudgement, target: int) -> Poly:

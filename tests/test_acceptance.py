@@ -11,8 +11,6 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from tropinf.algebra import (
     Poly,
     ProbAssignment,
@@ -20,14 +18,14 @@ from tropinf.algebra import (
     eval_trop,
     minimal_support,
     poly_to_text,
-    tropicalize,
 )
 from tropinf.geometry import hull_vertices, np_min, vn
 from tropinf.infer import analyze, i2_contains, solve_i1, solve_i2
-from tropinf.lang import enumerate_trajectories, replay_word
+from tropinf.lang import enumerate_trajectories
 from tropinf.typesys import stabilize
 
-from conftest import SEED, load, load_source, random_program
+from conftest import SEED, load, random_program
+from replay_reference import replay_word
 
 
 def _report(name, ok, elapsed):
@@ -194,10 +192,8 @@ def test_typing_agrees_with_enumeration_on_random_programs():
 def test_every_reported_word_replays_to_its_monomial():
     t = timed()
     rng = random.Random(SEED)
-    # m4_4 is excluded: its fourth-order argument makes the refinement space
-    # infeasibly large at multiset bound 2 (cost is exponential in type order).
-    programs = [load(n) for n in ("m1", "m2", "m3", "m4_2", "m4_3", "tower2")]
-    while len(programs) < 27:
+    programs = [load(n) for n in ("m1", "m2", "m3", "m4_2", "m4_3", "m4_4", "tower2")]
+    while len(programs) < 28:
         programs.append(random_program(rng, max_nodes=10))
     ok = True
     total = 0

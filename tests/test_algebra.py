@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from tropinf.algebra import (
     ext_add,
     ext_mul,
     minimal_support,
-    mono_mul,
     mono_to_text,
     poly_from_json,
     poly_to_json,

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from tropinf.cli import main
 
-from conftest import CORPUS, load_source
+from conftest import CORPUS
 
 M1 = str(CORPUS / "m1.pcfx")
 M2 = str(CORPUS / "m2.pcfx")
@@ -207,6 +207,20 @@ class TestBadArguments:
         assert proc.returncode == 1, proc.stderr
         assert "bad probability list" in proc.stderr
         assert "not a monomial" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["i1", M1, "--probs", "1/2,,"],
+            ["i2", M1, "--monomial", "0,3", "--probs", ",1/4"],
+        ],
+        ids=["i1-trailing", "i2-leading"],
+    )
+    def test_empty_probability_item(self, args):
+        # An empty item is malformed, not a shorter list.
+        proc = self._run(*args)
+        assert proc.returncode == 1, proc.stderr
+        assert "bad probability list" in proc.stderr
 
     def test_negative_budget(self):
         proc = self._run("enumerate", M1, "--budget", "-5")

@@ -18,7 +18,7 @@ from tropinf.infer import analyze, report_from_json, report_to_json
 from conftest import load, load_source
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
-PROGRAMS = ("m1", "m2", "m3", "m4_2", "m4_3", "tower2")
+PROGRAMS = ("m1", "m2", "m3", "m4_2", "m4_3", "m4_4", "tower2")
 
 
 def report_of(name: str) -> dict:

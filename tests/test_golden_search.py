@@ -22,7 +22,7 @@ from conftest import load
 GOLDEN = Path(__file__).resolve().parent / "golden" / "search_rows.json"
 CASES = [
     (name, target)
-    for name in ("m1", "m2", "m3", "m4_2", "m4_3", "tower2")
+    for name in ("m1", "m2", "m3", "m4_2", "m4_3", "m4_4", "tower2")
     for target in (0, 1)
 ]
 

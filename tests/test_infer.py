@@ -5,7 +5,6 @@ import pytest
 
 from tropinf.algebra import ProbAssignment, eval_prob, poly_to_text
 from tropinf.infer import (
-    AnalysisReport,
     Config,
     InferError,
     analyze,
@@ -16,9 +15,10 @@ from tropinf.infer import (
     solve_i2,
 )
 from tropinf import typesys
-from tropinf.lang import enumerate_trajectories, parse, replay_word
+from tropinf.lang import enumerate_trajectories, parse
 
 from conftest import load, load_source, random_program
+from replay_reference import replay_word
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import load, random_program
+from replay_reference import replay_word
 from tropinf.algebra import ProbAssignment, eval_prob, Poly
 from tropinf.lang import (
     MAX_DEPTH,
@@ -15,10 +16,7 @@ from tropinf.lang import (
     Lam,
     NAT,
     ParseError,
-    Pred,
-    Program,
     Succ,
-    Term,
     TypeCheckError,
     Var,
     Zero,
@@ -28,7 +26,6 @@ from tropinf.lang import (
     numeral_value,
     parse,
     term_depth,
-    replay_word,
     term_to_text,
     type_check,
     type_to_text,

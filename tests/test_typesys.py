@@ -16,8 +16,10 @@ from tropinf.typesys import (
     TropJudgement,
     _rule_choice,
     _rule_ifz,
+    _rule_lam,
     bound_schedule,
     conclusion_poly,
+    ctx_of,
     ctx_sum,
     iarrow,
     itype_to_text,
@@ -98,6 +100,46 @@ class TestApplyRule:
         out = _rule_ifz([z, nz], [then], [orelse], dim=2, max_fixes=0)
         got = {(e.itype, e.poly.support()[0]) for e in out}
         assert got == {(1, (1, 0)), (0, (0, 1))}
+
+
+class TestBetaRedexFlow:
+    """A β-redex binder is typed at its argument's row types, atoms above p
+    included; the multiset bound p still applies."""
+
+    @staticmethod
+    def oracle(program, target):
+        dim = 2 * max(program.params, 1)
+        support = [
+            t.monomial
+            for t in enumerate_trajectories(program, 200)
+            if t.normal_form == target
+        ]
+        return np_min(Poly.from_support(dim, support)) if support else Poly.zero(dim)
+
+    def test_argument_above_the_atom_bound(self):
+        # The scrutinee reduces to 4; the only run takes the else branch.
+        program = parse(r"params 1; ifz (\v. succ v) 3 then (1 +[X1] 1) +[X1] 1 else 1")
+        res = stabilize(program, 1)
+        assert res.stable
+        assert poly_to_text(res.poly) == "1"
+
+    @pytest.mark.parametrize("j", range(5))
+    @pytest.mark.parametrize("arg", range(5))
+    def test_pred_tower_matches_enumeration(self, j, arg):
+        scrutinee = "pred " * j + "x"
+        program = parse(
+            rf"params 2; (\x. ifz {scrutinee} then 1 +[X1] 0 else 0 +[X2] 1) {arg}"
+        )
+        for target in (0, 1):
+            res = stabilize(program, target)
+            assert res.stable
+            assert res.poly == self.oracle(program, target), (target, res.poly)
+
+    def test_rule_lam_keeps_atoms_above_p(self):
+        above = Entry(ctx_of("x", 5), 5, Poly.unit(2), 0)
+        twice = Entry(ctx_sum(ctx_of("x", 0), ctx_of("x", 0)), 0, Poly.unit(2), 0)
+        (out,) = _rule_lam("x", [above, twice], 2, p=1)
+        assert out.ctx == () and out.itype == iarrow([5], 5)
 
 
 class TestCtx:
