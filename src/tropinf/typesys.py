@@ -18,6 +18,12 @@ under fix) still ranges over `refinements`, whose atoms stop at p.  Only the
 rows are kept, never the derivations: each rule maps the rows of the premises
 to the rows of the conclusion.  A row names no run: the reducer does
 (`lang.find_word`, called by `infer.analyze`).
+
+`stabilize` annotates the program once and shares one `RowTable` between its
+rounds.  A subterm without Fix has only rows of fixpoint count 0, which n
+never changes, so its rows are kept across rounds, keyed by p and the β-redex
+environment; a subterm holding a Fix, and every Fix unfolding, is rebuilt in
+every round.
 """
 
 from __future__ import annotations
@@ -141,11 +147,12 @@ def ctx_to_text(ctx: ITypeContext) -> str:
     return "; ".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Entry:
     """One row of a judgement: context |-^poly itype.
 
-    poly is minimized; fixes counts fixpoint rule uses.
+    poly is minimized; fixes counts fixpoint rule uses.  Rows are frozen
+    because the rounds of one `stabilize` share them (see `RowTable`).
     """
 
     ctx: ITypeContext
@@ -176,13 +183,14 @@ def merge(entries) -> list:
     re-minimizing.
 
     Rows are kept apart by their fixpoint-use count so budget accounting stays
-    exact.
+    exact.  A row alone in its group is kept as it is.
     """
     groups: dict = {}
     for e in entries:
         groups.setdefault(e.key(), []).append(e)
     out = [
-        Entry(g[0].ctx, g[0].itype, _sum_min([e.poly for e in g]), g[0].fixes)
+        g[0] if len(g) == 1
+        else Entry(g[0].ctx, g[0].itype, _sum_min([e.poly for e in g]), g[0].fixes)
         for g in groups.values()
     ]
     out.sort(key=Entry.key)
@@ -296,18 +304,68 @@ def _rule_app(fun_entries, arg_entries, dim, max_fixes, fix=0):
 # ---------------------------------------------------------------------------
 
 
+def _mark_fix_free(tt: TypedTerm, out: set) -> bool:
+    """Add the id of every subterm of tt that holds no Fix node to out."""
+    free = not isinstance(tt.term, Fix)
+    for child in tt.children:
+        free = _mark_fix_free(child, out) and free
+    if free:
+        out.add(id(tt))
+    return free
+
+
+class RowTable:
+    """A program annotated once, and the rows of its Fix-free subterms.
+
+    Every row of a subterm without Fix has fixpoint count 0, so n never
+    changes its rows: they depend only on the subterm, p and the β-redex
+    environment.  One table serves the rounds of one `stabilize`; it keeps
+    rows under (subterm, environment) for the current p and drops them all
+    when p changes, since rows at a smaller p are never asked for again.
+    Subterms are keyed by id, which stays valid because the table holds the
+    annotated tree.
+    """
+
+    def __init__(self, program: Program):
+        self.tt = annotate(program.term)
+        if isinstance(self.tt.ty, Arrow):
+            raise TypeCheckError("program has an arrow type; a ground type is required")
+        self.fix_free: set = set()
+        _mark_fix_free(self.tt, self.fix_free)
+        self.p = None
+        self.rows: dict = {}
+
+    def at(self, p: int) -> dict:
+        """The rows kept for bound p."""
+        if p != self.p:
+            self.p, self.rows = p, {}
+        return self.rows
+
+
 class _Search:
-    def __init__(self, k: int, n: int, p: int):
+    def __init__(self, k: int, n: int, p: int, table: RowTable):
         self.dim = 2 * k
         self.n = n
         self.p = p
+        self.fix_free = table.fix_free
+        self.rows = table.at(p)
 
     def build(self, tt: TypedTerm, env: dict) -> list:
         """The rows of the bounded family of typings of tt.
 
         env maps a β-redex binder in scope to the sorted types of its
         argument's rows; every other variable ranges over `refinements`.
+        The rows of a Fix-free subterm are built once per p and environment.
         """
+        if id(tt) not in self.fix_free:
+            return self._rule(tt, env)
+        key = (id(tt), frozenset(env.items()))
+        rows = self.rows.get(key)
+        if rows is None:
+            rows = self.rows[key] = self._rule(tt, env)
+        return rows
+
+    def _rule(self, tt: TypedTerm, env: dict) -> list:
         term = tt.term
         dim = self.dim
         value = numeral_value(term)
@@ -323,7 +381,7 @@ class _Search:
             # picked by _rule_app, so the body is typed at the argument's types.
             lam, name = tt.children[0], term.fun.name
             arg = self.build(tt.children[1], env)
-            types = sorted({e.itype for e in arg})
+            types = tuple(sorted({e.itype for e in arg}))
             body = self.build(lam.children[0], {**env, name: types})
             return _rule_app(_rule_lam(name, body, dim, self.p), arg, dim, self.n)
         if isinstance(term, Lam):
@@ -353,17 +411,21 @@ class _Search:
         raise TypesysError(f"cannot type {term!r}")
 
 
-def search(program: Program, target: int, n: int, p: int) -> TropJudgement:
+def search(
+    program: Program, target: int, n: int, p: int, table: RowTable | None = None
+) -> TropJudgement:
     """The bounded family of typings of a program under bounds (n, p).
 
     Returns the judgement for the whole program; use conclusion_poly to
     extract the polynomial of the closed rows at a ground target atom.
+    `table` must come from the same program; rounds that share one reuse the
+    rows of its Fix-free subterms and its annotation.  Without it the search
+    starts from a fresh table; the rows are the same either way.
     """
-    tt = annotate(program.term)
-    if isinstance(tt.ty, Arrow):
-        raise TypeCheckError("program has an arrow type; a ground type is required")
-    bounded = _Search(program.params, n, p)
-    return TropJudgement(bounded.build(tt, {}), bounded.dim)
+    if table is None:
+        table = RowTable(program)
+    bounded = _Search(program.params, n, p, table)
+    return TropJudgement(bounded.build(table.tt, {}), bounded.dim)
 
 
 def conclusion_poly(judgement: TropJudgement, target: int) -> Poly:
@@ -415,10 +477,11 @@ def stabilize(
         raise ValueError(
             f"window and max_rounds must be at least 1, got {window} and {max_rounds}"
         )
+    table = RowTable(program)
     history = []
     rounds = []
     for n, p in itertools.islice(bound_schedule(), max_rounds):
-        judgement = search(program, target, n, p)
+        judgement = search(program, target, n, p, table)
         poly = conclusion_poly(judgement, target)
         rounds.append((n, p))
         history.append(poly)

@@ -7,14 +7,17 @@ import pytest
 from tropinf.lang import (
     App,
     Choice,
+    Fix,
     Ifz,
     Lam,
     Pred,
     Program,
     Succ,
+    TypeCheckError,
     Var,
     numeral,
     parse,
+    type_check,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -81,8 +84,44 @@ def random_ground_term(rng: random.Random, budget: int, k: int = 2, var=None):
     return rng.choice(leaves)()
 
 
-def random_program(rng: random.Random, max_nodes: int = 12, k: int = 2) -> Program:
+def random_recursive_term(rng: random.Random, budget: int, k: int = 2):
+    r"""A random well-typed ground term with one fixpoint: a ground loop
+    `fix (\x. M +[Xi] succ M')`, a recursive function applied to a term,
+    `(fix (\f. \x. ifz x then A else f (pred B))) N`, where M, M', A and B
+    may mention x, or either of them as the argument of a β-redex `(\y. C) R`,
+    whose binder then takes the types of a recursive term's rows."""
+    shape = rng.randrange(3)
+    if shape == 2:
+        body = random_ground_term(rng, budget // 3, k, "y")
+        return App(Lam("y", body), random_recursive_term(rng, budget - budget // 3 - 2, k))
+    if shape == 0:
+        half = (budget - 4) // 2
+        left = random_ground_term(rng, half, k, "x")
+        right = Succ(random_ground_term(rng, half, k, "x"))
+        return Fix(Lam("x", Choice(rng.randint(1, k), left, right)))
+    third = (budget - 8) // 3
+    then = random_ground_term(rng, third, k, "x")
+    step = random_ground_term(rng, third, k, "x")
+    body = Ifz(Var("x"), then, App(Var("f"), Pred(step)))
+    return App(Fix(Lam("f", Lam("x", body))), random_ground_term(rng, third, k))
+
+
+def random_program(
+    rng: random.Random, max_nodes: int = 12, k: int = 2, fix: bool = False
+) -> Program:
+    """A random closed ground program of at most max_nodes nodes; with fix,
+    one from `random_recursive_term`."""
+    make = random_recursive_term if fix else random_ground_term
     while True:
-        term = random_ground_term(rng, max_nodes, k)
-        if term_size(term) <= max_nodes:
+        term = make(rng, max_nodes, k)
+        if term_size(term) <= max_nodes and _well_typed(term):
             return Program(term, k)
+
+
+def _well_typed(term) -> bool:
+    # A loop such as fix (\x. x) leaves the type of x unconstrained.
+    try:
+        type_check(term)
+    except TypeCheckError:
+        return False
+    return True

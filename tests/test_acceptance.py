@@ -14,8 +14,6 @@ from fractions import Fraction as F
 from tropinf.algebra import (
     Poly,
     ProbAssignment,
-    eval_prob,
-    eval_trop,
     minimal_support,
     poly_to_text,
 )
@@ -25,6 +23,7 @@ from tropinf.lang import enumerate_trajectories
 from tropinf.typesys import stabilize
 
 from conftest import SEED, load, random_program
+from eval_reference import eval_prob, eval_trop
 from replay_reference import replay_word
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from tropinf import geometry, infer
-from tropinf.algebra import INF, Poly, eval_trop, minimal_support, tropicalize
+from tropinf.algebra import INF, Poly, minimal_support
 from tropinf.geometry import (
     GeometryError,
     HalfspaceSystem,
@@ -19,6 +19,7 @@ from tropinf.geometry import (
 )
 
 from conftest import SEED, load
+from eval_reference import eval_trop, tropicalize
 from hull_reference import hull_vertices as reference_hull_vertices
 
 F = Fraction

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tropinf.algebra import ProbAssignment, eval_prob, poly_to_text
+from tropinf.algebra import ProbAssignment, poly_to_text
 from tropinf.infer import (
     Config,
     InferError,
@@ -18,6 +18,7 @@ from tropinf import typesys
 from tropinf.lang import enumerate_trajectories, parse
 
 from conftest import load, load_source, random_program
+from eval_reference import eval_prob
 from replay_reference import replay_word
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import load, random_program
+from eval_reference import eval_prob
 from replay_reference import replay_word
-from tropinf.algebra import ProbAssignment, eval_prob, Poly
+from tropinf.algebra import ProbAssignment, Poly
 from tropinf.lang import (
     MAX_DEPTH,
     App,

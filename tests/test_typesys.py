@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from tropinf import typesys
 from tropinf.algebra import Poly, poly_to_text
 from tropinf.geometry import np_min
 from tropinf.lang import (
@@ -270,3 +273,92 @@ class TestStabilize:
             else:
                 oracle = Poly.zero(dim)
             assert res.poly == oracle, program
+
+
+CORPUS_NAMES = ["m1", "m2", "m3", "m4_2", "m4_3", "m4_4", "tower2"]
+
+
+class TestRowTable:
+    """The rounds of one stabilize share one annotation and the rows of every
+    Fix-free subterm; the rows they give equal those of fresh searches."""
+
+    def test_rows_are_frozen(self):
+        row = Entry((), 1, Poly.unit(2), 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.fixes = 1
+
+    @staticmethod
+    def rounds(monkeypatch, program, counters=()):
+        """Run stabilize and return, for each round, (n, p, judgement, counts)
+        where counts holds the calls of each function named in counters
+        during that round."""
+        out, counts = [], dict.fromkeys(counters, 0)
+        for name in counters:
+            def counted(*args, _real=getattr(typesys, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(typesys, name, counted)
+        real_search = search
+
+        def recording(*args):
+            counts.update(dict.fromkeys(counters, 0))
+            judgement = real_search(*args)
+            out.append((args[2], args[3], judgement, dict(counts)))
+            return judgement
+
+        monkeypatch.setattr(typesys, "search", recording)
+        stabilize(program, 1, max_rounds=6)
+        monkeypatch.undo()
+        return out
+
+    @staticmethod
+    def rows(judgement):
+        return [(e.ctx, e.itype, e.fixes, e.poly) for e in judgement.entries]
+
+    def assert_rounds_match_fresh_searches(self, monkeypatch, program):
+        rounds = self.rounds(monkeypatch, program)
+        assert rounds
+        for n, p, judgement, _ in rounds:
+            fresh = search(program, 1, n, p)
+            assert self.rows(judgement) == self.rows(fresh), (program, n, p)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus_rounds_match_fresh_searches(self, monkeypatch, name):
+        self.assert_rounds_match_fresh_searches(monkeypatch, load(name))
+
+    def test_redex_over_a_recursive_argument(self, monkeypatch):
+        # The argument's row types grow with n (0 at n = 1, 0 and 1 at n = 2),
+        # so the Fix-free body is typed again at every n.
+        program = parse(
+            r"params 2; (\y. ifz pred y then 0 +[X2] 1 else 1) (fix (\x. 0 +[X1] succ x))"
+        )
+        self.assert_rounds_match_fresh_searches(monkeypatch, program)
+
+    @pytest.mark.parametrize("fix", [False, True], ids=["fix-free", "recursive"])
+    def test_random_rounds_match_fresh_searches(self, monkeypatch, rng, fix):
+        for _ in range(20):
+            program = random_program(rng, max_nodes=18 if fix else 14, fix=fix)
+            self.assert_rounds_match_fresh_searches(monkeypatch, program)
+
+    def test_annotate_once_per_stabilize(self, monkeypatch):
+        calls = []
+        real = typesys.annotate
+        monkeypatch.setattr(typesys, "annotate", lambda t: calls.append(t) or real(t))
+        assert len(stabilize(load("m2"), 1).rounds) == 4
+        assert len(calls) == 1
+        search(load("m2"), 1, 1, 1)
+        assert len(calls) == 2
+
+    def test_fix_free_program_repeats_no_rule(self, monkeypatch):
+        # m4_3 has no fix: round (2,1) finds every row of round (1,1).
+        rounds = self.rounds(monkeypatch, load("m4_3"), ["_combine", "merge"])
+        counts = {(n, p): c for n, p, _, c in rounds}
+        assert counts[1, 1]["_combine"] > 0
+        assert counts[2, 1] == {"_combine": 0, "merge": 0}
+
+    def test_recursive_program_rebuilds_only_the_unfolding(self, monkeypatch):
+        # m2's λ under fix is reused when n grows; its unfolding is redone.
+        rounds = self.rounds(monkeypatch, load("m2"), ["_combine"])
+        combine = {(n, p): c["_combine"] for n, p, _, c in rounds}
+        assert 0 < combine[2, 1] < combine[1, 1]
+        assert 0 < combine[3, 2] < combine[2, 2]
