@@ -110,11 +110,11 @@ def random_program(
     rng: random.Random, max_nodes: int = 12, k: int = 2, fix: bool = False
 ) -> Program:
     """A random closed ground program of at most max_nodes nodes; with fix,
-    one from `random_recursive_term`."""
+    a well-typed one from `random_recursive_term`."""
     make = random_recursive_term if fix else random_ground_term
     while True:
         term = make(rng, max_nodes, k)
-        if term_size(term) <= max_nodes and _well_typed(term):
+        if term_size(term) <= max_nodes and (not fix or _well_typed(term)):
             return Program(term, k)
 
 
