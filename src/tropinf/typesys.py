@@ -22,8 +22,11 @@ to the rows of the conclusion.  A row names no run: the reducer does
 `stabilize` annotates the program once and shares one `RowTable` between its
 rounds.  A subterm without Fix has only rows of fixpoint count 0, which n
 never changes, so its rows are kept across rounds, keyed by p and the β-redex
-environment; a subterm holding a Fix, and every Fix unfolding, is rebuilt in
-every round.
+environment of the binders free in it; a subterm holding a Fix, and every Fix
+unfolding, is rebuilt in every round.  Polynomials depend on neither bound,
+and the table maps the inputs of every product, sum and choice shift to its
+result, so one `stabilize` minimizes each distinct product, sum and shift
+once, whichever subterm, unfolding or round asks for it.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .lang import (
     TypeCheckError,
     Var,
     annotate,
+    free_vars,
     numeral_value,
 )
 
@@ -139,14 +143,6 @@ def ctx_split(ctx: ITypeContext, name: str) -> tuple:
     return ms, tuple(rest)
 
 
-def ctx_to_text(ctx: ITypeContext) -> str:
-    parts = []
-    for name, ms in ctx:
-        inner = ", ".join(itype_to_text(t) for t in ms)
-        parts.append(f"{name}: [{inner}]")
-    return "; ".join(parts)
-
-
 @dataclass(frozen=True)
 class Entry:
     """One row of a judgement: context |-^poly itype.
@@ -170,38 +166,61 @@ class TropJudgement:
     dim: int
 
 
-def _sum_min(polys: list) -> Poly:
-    """The minimized sum of a non-empty list of minimized polynomials; a
-    single one is returned as it is."""
+# A memo maps the inputs of a minimization to its result: ("*", polys) to the
+# minimized product, ("+", set of polys) to the minimized sum, and (poly,
+# param, bit) to the shift of a choice branch.  A polynomial depends on
+# neither n nor p, so one memo serves every round of a `stabilize` (see
+# `RowTable`).
+
+
+def _sum_min(polys: tuple, memo: dict) -> Poly:
+    """The minimized sum of a non-empty tuple of minimized polynomials; a
+    single one is returned as it is.
+
+    Minimization reads only the support, so the sum is keyed by the set of
+    its summands: neither their order nor their repeats change it.
+    """
     if len(polys) == 1:
         return polys[0]
-    return np_min(sum(polys[1:], polys[0]))
+    key = ("+", frozenset(polys))
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = np_min(sum(polys[1:], polys[0]))
+    return out
 
 
-def merge(entries) -> list:
+def merge(entries, memo: dict | None = None) -> list:
     """Collapse rows with equal (context, type, fixpoint count), summing and
     re-minimizing.
 
     Rows are kept apart by their fixpoint-use count so budget accounting stays
     exact.  A row alone in its group is kept as it is.
     """
+    if memo is None:
+        memo = {}
     groups: dict = {}
     for e in entries:
         groups.setdefault(e.key(), []).append(e)
     out = [
         g[0] if len(g) == 1
-        else Entry(g[0].ctx, g[0].itype, _sum_min([e.poly for e in g]), g[0].fixes)
+        else Entry(
+            g[0].ctx, g[0].itype, _sum_min(tuple(e.poly for e in g), memo), g[0].fixes
+        )
         for g in groups.values()
     ]
     out.sort(key=Entry.key)
     return out
 
 
-def _combine(entries, itype, fixes: int, dim: int) -> Entry:
+def _combine(entries, itype, fixes: int, dim: int, memo: dict) -> Entry:
     """Multiply a list of rows into a row of type itype: contexts add,
     polynomials multiply minimized."""
     ctx = ctx_sum(*(e.ctx for e in entries))
-    return Entry(ctx, itype, vn([e.poly for e in entries], dim), fixes)
+    key = ("*", tuple(e.poly for e in entries))
+    poly = memo.get(key)
+    if poly is None:
+        poly = memo[key] = vn(key[1], dim)
+    return Entry(ctx, itype, poly, fixes)
 
 
 # ---------------------------------------------------------------------------
@@ -209,28 +228,34 @@ def _combine(entries, itype, fixes: int, dim: int) -> Entry:
 # ---------------------------------------------------------------------------
 
 
-def _rule_atom(op: str, step, entries):
+def _rule_atom(op: str, step, entries, memo: dict):
     """succ and pred: map the atom of every row through step."""
     out = []
     for e in entries:
         if not isinstance(e.itype, int):
             raise TypesysError(f"{op} applied to a non-atom refinement")
         out.append(Entry(e.ctx, step(e.itype), e.poly, e.fixes))
-    return merge(out)
+    return merge(out, memo)
 
 
-def _rule_choice(param, left_entries, right_entries, dim):
+def _rule_choice(param, left_entries, right_entries, dim, memo: dict):
     out = []
     for bit, entries in ((0, left_entries), (1, right_entries)):
         m = [0] * dim
         m[2 * (param - 1) + bit] = 1
         shift = tuple(m)
         for e in entries:
-            out.append(Entry(e.ctx, e.itype, e.poly.shift(shift), e.fixes))
-    return merge(out)
+            key = (e.poly, param, bit)
+            poly = memo.get(key)
+            if poly is None:
+                poly = memo[key] = e.poly.shift(shift)
+            out.append(Entry(e.ctx, e.itype, poly, e.fixes))
+    return merge(out, memo)
 
 
-def _rule_ifz(scrutinee_entries, then_entries, else_entries, dim, max_fixes):
+def _rule_ifz(
+    scrutinee_entries, then_entries, else_entries, dim, max_fixes, memo: dict
+):
     out = []
     for e_s in scrutinee_entries:
         if not isinstance(e_s.itype, int):
@@ -239,8 +264,8 @@ def _rule_ifz(scrutinee_entries, then_entries, else_entries, dim, max_fixes):
         for e_b in branch:
             fixes = e_s.fixes + e_b.fixes
             if fixes <= max_fixes:
-                out.append(_combine([e_s, e_b], e_b.itype, fixes, dim))
-    return merge(out)
+                out.append(_combine([e_s, e_b], e_b.itype, fixes, dim, memo))
+    return merge(out, memo)
 
 
 def _rule_lam(name, entries, dim, p):
@@ -283,7 +308,7 @@ def _pool(entries) -> dict:
     return pool
 
 
-def _rule_app(fun_entries, arg_entries, dim, max_fixes, fix=0):
+def _rule_app(fun_entries, arg_entries, dim, max_fixes, memo: dict, fix=0):
     """Arrow rows of the function against one argument row per member of the
     argument multiset.  A fixpoint unfolding is the same rule with the current
     fixpoint rows as arguments and fix=1 more fixpoint use."""
@@ -295,8 +320,8 @@ def _rule_app(fun_entries, arg_entries, dim, max_fixes, fix=0):
         for picked in _assignments(e_f.itype.args, pool):
             fixes = e_f.fixes + sum(e.fixes for e in picked) + fix
             if fixes <= max_fixes:
-                out.append(_combine([e_f] + picked, e_f.itype.res, fixes, dim))
-    return merge(out)
+                out.append(_combine([e_f] + picked, e_f.itype.res, fixes, dim, memo))
+    return merge(out, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +340,18 @@ def _mark_fix_free(tt: TypedTerm, out: set) -> bool:
 
 
 class RowTable:
-    """A program annotated once, and the rows of its Fix-free subterms.
+    """A program annotated once, the rows of its Fix-free subterms, and a memo
+    of minimized polynomials.
 
     Every row of a subterm without Fix has fixpoint count 0, so n never
     changes its rows: they depend only on the subterm, p and the β-redex
-    environment.  One table serves the rounds of one `stabilize`; it keeps
-    rows under (subterm, environment) for the current p and drops them all
-    when p changes, since rows at a smaller p are never asked for again.
-    Subterms are keyed by id, which stays valid because the table holds the
-    annotated tree.
+    environment of the binders free in it.  One table serves the rounds of
+    one `stabilize`; it keeps rows under (subterm, environment) for the
+    current p and drops them all when p changes, since rows at a smaller p are
+    never asked for again.  Subterms are keyed by id, which stays valid
+    because the table holds the annotated tree.  The memo of minimized sums,
+    products and shifts depends on neither n nor p, so it is kept for the
+    table's whole life.
     """
 
     def __init__(self, program: Program):
@@ -332,8 +360,10 @@ class RowTable:
             raise TypeCheckError("program has an arrow type; a ground type is required")
         self.fix_free: set = set()
         _mark_fix_free(self.tt, self.fix_free)
+        self.free: dict = {}  # subterm id -> free variables, computed on demand
         self.p = None
         self.rows: dict = {}
+        self.memo: dict = {}
 
     def at(self, p: int) -> dict:
         """The rows kept for bound p."""
@@ -348,17 +378,27 @@ class _Search:
         self.n = n
         self.p = p
         self.fix_free = table.fix_free
+        self.free = table.free
         self.rows = table.at(p)
+        self.memo = table.memo
+        self.unit = Poly.unit(self.dim)
 
     def build(self, tt: TypedTerm, env: dict) -> list:
         """The rows of the bounded family of typings of tt.
 
         env maps a β-redex binder in scope to the sorted types of its
         argument's rows; every other variable ranges over `refinements`.
-        The rows of a Fix-free subterm are built once per p and environment.
+        The rows of a Fix-free subterm are built once per p and environment
+        of its free variables.
         """
         if id(tt) not in self.fix_free:
             return self._rule(tt, env)
+        if env:
+            # A binder not free in tt never reaches its rows.
+            free = self.free.get(id(tt))
+            if free is None:
+                free = self.free[id(tt)] = free_vars(tt.term)
+            env = {x: types for x, types in env.items() if x in free}
         key = (id(tt), frozenset(env.items()))
         rows = self.rows.get(key)
         if rows is None:
@@ -368,14 +408,15 @@ class _Search:
     def _rule(self, tt: TypedTerm, env: dict) -> list:
         term = tt.term
         dim = self.dim
+        memo = self.memo
         value = numeral_value(term)
         if value is not None:
-            return [Entry((), value, Poly.unit(dim), 0)]
+            return [Entry((), value, self.unit, 0)]
         if isinstance(term, Var):
             types = env.get(term.name)
             if types is None:
                 types = refinements(tt.ty, self.p)
-            return [Entry(ctx_of(term.name, a), a, Poly.unit(dim), 0) for a in types]
+            return [Entry(ctx_of(term.name, a), a, self.unit, 0) for a in types]
         if isinstance(term, App) and isinstance(term.fun, Lam):
             # A λ row whose binder takes a type no argument row has is never
             # picked by _rule_app, so the body is typed at the argument's types.
@@ -383,27 +424,28 @@ class _Search:
             arg = self.build(tt.children[1], env)
             types = tuple(sorted({e.itype for e in arg}))
             body = self.build(lam.children[0], {**env, name: types})
-            return _rule_app(_rule_lam(name, body, dim, self.p), arg, dim, self.n)
+            lam_rows = _rule_lam(name, body, dim, self.p)
+            return _rule_app(lam_rows, arg, dim, self.n, memo)
         if isinstance(term, Lam):
             env = {x: types for x, types in env.items() if x != term.name}
         subs = [self.build(c, env) for c in tt.children]
         if isinstance(term, Succ):
-            return _rule_atom("succ", lambda n: n + 1, subs[0])
+            return _rule_atom("succ", lambda n: n + 1, subs[0], memo)
         if isinstance(term, Pred):
-            return _rule_atom("pred", lambda n: max(n - 1, 0), subs[0])
+            return _rule_atom("pred", lambda n: max(n - 1, 0), subs[0], memo)
         if isinstance(term, Choice):
-            return _rule_choice(term.param, subs[0], subs[1], dim)
+            return _rule_choice(term.param, subs[0], subs[1], dim, memo)
         if isinstance(term, Ifz):
-            return _rule_ifz(subs[0], subs[1], subs[2], dim, self.n)
+            return _rule_ifz(subs[0], subs[1], subs[2], dim, self.n, memo)
         if isinstance(term, Lam):
             return _rule_lam(term.name, subs[0], dim, self.p)
         if isinstance(term, App):
-            return _rule_app(subs[0], subs[1], dim, self.n)
+            return _rule_app(subs[0], subs[1], dim, self.n, memo)
         if isinstance(term, Fix):
             # Unfold until a round reproduces the previous one's rows.
             entries, seen = [], None
             while True:
-                unfolded = _rule_app(subs[0], entries, dim, self.n, fix=1)
+                unfolded = _rule_app(subs[0], entries, dim, self.n, memo, fix=1)
                 fingerprint = [(e.key(), e.poly) for e in unfolded]
                 if fingerprint == seen:
                     return entries
@@ -419,8 +461,9 @@ def search(
     Returns the judgement for the whole program; use conclusion_poly to
     extract the polynomial of the closed rows at a ground target atom.
     `table` must come from the same program; rounds that share one reuse the
-    rows of its Fix-free subterms and its annotation.  Without it the search
-    starts from a fresh table; the rows are the same either way.
+    rows of its Fix-free subterms, its minimized polynomials and its
+    annotation.  Without it the search starts from a fresh table; the rows
+    are the same either way.
     """
     if table is None:
         table = RowTable(program)
@@ -428,13 +471,16 @@ def search(
     return TropJudgement(bounded.build(table.tt, {}), bounded.dim)
 
 
-def conclusion_poly(judgement: TropJudgement, target: int) -> Poly:
+def conclusion_poly(
+    judgement: TropJudgement, target: int, memo: dict | None = None
+) -> Poly:
     """The minimized sum of the closed rows at atom `target`, across fixpoint
-    counts; the zero polynomial when there is none."""
-    hits = [e.poly for e in judgement.entries if e.ctx == () and e.itype == target]
+    counts; the zero polynomial when there is none.  `memo` is the memo of
+    the `RowTable` the judgement came from, if any."""
+    hits = tuple(e.poly for e in judgement.entries if e.ctx == () and e.itype == target)
     if not hits:
         return Poly.zero(judgement.dim)
-    return _sum_min(hits)
+    return _sum_min(hits, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +528,7 @@ def stabilize(
     rounds = []
     for n, p in itertools.islice(bound_schedule(), max_rounds):
         judgement = search(program, target, n, p, table)
-        poly = conclusion_poly(judgement, target)
+        poly = conclusion_poly(judgement, target, table.memo)
         rounds.append((n, p))
         history.append(poly)
         if len(history) >= window + 1 and all(

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from tropinf.algebra import poly_to_json
-from tropinf.typesys import ctx_to_text, itype_to_text, search
+from tropinf.typesys import itype_to_text, search
 
 from conftest import load
 
@@ -25,6 +25,14 @@ CASES = [
     for name in ("m1", "m2", "m3", "m4_2", "m4_3", "m4_4", "tower2")
     for target in (0, 1)
 ]
+
+
+def ctx_to_text(ctx) -> str:
+    parts = []
+    for name, ms in ctx:
+        inner = ", ".join(itype_to_text(t) for t in ms)
+        parts.append(f"{name}: [{inner}]")
+    return "; ".join(parts)
 
 
 def rows_of(name: str, target: int) -> list:

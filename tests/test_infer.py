@@ -43,9 +43,9 @@ class TestAnalyze:
         calls = []
         real = typesys.conclusion_poly
 
-        def counted(judgement, target):
+        def counted(judgement, target, *memo):
             calls.append(target)
-            return real(judgement, target)
+            return real(judgement, target, *memo)
 
         monkeypatch.setattr(typesys, "conclusion_poly", counted)
         rep = analyze(load("m4_3"), 1)

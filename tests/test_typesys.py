@@ -2,13 +2,14 @@ import dataclasses
 
 import pytest
 
-from tropinf import typesys
+from tropinf import geometry, typesys
 from tropinf.algebra import Poly, poly_to_text
 from tropinf.geometry import np_min
 from tropinf.lang import (
     BOOL,
     NAT,
     Arrow,
+    Choice,
     TypeCheckError,
     enumerate_trajectories,
     parse,
@@ -91,7 +92,7 @@ class TestMerge:
 class TestApplyRule:
     def test_choice_shifts_weight(self):
         unit = Entry((), 1, Poly.unit(2), 0)
-        out = _rule_choice(1, [unit], [unit], dim=2)
+        out = _rule_choice(1, [unit], [unit], dim=2, memo={})
         assert len(out) == 1
         assert out[0].poly.support() == [(0, 1), (1, 0)]
 
@@ -100,7 +101,7 @@ class TestApplyRule:
         nz = Entry((), 2, Poly.monomial((0, 1)), 0)
         then = Entry((), 1, Poly.unit(2), 0)
         orelse = Entry((), 0, Poly.unit(2), 0)
-        out = _rule_ifz([z, nz], [then], [orelse], dim=2, max_fixes=0)
+        out = _rule_ifz([z, nz], [then], [orelse], dim=2, max_fixes=0, memo={})
         got = {(e.itype, e.poly.support()[0]) for e in out}
         assert got == {(1, (1, 0)), (0, (0, 1))}
 
@@ -326,13 +327,31 @@ class TestRowTable:
     def test_corpus_rounds_match_fresh_searches(self, monkeypatch, name):
         self.assert_rounds_match_fresh_searches(monkeypatch, load(name))
 
+    # The argument's row types grow with n (0 at n = 1, 0 and 1 at n = 2).
+    REDEX_OVER_FIX = (
+        r"params 2; (\y. ifz pred y then 0 +[X2] 1 else 1) (fix (\x. 0 +[X1] succ x))"
+    )
+
     def test_redex_over_a_recursive_argument(self, monkeypatch):
-        # The argument's row types grow with n (0 at n = 1, 0 and 1 at n = 2),
-        # so the Fix-free body is typed again at every n.
-        program = parse(
-            r"params 2; (\y. ifz pred y then 0 +[X2] 1 else 1) (fix (\x. 0 +[X1] succ x))"
-        )
-        self.assert_rounds_match_fresh_searches(monkeypatch, program)
+        # The subterms that mention y are typed again at every n.
+        self.assert_rounds_match_fresh_searches(monkeypatch, parse(self.REDEX_OVER_FIX))
+
+    def test_subterm_without_the_binder_is_kept_across_n(self, monkeypatch):
+        # Neither 0 +[X2] 1 nor 1 mentions y, so their rows are keyed without
+        # y and found again in round (2,1).
+        program = parse(self.REDEX_OVER_FIX)
+        built = []
+        real = typesys._Search._rule
+
+        def recording(self, tt, env):
+            if isinstance(tt.term, Choice) and tt.term.param == 2:
+                built.append((self.n, self.p))
+            return real(self, tt, env)
+
+        monkeypatch.setattr(typesys._Search, "_rule", recording)
+        rounds = stabilize(program, 1).rounds
+        assert rounds[:3] == [(1, 1), (2, 1), (2, 2)]
+        assert built == [(n, p) for n, p in rounds if n == p]
 
     @pytest.mark.parametrize("fix", [False, True], ids=["fix-free", "recursive"])
     def test_random_rounds_match_fresh_searches(self, monkeypatch, rng, fix):
@@ -362,3 +381,51 @@ class TestRowTable:
         combine = {(n, p): c["_combine"] for n, p, _, c in rounds}
         assert 0 < combine[2, 1] < combine[1, 1]
         assert 0 < combine[3, 2] < combine[2, 2]
+
+
+class TestPolyMemo:
+    """One stabilize minimizes each distinct product and sum once, and every
+    product, sum and shift its memo hands out is the direct one."""
+
+    def assert_each_input_minimized_once(self, monkeypatch, program):
+        inputs = {"vn": [], "np_min": []}
+        for name in inputs:
+            def recording(*args, _real=getattr(typesys, name), _name=name):
+                inputs[_name].append(args[0] if _name == "np_min" else tuple(args[0]))
+                return _real(*args)
+            monkeypatch.setattr(typesys, name, recording)
+        tables = []
+
+        class Recorded(typesys.RowTable):
+            def __init__(self, program):
+                super().__init__(program)
+                tables.append(self)
+
+        monkeypatch.setattr(typesys, "RowTable", Recorded)
+        stabilize(program, 1)
+        monkeypatch.undo()
+        for name, seen in inputs.items():
+            assert len(set(seen)) == len(seen), (name, program)
+        (table,) = tables
+        dim = 2 * program.params
+        for key, result in table.memo.items():
+            if key[0] == "*":
+                assert result == geometry.vn(list(key[1]), dim), (key, program)
+            elif key[0] == "+":
+                first, *rest = key[1]
+                assert result == geometry.np_min(sum(rest, first)), (key, program)
+            else:
+                poly, param, bit = key
+                shift = [0] * dim
+                shift[2 * (param - 1) + bit] = 1
+                assert result == poly.shift(tuple(shift)), (key, program)
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_corpus(self, monkeypatch, name):
+        self.assert_each_input_minimized_once(monkeypatch, load(name))
+
+    @pytest.mark.parametrize("fix", [False, True], ids=["fix-free", "recursive"])
+    def test_random_programs(self, monkeypatch, rng, fix):
+        for _ in range(20):
+            program = random_program(rng, max_nodes=18 if fix else 14, fix=fix)
+            self.assert_each_input_minimized_once(monkeypatch, program)
