@@ -10,23 +10,31 @@ weight polynomials are kept minimal throughout by replacing every product
 with its Minkowski-sum minimization and re-minimizing after every merge of
 equal (context, type) rows.  The family computed for the whole program under
 bounds (n, p) collects every derivation that uses at most n fixpoint rule
-applications and multisets of size at most p.  The binder of a β-redex
-(λx. M) N is typed only at the types of N's rows, which may mention atoms
-above p: a row of λx. M whose multiset holds any other type is never picked
-by the application rule.  Every other binder (a λ passed as an argument, or
-under fix) still ranges over `refinements`, whose atoms stop at p.  Only the
-rows are kept, never the derivations: each rule maps the rows of the premises
-to the rows of the conclusion.  A row names no run: the reducer does
-(`lang.find_word`, called by `infer.analyze`).
+applications and multisets of size at most p; p bounds nothing else.  A
+binder is typed only at the types that reach it, which may be atoms above p:
+a row of λx. M whose multiset holds any other type is never picked by the
+application rule.  The binder of a β-redex (λx. M) N takes the types of N's
+rows.  Every other binder, that of a flow λ (a λ passed as an argument,
+returned, or under fix), takes the union of the row types of the arguments
+of the calls that 0-CFA says may reach it (`_flow`), iterated until no set
+grows; fix M counts as M applied to fix M, so the f of fix (λf. M) takes
+the rows of each unfolding before the next.  A type that reaches a binder by
+a call through a fixpoint binder costs one unfolding more than its
+argument's row, and a type that costs more than n is dropped, so a recursion
+that feeds its binder ever larger atoms stops.  Only the rows are kept,
+never the derivations: each rule maps the rows of the premises to the rows
+of the conclusion.  A row names no run: the reducer does (`lang.find_word`,
+called by `infer.analyze`).
 
 `stabilize` annotates the program once and shares one `RowTable` between its
 rounds.  A subterm without Fix has only rows of fixpoint count 0, which n
-never changes, so its rows are kept across rounds, keyed by p and the β-redex
-environment of the binders free in it; a subterm holding a Fix, and every Fix
-unfolding, is rebuilt in every round.  Polynomials depend on neither bound,
-and the table maps the inputs of every product, sum and choice shift to its
-result, so one `stabilize` minimizes each distinct product, sum and shift
-once, whichever subterm, unfolding or round asks for it.
+never changes, so its rows are kept across rounds, keyed by p and the types
+of the binders free in it or bound by a flow λ inside it; a subterm holding
+a Fix, and every Fix unfolding, is rebuilt in every round.  Polynomials
+depend on neither bound, and the table maps the inputs of every product,
+sum and choice shift to its result, so one `stabilize` minimizes each
+distinct product, sum and shift once, whichever subterm, unfolding or round
+asks for it.
 """
 
 from __future__ import annotations
@@ -40,15 +48,12 @@ from .geometry import np_min, vn
 from .lang import (
     App,
     Arrow,
-    BOOL,
     Choice,
     Fix,
     Ifz,
     Lam,
-    NAT,
     Pred,
     Program,
-    SimpleType,
     Succ,
     TypedTerm,
     TypeCheckError,
@@ -84,30 +89,6 @@ def itype_to_text(t) -> str:
         return str(t)
     inner = ", ".join(itype_to_text(a) for a in t.args)
     return f"[{inner}] -o {itype_to_text(t.res)}"
-
-
-def refinements(ty: SimpleType, p: int) -> list:
-    """All refinement types of a simple type under the bound p.
-
-    Ground types refine to atoms (0/1 for Bool, 0..p for Nat); arrows refine
-    to a multiset of at most p argument refinements and a result refinement.
-    Only the binders that flow does not reach yet use it: those of a λ that is
-    not the function of a β-redex, such as a λ passed as an argument or the
-    binders under fix.
-    """
-    if ty == BOOL:
-        return [0, 1]
-    if ty == NAT:
-        return list(range(max(p, 1) + 1))
-    if isinstance(ty, Arrow):
-        arg_refs = refinements(ty.arg, p)
-        out = []
-        for res in refinements(ty.res, p):
-            for size in range(p + 1):
-                for combo in itertools.combinations_with_replacement(arg_refs, size):
-                    out.append(iarrow(combo, res))
-        return sorted(out)
-    raise TypesysError(f"cannot refine {ty!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,37 +310,163 @@ def _rule_app(fun_entries, arg_entries, dim, max_fixes, memo: dict, fix=0):
 # ---------------------------------------------------------------------------
 
 
-def _mark_fix_free(tt: TypedTerm, out: set) -> bool:
-    """Add the id of every subterm of tt that holds no Fix node to out."""
-    free = not isinstance(tt.term, Fix)
+def _walk(tt: TypedTerm, fix_free: dict, flow: list, bound: bool = False) -> bool:
+    """Map the id of every subterm of tt that holds no Fix node to () in
+    fix_free, and add every flow λ (see `_flow`) to flow; bound marks the
+    function of an application."""
+    kind = type(tt.term)
+    if kind is Lam and not bound:
+        flow.append(tt)
+    free = kind is not Fix
+    fun = kind is App
     for child in tt.children:
-        free = _mark_fix_free(child, out) and free
+        free = _walk(child, fix_free, flow, fun and type(child.term) is Lam) and free
+        fun = False
     if free:
-        out.add(id(tt))
+        fix_free[id(tt)] = ()
     return free
 
 
+# ---------------------------------------------------------------------------
+# Flow: the types that reach each binder
+# ---------------------------------------------------------------------------
+
+# The types that reach a binder are a sorted tuple of (type, cost) pairs.  The
+# cost of a type counts the calls through a fixpoint binder that it took to
+# reach the binder; `_Search` drops every type that costs more than n.
+
+
+def _reaching(rows, env) -> tuple:
+    """The (type, cost) pairs of rows, sorted by type.
+
+    A row costs the most that any type in its context costs (env maps the
+    variables in scope to their pairs); a type costs the least of its rows.
+    """
+    costs: dict = {}
+    for e in rows:
+        cost = 0
+        for name, ms in e.ctx:
+            for a, c in env[name]:
+                if c > cost and a in ms:
+                    cost = c
+        if costs.get(e.itype, cost + 1) > cost:
+            costs[e.itype] = cost
+    return tuple(sorted(costs.items()))
+
+
+def _flow(root: TypedTerm, flow: list) -> tuple:
+    """Which subterms feed the binder of each flow λ.
+
+    The binder of a β-redex (λx. M) N is typed at N's rows; the binder of
+    every other λ, a flow λ, is typed at the rows of the arguments it is
+    called with.  0-CFA (the λs each subterm may evaluate to, as a least
+    fixpoint) names the applications that may call a flow λ.  fix M counts as
+    M applied to fix M, so the f of fix (λf. B) is fed by the fix node, and
+    the values of fix M reach f through the fixpoint.
+    Returns (sources, inner): sources maps the id of an argument (or Fix)
+    subterm to the (λ id, step) pairs of the flow λs it feeds, where step is
+    1 when the call goes through a fixpoint binder; inner maps the id of a
+    subterm to the ids of the flow λs inside it.
+    """
+    # The values of a subterm: a set of (λ id, through a fixpoint binder).
+    # A variable shares the set of its binder, and values only grow.
+    vals: dict = {}
+    args: dict = {}  # λ id -> the values its binder takes
+    bodies: dict = {}  # λ id -> its body
+    joins: list = []  # (values, values of each branch) of a choice or ifz
+    calls: list = []  # (App or Fix node, its values, its function's values)
+
+    lams = {id(tt) for tt in flow}
+    inner: dict = {}
+
+    def walk(tt, scope) -> set:
+        """Record tt's values and calls; return the flow λs inside it."""
+        term = tt.term
+        if isinstance(term, Lam):
+            scope = {**scope, term.name: id(tt)}
+            bodies[id(tt)] = tt.children[0]
+        below = set()
+        for child in tt.children:
+            below |= walk(child, scope)
+        if isinstance(term, Lam):
+            out = {(id(tt), False)}
+            if id(tt) in lams:
+                below.add(id(tt))
+        elif isinstance(term, Var):
+            out = args.setdefault(scope[term.name], set())
+        else:
+            out = set()
+            if isinstance(term, (App, Fix)):
+                calls.append((tt, out, vals[id(tt.children[0])]))
+            elif isinstance(term, (Ifz, Choice)) and isinstance(tt.ty, Arrow):
+                joins.append((out, [vals[id(c)] for c in tt.children[-2:]]))
+        vals[id(tt)] = out
+        if below:
+            inner[id(tt)] = tuple(sorted(below))
+        return below
+
+    walk(root, {})
+    changed = True
+    while changed:
+        changed = False
+        for out, parts in joins:
+            size = len(out)
+            for part in parts:
+                out |= part
+            changed = changed or len(out) != size
+        for tt, out, fun in calls:
+            size = len(out)
+            if isinstance(tt.term, Fix):
+                arg = {(lam, True) for lam, _ in out}
+            else:
+                arg = vals[id(tt.children[1])]
+            for lam, through in tuple(fun):
+                into = args.setdefault(lam, set())
+                if not arg <= into:
+                    into |= arg
+                    changed = True
+                body = vals[id(bodies[lam])]
+                out |= {(v, True) for v, _ in body} if through else body
+            changed = changed or len(out) != size
+
+    sources: dict = {}
+    for tt, _, fun in calls:
+        arg = tt if isinstance(tt.term, Fix) else tt.children[1]
+        for lam, through in fun:
+            if lam in lams:
+                sources.setdefault(id(arg), set()).add((lam, int(through)))
+    return {node: tuple(sorted(feeds)) for node, feeds in sources.items()}, inner
+
+
 class RowTable:
-    """A program annotated once, the rows of its Fix-free subterms, and a memo
-    of minimized polynomials.
+    """A program annotated once, the flow of types to its binders, the rows of
+    its Fix-free subterms, and a memo of minimized polynomials.
 
     Every row of a subterm without Fix has fixpoint count 0, so n never
-    changes its rows: they depend only on the subterm, p and the β-redex
-    environment of the binders free in it.  One table serves the rounds of
-    one `stabilize`; it keeps rows under (subterm, environment) for the
-    current p and drops them all when p changes, since rows at a smaller p are
-    never asked for again.  Subterms are keyed by id, which stays valid
-    because the table holds the annotated tree.  The memo of minimized sums,
-    products and shifts depends on neither n nor p, so it is kept for the
-    table's whole life.
+    changes its rows: they depend only on the subterm, p and the types of the
+    binders free in it or bound by a flow λ inside it.  One table serves the
+    rounds of one `stabilize`; it keeps rows under (subterm, those types)
+    for the current p and drops them all when p changes, since rows at a
+    smaller p are never asked for again.  Subterms are keyed by id, which
+    stays valid because the table holds the annotated tree.  The types that
+    reached each flow λ (`reach`), and the memo of minimized sums, products
+    and shifts, are kept for the table's whole life: larger bounds only add
+    types and lower costs, and a polynomial depends on neither bound.
     """
 
     def __init__(self, program: Program):
         self.tt = annotate(program.term)
         if isinstance(self.tt.ty, Arrow):
             raise TypeCheckError("program has an arrow type; a ground type is required")
-        self.fix_free: set = set()
-        _mark_fix_free(self.tt, self.fix_free)
+        # Fix-free subterm id -> the ids of the flow λs inside it.
+        self.fix_free: dict = {}
+        flow: list = []
+        _walk(self.tt, self.fix_free, flow)
+        self.sources, self.inner = _flow(self.tt, flow) if flow else ({}, {})
+        for node, inner in self.inner.items():
+            if node in self.fix_free:
+                self.fix_free[node] = inner
+        self.reach: dict = {}  # flow λ id -> {type: least cost}
         self.free: dict = {}  # subterm id -> free variables, computed on demand
         self.p = None
         self.rows: dict = {}
@@ -379,31 +486,79 @@ class _Search:
         self.p = p
         self.fix_free = table.fix_free
         self.free = table.free
+        self.sources = table.sources
+        self.inner = table.inner
+        self.reach = table.reach
         self.rows = table.at(p)
         self.memo = table.memo
         self.unit = Poly.unit(self.dim)
+        self.bounds: dict = {}  # flow λ id -> its pairs of cost at most n
+        self.read: set = set()  # flow λs whose pairs this pass has used
+        self.stale: set = set()  # ... and that have grown since
+
+    def bound(self, lam: int) -> tuple:
+        """The (type, cost) pairs of a flow λ's binder that cost at most n."""
+        pairs = self.bounds.get(lam)
+        if pairs is None:
+            n = self.n
+            costs = self.reach.get(lam, {})
+            pairs = self.bounds[lam] = tuple(
+                sorted((a, c) for a, c in costs.items() if c <= n)
+            )
+        return pairs
 
     def build(self, tt: TypedTerm, env: dict) -> list:
         """The rows of the bounded family of typings of tt.
 
-        env maps a β-redex binder in scope to the sorted types of its
-        argument's rows; every other variable ranges over `refinements`.
-        The rows of a Fix-free subterm are built once per p and environment
-        of its free variables.
+        env maps every variable in scope to the (type, cost) pairs of the
+        types that reach its binder.  The rows of a Fix-free subterm are
+        built once per p and types of its free variables and flow λs; a
+        subterm that feeds flow λs passes its row types on.
         """
-        if id(tt) not in self.fix_free:
-            return self._rule(tt, env)
-        if env:
-            # A binder not free in tt never reaches its rows.
-            free = self.free.get(id(tt))
-            if free is None:
-                free = self.free[id(tt)] = free_vars(tt.term)
-            env = {x: types for x, types in env.items() if x in free}
-        key = (id(tt), frozenset(env.items()))
-        rows = self.rows.get(key)
-        if rows is None:
-            rows = self.rows[key] = self._rule(tt, env)
+        node = id(tt)
+        inner = self.fix_free.get(node)
+        if inner is None:
+            rows = self._rule(tt, env)
+        else:
+            if env:
+                # A binder not free in tt never reaches its rows.
+                free = self.free.get(node)
+                if free is None:
+                    free = self.free[node] = free_vars(tt.term)
+                env = {x: pairs for x, pairs in env.items() if x in free}
+            key = (node, frozenset(env.items()))
+            if inner:
+                key += tuple(map(self.bound, inner))
+            rows = self.rows.get(key)
+            if rows is None:
+                rows = self._rule(tt, env)
+                if not inner:
+                    self.rows[key] = rows
+                elif self.stale.isdisjoint(inner):
+                    # Keyed by the types its flow λs took, unless one grew after.
+                    self.rows[key[:2] + tuple(map(self.bound, inner))] = rows
+            elif inner:
+                self.read.update(inner)
+        if self.sources:
+            feeds = self.sources.get(node)
+            if feeds:
+                self._feed(rows, env, feeds)
         return rows
+
+    def _feed(self, rows: list, env: dict, feeds: tuple) -> None:
+        """Let the row types of a source subterm reach the flow λs it feeds;
+        a λ already used in this pass whose pairs grow makes it stale."""
+        n = self.n
+        for a, c in _reaching(rows, env):
+            for lam, step in feeds:
+                costs = self.reach.setdefault(lam, {})
+                cost = c + step
+                if cost < costs.get(a, cost + 1):
+                    costs[a] = cost
+                    if cost <= n:
+                        self.bounds.pop(lam, None)
+                        if lam in self.read:
+                            self.stale.add(lam)
 
     def _rule(self, tt: TypedTerm, env: dict) -> list:
         term = tt.term
@@ -412,45 +567,61 @@ class _Search:
         value = numeral_value(term)
         if value is not None:
             return [Entry((), value, self.unit, 0)]
-        if isinstance(term, Var):
-            types = env.get(term.name)
-            if types is None:
-                types = refinements(tt.ty, self.p)
-            return [Entry(ctx_of(term.name, a), a, self.unit, 0) for a in types]
-        if isinstance(term, App) and isinstance(term.fun, Lam):
-            # A λ row whose binder takes a type no argument row has is never
-            # picked by _rule_app, so the body is typed at the argument's types.
-            lam, name = tt.children[0], term.fun.name
+        kind = type(term)
+        if kind is Var:
+            name = term.name
+            return [Entry(ctx_of(name, a), a, self.unit, 0) for a, _ in env[name]]
+        if kind is App:
+            # The argument first: it feeds the flow λs the function calls.
             arg = self.build(tt.children[1], env)
-            types = tuple(sorted({e.itype for e in arg}))
-            body = self.build(lam.children[0], {**env, name: types})
-            lam_rows = _rule_lam(name, body, dim, self.p)
-            return _rule_app(lam_rows, arg, dim, self.n, memo)
-        if isinstance(term, Lam):
-            env = {x: types for x, types in env.items() if x != term.name}
+            if type(term.fun) is Lam:
+                # A λ row whose binder takes a type no argument row has is
+                # never picked by _rule_app, so the body is typed at the
+                # argument's types.
+                name = term.fun.name
+                body = self.build(
+                    tt.children[0].children[0], {**env, name: _reaching(arg, env)}
+                )
+                fun = _rule_lam(name, body, dim, self.p)
+            else:
+                fun = self.build(tt.children[0], env)
+            return _rule_app(fun, arg, dim, self.n, memo)
+        if kind is Lam:
+            self.read.add(id(tt))
+            env = {**env, term.name: self.bound(id(tt))}
+            return _rule_lam(term.name, self.build(tt.children[0], env), dim, self.p)
+        if kind is Fix:
+            return self._fix(tt, env)
         subs = [self.build(c, env) for c in tt.children]
-        if isinstance(term, Succ):
-            return _rule_atom("succ", lambda n: n + 1, subs[0], memo)
-        if isinstance(term, Pred):
-            return _rule_atom("pred", lambda n: max(n - 1, 0), subs[0], memo)
-        if isinstance(term, Choice):
+        if kind is Choice:
             return _rule_choice(term.param, subs[0], subs[1], dim, memo)
-        if isinstance(term, Ifz):
+        if kind is Ifz:
             return _rule_ifz(subs[0], subs[1], subs[2], dim, self.n, memo)
-        if isinstance(term, Lam):
-            return _rule_lam(term.name, subs[0], dim, self.p)
-        if isinstance(term, App):
-            return _rule_app(subs[0], subs[1], dim, self.n, memo)
-        if isinstance(term, Fix):
-            # Unfold until a round reproduces the previous one's rows.
-            entries, seen = [], None
-            while True:
-                unfolded = _rule_app(subs[0], entries, dim, self.n, memo, fix=1)
-                fingerprint = [(e.key(), e.poly) for e in unfolded]
-                if fingerprint == seen:
-                    return entries
-                entries, seen = unfolded, fingerprint
+        if kind is Succ:
+            return _rule_atom("succ", lambda n: n + 1, subs[0], memo)
+        if kind is Pred:
+            return _rule_atom("pred", lambda n: max(n - 1, 0), subs[0], memo)
         raise TypesysError(f"cannot type {term!r}")
+
+    def _fix(self, tt: TypedTerm, env: dict) -> list:
+        """Unfold fix M until an unfolding reproduces the previous one's rows
+        and no flow λ inside grew on the way.  fix M is M applied to fix M,
+        so each unfolding's rows reach the binders that fix M feeds, such as
+        the f of fix (λf. B), before the next unfolding."""
+        inner = self.inner.get(id(tt), ())
+        feeds = self.sources.get(id(tt))
+        entries, seen = [], None
+        while True:
+            self.read.difference_update(inner)
+            self.stale.difference_update(inner)
+            fun = self.build(tt.children[0], env)
+            unfolded = _rule_app(fun, entries, self.dim, self.n, self.memo, fix=1)
+            if feeds:
+                self._feed(unfolded, env, feeds)
+            fingerprint = [(e.key(), e.poly) for e in unfolded]
+            if fingerprint == seen and self.stale.isdisjoint(inner):
+                return entries
+            entries, seen = unfolded, fingerprint
 
 
 def search(
@@ -461,14 +632,19 @@ def search(
     Returns the judgement for the whole program; use conclusion_poly to
     extract the polynomial of the closed rows at a ground target atom.
     `table` must come from the same program; rounds that share one reuse the
-    rows of its Fix-free subterms, its minimized polynomials and its
-    annotation.  Without it the search starts from a fresh table; the rows
-    are the same either way.
+    rows of its Fix-free subterms, the types that reached its binders, its
+    minimized polynomials and its annotation.  Without it the search starts
+    from a fresh table; the rows are the same either way.
     """
     if table is None:
         table = RowTable(program)
     bounded = _Search(program.params, n, p, table)
-    return TropJudgement(bounded.build(table.tt, {}), bounded.dim)
+    # Pass again while a pass grew the types of a flow λ it had used.
+    while True:
+        rows = bounded.build(table.tt, {})
+        if not bounded.stale:
+            return TropJudgement(rows, bounded.dim)
+        bounded.read, bounded.stale = set(), set()
 
 
 def conclusion_poly(

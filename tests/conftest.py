@@ -106,6 +106,27 @@ def random_recursive_term(rng: random.Random, budget: int, k: int = 2):
     return App(Fix(Lam("f", Lam("x", body))), random_ground_term(rng, third, k))
 
 
+def random_lambda_argument_term(rng: random.Random, budget: int, k: int = 2):
+    r"""A random ground term that passes a λ as an argument:
+    `(\f. C) (\v. M)`, where C calls f once or twice, each time on a term N,
+    and N and M come from `random_ground_term` (M may mention v).  The binder
+    v is typed at the types of the terms N that reach it."""
+    name = f"v{rng.randrange(1000)}"
+    fourth = max((budget - 6) // 4, 1)
+
+    def call():
+        return App(Var("f"), random_ground_term(rng, fourth, k))
+
+    shape = rng.randrange(3)
+    if shape == 0:
+        body = call()
+    elif shape == 1:
+        body = Choice(rng.randint(1, k), call(), call())
+    else:
+        body = Ifz(call(), call(), random_ground_term(rng, fourth, k))
+    return App(Lam("f", body), Lam(name, random_ground_term(rng, fourth, k, name)))
+
+
 def random_program(
     rng: random.Random, max_nodes: int = 12, k: int = 2, fix: bool = False
 ) -> Program:
@@ -115,6 +136,17 @@ def random_program(
     while True:
         term = make(rng, max_nodes, k)
         if term_size(term) <= max_nodes and (not fix or _well_typed(term)):
+            return Program(term, k)
+
+
+def random_lambda_argument_program(
+    rng: random.Random, max_nodes: int = 24, k: int = 2
+) -> Program:
+    """A random closed program from `random_lambda_argument_term` of at most
+    max_nodes nodes."""
+    while True:
+        term = random_lambda_argument_term(rng, max_nodes, k)
+        if term_size(term) <= max_nodes and _well_typed(term):
             return Program(term, k)
 
 

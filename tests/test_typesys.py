@@ -1,22 +1,15 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 from tropinf import geometry, typesys
-from tropinf.algebra import Poly, poly_to_text
+from tropinf.algebra import Poly, ProbAssignment, poly_to_text
 from tropinf.geometry import np_min
-from tropinf.lang import (
-    BOOL,
-    NAT,
-    Arrow,
-    Choice,
-    TypeCheckError,
-    enumerate_trajectories,
-    parse,
-)
+from tropinf.infer import analyze, mono_probability, solve_i1
+from tropinf.lang import Choice, TypeCheckError, enumerate_trajectories, parse
 from tropinf.typesys import (
     Entry,
-    IArrow,
     TropJudgement,
     _rule_choice,
     _rule_ifz,
@@ -28,42 +21,16 @@ from tropinf.typesys import (
     iarrow,
     itype_to_text,
     merge,
-    refinements,
     search,
     stabilize,
 )
 
-from conftest import load, load_source, random_program
+from conftest import load, load_source, random_lambda_argument_program, random_program
 
 import itertools
 
 
-class TestRefinements:
-    def test_counts(self):
-        assert len(refinements(BOOL, 1)) == 2
-        assert len(refinements(NAT, 1)) == 2
-        assert len(refinements(NAT, 3)) == 4
-        # multisets of size <= 1 over {0,1} give 3 argument choices, times 2
-        # result atoms
-        assert len(refinements(Arrow(BOOL, BOOL), 1)) == 6
-        assert len(refinements(Arrow(BOOL, BOOL), 2)) == 12
-
-    @pytest.mark.parametrize("p, count", [(1, 42), (2, 1092)])
-    def test_order_two_strictly_increasing(self, p, count):
-        # Refinement types order themselves: the list is sorted and has no
-        # duplicates, and every argument multiset is sorted too.
-        ty = Arrow(Arrow(BOOL, BOOL), Arrow(BOOL, BOOL))
-        refs = refinements(ty, p)
-        assert len(refs) == count
-        assert refs == sorted(set(refs))
-        for t in refs:
-            assert isinstance(t, IArrow) and isinstance(t.res, IArrow)
-            assert list(t.args) == sorted(t.args)
-
-    def test_atom_bound(self):
-        atoms = set(refinements(NAT, 2))
-        assert atoms == {0, 1, 2}
-
+class TestItypeText:
     def test_text(self):
         assert itype_to_text(3) == "3"
         assert itype_to_text(iarrow([0, 0], 1)) == "[0, 0] -o 1"
@@ -144,6 +111,108 @@ class TestBetaRedexFlow:
         twice = Entry(ctx_sum(ctx_of("x", 0), ctx_of("x", 0)), 0, Poly.unit(2), 0)
         (out,) = _rule_lam("x", [above, twice], 2, p=1)
         assert out.ctx == () and out.itype == iarrow([5], 5)
+
+
+class TestFlow:
+    """Every other binder is typed at the types of the arguments that reach
+    it: a λ passed as an argument at those of its call sites, the f of
+    fix (λf. M) at the current unfolding's, and a binder called through f at
+    most n times."""
+
+    oracle = staticmethod(TestBetaRedexFlow.oracle)
+
+    def test_lambda_argument_above_the_atom_bound(self):
+        program = parse(r"params 1; (\f. f 3) (\v. succ v)")
+        res = stabilize(program, 4)
+        assert res.stable
+        assert poly_to_text(res.poly) == "1"
+
+    def test_recursive_binder_above_the_atom_bound(self):
+        program = parse(
+            r"params 1; fix (\f. \x. ifz pred pred pred x then 1 "
+            r"else (f (pred x)) +[X1] 0) 3"
+        )
+        res = stabilize(program, 1)
+        assert res.stable
+        assert poly_to_text(res.poly) == "1"
+
+    def test_lambda_argument_called_through_a_redex(self):
+        # v3 receives 3 only through the call v1 3.
+        program = parse(
+            r"params 3; succ ((\v1. pred ((\v2. v2 +[X2] v2) (v1 3))) "
+            r"(\v3. ifz (v3 +[X2] 2) then (pred 2) else (0 +[X1] 1)))"
+        )
+        res = stabilize(program, 1)
+        assert res.stable
+        assert res.poly == self.oracle(program, 1)
+        assert poly_to_text(res.poly) == (
+            "~X1*~X2^2 + ~X1*X2^2 + X1*~X2^2 + X1*X2^2"
+        )
+
+    def test_growing_recursive_argument_stops_at_n(self):
+        # x takes 1, 2, 3, ...: each one more call through f costs one more
+        # unfolding, so a round types x at n + 1 atoms at most.
+        program = parse(
+            r"params 1; fix (\f. \x. ifz x then 0 else (0 +[X1] f (succ x))) 1"
+        )
+        res = stabilize(program, 0)
+        assert res.stable
+        assert poly_to_text(res.poly) == "X1"
+        table = typesys.RowTable(program)
+        lam_x = table.tt.children[0].children[0].children[0]
+        for n in (1, 2, 3):
+            search(program, 0, n, 2, table)
+            costs = table.reach[id(lam_x)]
+            assert sorted(a for a, c in costs.items() if c <= n) == list(
+                range(1, n + 2)
+            )
+
+    def test_towers_take_one_type_per_binder(self):
+        # Each λ passed along m4_3's tower is called at one type.
+        table = typesys.RowTable(load("m4_3"))
+        for n, p in ((1, 1), (2, 1), (2, 2)):
+            search(load("m4_3"), 1, n, p, table)
+        assert len(table.reach) == 2
+        assert all(len(costs) == 1 for costs in table.reach.values())
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (r"params 1; (\k. fix k) (\x. 0 +[X1] succ x)", 2),
+            (r"params 1; fix ((\a. \f. \x. ifz x then a else f (pred x)) 1) 2", 1),
+        ],
+    )
+    def test_fix_of_a_term_that_is_not_a_lambda(self, source, target):
+        # The λ that fix applies is reached by flow, not by syntax; its binder
+        # takes the rows of the fix node itself.
+        program = parse(source)
+        judgement = search(program, target, 4, 3)
+        assert conclusion_poly(judgement, target) == self.oracle(program, target)
+
+    def test_m4_4_round_three(self):
+        judgement = search(load("m4_4"), 1, 3, 3)
+        assert poly_to_text(conclusion_poly(judgement, 1)) == "~X1^4 + X1^4"
+
+    def test_lambda_arguments_match_the_best_run(self, rng):
+        failures = []
+        for _ in range(40):
+            program = random_lambda_argument_program(rng)
+            trajs = enumerate_trajectories(program, 400)
+            assert all(t.normal_form is not None for t in trajs)
+            for target in (0, 1):
+                report = analyze(program, target)
+                runs = [t.monomial for t in trajs if t.normal_form == target]
+                if not runs:
+                    if not report.poly.is_zero():
+                        failures.append((program, target, report.poly))
+                    continue
+                for ps in ((Fraction(1, 2),) * 2, (Fraction(1, 3), Fraction(4, 5))):
+                    point = ProbAssignment(ps)
+                    best = max(mono_probability(mu, point) for mu in runs)
+                    got = solve_i1(report, point).probability
+                    if got != best:
+                        failures.append((program, target, ps, got, best))
+        assert failures == []
 
 
 class TestCtx:
