@@ -19,12 +19,13 @@ returned, or under fix), takes the union of the row types of the arguments
 of the calls that 0-CFA says may reach it (`_flow`), iterated until no set
 grows; fix M counts as M applied to fix M, so the f of fix (λf. M) takes
 the rows of each unfolding before the next.  A type that reaches a binder by
-a call through a fixpoint binder costs one unfolding more than its
-argument's row, and a type that costs more than n is dropped, so a recursion
-that feeds its binder ever larger atoms stops.  Only the rows are kept,
-never the derivations: each rule maps the rows of the premises to the rows
-of the conclusion.  A row names no run: the reducer does (`lang.find_word`,
-called by `infer.analyze`).
+a call through a fixpoint binder, or by a call of a λ that such a call
+passed or returned, costs one unfolding more than its argument's row, and a
+type that costs more than n is dropped, so a recursion that feeds its
+binders ever larger atoms stops.  Only the rows are kept, never the
+derivations: each rule maps the rows of the premises to the rows of the
+conclusion.  A row names no run: the reducer does (`lang.find_word`, called
+by `infer.analyze`).
 
 `stabilize` annotates the program once and shares one `RowTable` between its
 rounds.  A subterm without Fix has only rows of fixpoint count 0, which n
@@ -332,8 +333,8 @@ def _walk(tt: TypedTerm, fix_free: dict, flow: list, bound: bool = False) -> boo
 # ---------------------------------------------------------------------------
 
 # The types that reach a binder are a sorted tuple of (type, cost) pairs.  The
-# cost of a type counts the calls through a fixpoint binder that it took to
-# reach the binder; `_Search` drops every type that costs more than n.
+# cost of a type counts the unfoldings it took to reach the binder (the steps
+# of `_flow`); `_Search` drops every type that costs more than n.
 
 
 def _reaching(rows, env) -> tuple:
@@ -365,8 +366,9 @@ def _flow(root: TypedTerm, flow: list) -> tuple:
     the values of fix M reach f through the fixpoint.
     Returns (sources, inner): sources maps the id of an argument (or Fix)
     subterm to the (λ id, step) pairs of the flow λs it feeds, where step is
-    1 when the call goes through a fixpoint binder; inner maps the id of a
-    subterm to the ids of the flow λs inside it.
+    1 when the call goes through a fixpoint binder, or calls a λ that such a
+    call passed or returned; inner maps the id of a subterm to the ids of
+    the flow λs inside it.
     """
     # The values of a subterm: a set of (λ id, through a fixpoint binder).
     # A variable shares the set of its binder, and values only grow.
@@ -421,9 +423,12 @@ def _flow(root: TypedTerm, flow: list) -> tuple:
             else:
                 arg = vals[id(tt.children[1])]
             for lam, through in tuple(fun):
+                # What a call through a fixpoint binder passes lives one
+                # unfolding deeper, and so does every later call of it.
+                passed = {(v, True) for v, _ in arg} if through else arg
                 into = args.setdefault(lam, set())
-                if not arg <= into:
-                    into |= arg
+                if not passed <= into:
+                    into |= passed
                     changed = True
                 body = vals[id(bodies[lam])]
                 out |= {(v, True) for v, _ in body} if through else body

@@ -167,6 +167,19 @@ class TestFlow:
                 range(1, n + 2)
             )
 
+    def test_closure_passed_through_recursion_stops_at_n(self):
+        # Each unfolding wraps g in one more closure \y. g (succ y); 0-CFA
+        # merges those closures into one λ whose call of g reaches that λ
+        # again, and only the unfolding cost of what f passes stops y from
+        # taking 1, 2, 3, ...
+        program = parse(
+            r"params 1; fix (\f. \g. \x. ifz x then g x "
+            r"else f (\y. g (succ y)) (pred x)) (\z. z +[X1] 0) 3"
+        )
+        for target in (0, 3):
+            judgement = search(program, target, 6, 5)
+            assert conclusion_poly(judgement, target) == self.oracle(program, target)
+
     def test_towers_take_one_type_per_binder(self):
         # Each λ passed along m4_3's tower is called at one type.
         table = typesys.RowTable(load("m4_3"))
