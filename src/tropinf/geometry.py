@@ -1,14 +1,20 @@
 """Exact lattice-polytope geometry for polynomial supports.
 
-Hull vertices are settled by exact integer certificates first: a set of at
-most two points, a coordinate extreme attained by at most two points, the
-unique maximizer along the direction from the centroid (a vertex), and the
-midpoint of two other points (not a vertex).  A small linear program decides
-only the points these leave open.  Those LPs and the cone witnesses are
-solved by a two-phase simplex with Bland's pivoting rule on an integer tableau
-that shares one positive common denominator (fraction-free, Bareiss-style
-pivoting).  Rational input rows are scaled to integers and results come back
-as exact `Fraction`s.  No floating point enters any geometric predicate.
+Minimization keeps the pointwise-minimal vertices of a hull
+(`minimal_vertices`).  It visits points by total degree, then
+lexicographically, skips untested every point that a kept vertex dominates,
+and decides vertexhood only for the rest.  Hull vertices are settled by exact
+integer certificates first: the lex-least and lex-greatest point at an extreme
+of a coordinate (vertices of a face, hence of the hull), the unique maximizer
+along the direction from the centroid (a vertex), and the midpoint of two
+other points (not a vertex).  A small linear program decides only the points
+these leave open.  Cone row reduction keeps a row without an LP when a unit
+vector satisfies the other rows and violates it.  The LPs and the cone
+witnesses are solved by a two-phase simplex with Bland's pivoting rule on an
+integer tableau that shares one positive common denominator (fraction-free,
+Bareiss-style pivoting).  Rational input rows are scaled to integers and
+results come back as exact `Fraction`s.  No floating point enters any
+geometric predicate.
 """
 
 from __future__ import annotations
@@ -219,74 +225,121 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+class _VertexTest:
+    """Decides which points of one finite lattice point set are vertices of
+    its convex hull; calling it on a point of the set returns the verdict.
+
+    Exact certificates settle a point where they can:
+    - the lex-least and the lex-greatest point at an extreme of a coordinate
+      are vertices: the points at that extreme span a face of the hull, the
+      lex-extreme points of a set are vertices of its hull, and a vertex of a
+      face is a vertex of the hull;
+    - the unique maximizer of c.x, where c points from the centroid to the
+      point, is a vertex;
+    - the midpoint of two other points of the set is not.
+    The LP of `_is_vertex` decides a point these leave open.  Before the first
+    LP every point is certified, so each LP leaves out every point already
+    known not to be a vertex: a non-vertex lies in the hull of the vertices.
+    """
+
+    def __init__(self, present: set):
+        self.present = present
+        self.pts = sorted(present)
+        self.total = [sum(col) for col in zip(*self.pts)]
+        self.verdict = {}  # point -> True, False, or None when left to the LP
+        for c in range(len(self.pts[0])):
+            column = [p[c] for p in self.pts]
+            for ext in (min(column), max(column)):
+                hits = [p for p in self.pts if p[c] == ext]
+                self.verdict[hits[0]] = self.verdict[hits[-1]] = True
+
+    def _certify(self, p):
+        """True or False when the centroid or midpoint certificate settles p,
+        else None."""
+        pts = self.pts
+        # Scaled by len(pts) to stay integral.
+        c = [len(pts) * a - t for a, t in zip(p, self.total)]
+        top = _dot(c, p)
+        if all(_dot(c, q) < top for q in pts if q != p):
+            return True
+        # p is the midpoint of q and 2p - q, two other points of the set.
+        if any(tuple(2 * a - b for a, b in zip(p, q)) in self.present for q in pts if q != p):
+            return False
+        return None
+
+    def __call__(self, p) -> bool:
+        verdict = self.verdict
+        if p not in verdict:
+            verdict[p] = self._certify(p)
+        if verdict[p] is None:
+            for q in self.pts:
+                if q not in verdict:
+                    verdict[q] = self._certify(q)
+            verdict[p] = _is_vertex(p, [q for q in self.pts if q != p and verdict[q] is not False])
+        return verdict[p]
+
+
 def hull_vertices(points: Iterable[Monomial]) -> tuple:
     """The vertices of the convex hull of a finite set of lattice points,
     sorted and deduplicated.
 
-    Each point is settled by an exact certificate where one exists, and the
-    LP of `_is_vertex` decides only the points left open.
+    Each point is settled by an exact certificate of `_VertexTest` where one
+    exists (the lex-extreme points of a coordinate-extreme face, the centroid
+    direction, midpoints), and an LP decides only the points left open.
     """
     present = {tuple(p) for p in points}
-    pts = sorted(present)
     # Distinct points are always vertices of their own hull.
-    if len(pts) <= 2:
-        return tuple(pts)
+    if len(present) <= 2:
+        return tuple(sorted(present))
+    is_vertex = _VertexTest(present)
+    return tuple(p for p in is_vertex.pts if is_vertex(p))
 
-    # The points at an extreme of one coordinate span a face of the hull, and
-    # a vertex of a face is a vertex of the hull: a face of one or two points
-    # has only vertices.
-    sure = set()
-    for c in range(len(pts[0])):
-        for pick in (min, max):
-            ext = pick(p[c] for p in pts)
-            hits = [p for p in pts if p[c] == ext]
-            if len(hits) <= 2:
-                sure.update(hits)
 
-    total = [sum(col) for col in zip(*pts)]
-    rejected = set()
-    undecided = []
-    for p in pts:
-        if p in sure:
-            continue
-        # p is exposed if it is the unique maximizer of c.x, where c points
-        # from the centroid to p (scaled by len(pts) to stay integral).
-        c = [len(pts) * a - t for a, t in zip(p, total)]
-        top = _dot(c, p)
-        if all(_dot(c, q) < top for q in pts if q != p):
-            sure.add(p)
-        # p is the midpoint of q and 2p - q, two other points of the set.
-        elif any(tuple(2 * a - b for a, b in zip(p, q)) in present for q in pts if q != p):
-            rejected.add(p)
-        else:
-            undecided.append(p)
+def minimal_vertices(points: Iterable[Monomial]) -> list:
+    """The pointwise-minimal vertices of the convex hull of a finite set of
+    lattice points, sorted: `minimal_support(hull_vertices(points))`.
 
-    # A non-vertex lies in the hull of the vertices, and no rejected point is
-    # a vertex, so the LP may leave the rejected points out.
-    for p in undecided:
-        if _is_vertex(p, [q for q in pts if q != p and q not in rejected]):
-            sure.add(p)
-        else:
-            rejected.add(p)
-    return tuple(p for p in pts if p in sure)
+    Points are visited by total degree, then lexicographically.  A point that
+    a kept vertex dominates is skipped untested, and vertexhood is decided
+    only for the rest.  A vertex dominating a point has a smaller total
+    degree, so it is visited first, and if it was skipped, the kept vertex
+    dominating it dominates the point too.  A point dominated only by
+    non-vertices is still tested.
+    """
+    present = {tuple(p) for p in points}
+    if len(present) <= 2:
+        return minimal_support(present)
+    is_vertex = _VertexTest(present)
+    kept = []
+    # pts is sorted and the sort is stable: the order is (sum(p), p).
+    for p in sorted(is_vertex.pts, key=sum):
+        if not any(all(a <= b for a, b in zip(v, p)) for v in kept) and is_vertex(p):
+            kept.append(p)
+    return sorted(kept)
 
 
 def np_min(s: Poly) -> Poly:
     """The minimal polynomial of s: the all-one polynomial on the
     pointwise-minimal vertices of the Newton polytope of s.
 
+    `minimal_vertices` finds them dominance first: it decides vertexhood only
+    for the monomials that no kept vertex dominates.
+
     For non-negative weight assignments, minimizing m . z over the support of
     s and over the support of the minimal polynomial give the same value.
     """
-    return Poly.from_support(s.dim, minimal_support(hull_vertices(s.coeffs)))
+    return Poly.from_support(s.dim, minimal_vertices(s.coeffs))
 
 
 def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
     """Minimal polynomial of a product, without expanding the product.
 
-    Folds pairwise Minkowski vertex sums over the factor supports and keeps
-    the pointwise-minimal points of the final vertex set.  The empty product
-    is the unit polynomial (dim must then be given).
+    Folds pairwise Minkowski vertex sums over the factor supports.  The last
+    sum is not hulled in full: `minimal_vertices` keeps its pointwise-minimal
+    vertices, deciding vertexhood only for the sums that no kept vertex
+    dominates.  A single factor keeps the pointwise-minimal points of its
+    support.  The empty product is the unit polynomial (dim must then be
+    given).
     """
     if not polys:
         if dim is None:
@@ -298,10 +351,13 @@ def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
             raise GeometryError("dimension mismatch in product")
         if s.is_zero():
             return Poly.zero(d)
+    if len(polys) == 1:
+        return Poly.from_support(d, minimal_support(polys[0].coeffs))
     points = polys[0].coeffs
-    for s in polys[1:]:
+    for s in polys[1:-1]:
         points = hull_vertices({mono_mul(p, q) for p in points for q in s.coeffs})
-    return Poly.from_support(d, minimal_support(points))
+    last = polys[-1].coeffs
+    return Poly.from_support(d, minimal_vertices({mono_mul(p, q) for p in points for q in last}))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +440,17 @@ def _cone_witness(system: HalfspaceSystem):
 
 
 def reduce_rows(system: HalfspaceSystem) -> HalfspaceSystem:
-    """Drop rows implied by the remaining rows together with x >= 0."""
-    rows = list(system.rows)
-    kept = list(rows)
-    for row in rows:
+    """Drop rows implied by the remaining rows together with x >= 0.
+
+    A row is kept without an LP when some coordinate j has row[j] > 0 while
+    every other kept row is <= 0 at j: the unit vector e_j satisfies the
+    others and violates the row.
+    """
+    kept = list(system.rows)
+    for row in system.rows:
         others = [r for r in kept if r != row]
+        if any(a > 0 and all(r[j] <= 0 for r in others) for j, a in enumerate(row)):
+            continue
         # row is redundant iff max row.x over the others (bounded by the
         # unit simplex, by homogeneity) cannot exceed 0.
         lp_rows = [(r, "<=", 0) for r in others]

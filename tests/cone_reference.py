@@ -1,0 +1,25 @@
+"""Cone row reduction by one exact LP per row, kept as a reference.
+
+This is the `reduce_rows` tropinf used before it kept rows that a unit
+vector proves necessary without an LP.  Tests compare
+`tropinf.geometry.reduce_rows` against it: both drop the same rows in the
+same order, so both must return the same system.
+"""
+
+from tropinf.geometry import HalfspaceSystem, LPProblem, lp_solve
+
+
+def reduce_rows(system: HalfspaceSystem) -> HalfspaceSystem:
+    """Drop rows implied by the remaining rows together with x >= 0."""
+    rows = list(system.rows)
+    kept = list(rows)
+    for row in rows:
+        others = [r for r in kept if r != row]
+        # row is redundant iff max row.x over the others (bounded by the
+        # unit simplex, by homogeneity) cannot exceed 0.
+        lp_rows = [(r, "<=", 0) for r in others]
+        lp_rows.append(((1,) * len(row), "<=", 1))
+        res = lp_solve(LPProblem(row, tuple(lp_rows)))
+        if res.status == "optimal" and res.value <= 0:
+            kept = others
+    return HalfspaceSystem(system.dim, tuple(kept))

@@ -12,12 +12,14 @@ from tropinf.geometry import (
     LPProblem,
     hull_vertices,
     lp_solve,
+    minimal_vertices,
     normal_cone,
     np_min,
     reduce_rows,
     vn,
 )
 
+from cone_reference import reduce_rows as reference_reduce_rows
 from conftest import SEED, load
 from eval_reference import eval_trop, tropicalize
 from hull_reference import hull_vertices as reference_hull_vertices
@@ -102,7 +104,7 @@ def lattice_sets(draw):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts the vertex LPs `hull_vertices` solves."""
+    """Counts the vertex LPs `hull_vertices` and `minimal_vertices` solve."""
     calls = []
     solve = geometry._is_vertex
 
@@ -142,9 +144,51 @@ class TestHullCertificates:
         assert hull_vertices(grid) == ((0, 0), (0, 2), (2, 0), (2, 2))
         assert lp_calls == []
 
+    def test_lex_extremes_of_a_face_need_no_lp(self, lp_calls):
+        # The face x3 = 2 holds three points; its lex-least one, (1,2,2), is
+        # a vertex although no other certificate settles it.
+        pts = [(0, 1, 1), (1, 2, 2), (2, 1, 2), (2, 3, 2)]
+        assert hull_vertices(pts) == tuple(pts)
+        assert lp_calls == []
+
     def test_analyze_m2_solves_few_lps(self, lp_calls):
+        # Every vertex of m2's minimizations is settled by a certificate or
+        # skipped as dominated.
         infer.analyze(load("m2"), 1)
-        assert 0 < len(lp_calls) <= 16
+        assert lp_calls == []
+
+
+class TestMinimalVertices:
+    """Dominance first: vertexhood is decided only for undominated points."""
+
+    @seed(SEED)
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_sets())
+    @example(SIX_POINTS)
+    def test_matches_hull_then_dominance(self, pts):
+        d = len(pts[0])
+        expected = minimal_support(reference_hull_vertices(pts))
+        assert np_min(Poly.from_support(d, pts)).support() == expected
+
+    def test_point_dominated_only_by_a_non_vertex_is_kept(self):
+        # (2,2) is the midpoint of (0,4) and (4,0); (2,3) is a vertex that
+        # only (2,2) dominates.
+        pts = [(0, 4), (4, 0), (2, 2), (2, 3)]
+        assert minimal_vertices(pts) == [(0, 4), (2, 3), (4, 0)]
+
+    def test_centroid_of_a_simplex_needs_one_lp(self, lp_calls):
+        pts = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
+        assert np_min(Poly.from_support(3, pts)).support() == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
+        assert lp_calls == [(1, 1, 1)]
+
+    def test_point_a_kept_vertex_dominates_is_not_tested(self, lp_calls):
+        # (2,2,2) is the centroid of the other three non-zero points, which
+        # only an LP decides; (0,0,0) is a vertex dominating all of them.
+        pts = [(0, 0, 0), (4, 1, 1), (1, 4, 1), (1, 1, 4), (2, 2, 2)]
+        assert minimal_vertices(pts) == [(0, 0, 0)]
+        assert lp_calls == []
+        assert hull_vertices(pts) == ((0, 0, 0), (1, 1, 4), (1, 4, 1), (4, 1, 1))
+        assert lp_calls == [(2, 2, 2)]
 
 
 class TestNpMin:
@@ -216,6 +260,29 @@ class TestNormalCone:
         assert witness is not None and cone.contains(witness)
         reduced = reduce_rows(cone)
         assert reduced.rows == ((F(-2), F(3)),)
+
+    @seed(SEED)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(-3, 3)] * d), min_size=0, max_size=7
+            )
+        )
+    )
+    @example([(-2, 2), (-2, 3)])
+    @example([(1, -1), (1, -1), (-1, 1)])
+    def test_reduce_rows_matches_lp_reference(self, rows):
+        system = HalfspaceSystem(len(rows[0]) if rows else 1, tuple(rows))
+        assert reduce_rows(system) == reference_reduce_rows(system)
+
+    def test_unit_vector_keeps_a_row_without_lp(self, monkeypatch):
+        # e_1 satisfies (-1,1) and violates (1,-1), and e_2 the other way.
+        calls = []
+        monkeypatch.setattr(geometry, "lp_solve", calls.append)
+        system = HalfspaceSystem(2, ((-1, 1), (1, -1)))
+        assert reduce_rows(system) == system
+        assert calls == []
 
     def test_not_in_support(self):
         with pytest.raises(GeometryError):
