@@ -9,19 +9,23 @@ of a coordinate (vertices of a face, hence of the hull), the unique maximizer
 along the direction from the centroid (a vertex), and the midpoint of two
 other points (not a vertex).  A small linear program decides only the points
 these leave open.  Cone row reduction keeps a row without an LP when a unit
-vector satisfies the other rows and violates it.  The LPs and the cone
-witnesses are solved by a two-phase simplex with Bland's pivoting rule on an
-integer tableau that shares one positive common denominator (fraction-free,
-Bareiss-style pivoting).  Rational input rows are scaled to integers and
-results come back as exact `Fraction`s.  No floating point enters any
-geometric predicate.
+vector satisfies the other rows and violates it.  `normal_fan` reduces the
+cones of all monomials together: a cone with an interior witness keeps
+exactly its facet rows, and two such cones share each facet, so each pair
+of monomials is decided once, by a unit vector, by the point where the two
+tie on the segment between their witnesses, or else by one LP.  The LPs and
+the cone witnesses are solved by a two-phase simplex with Bland's pivoting
+rule on an integer tableau that shares one positive common denominator
+(fraction-free, Bareiss-style pivoting).  Rational input rows are scaled to
+integers and results come back as exact `Fraction`s.  No floating point
+enters any geometric predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .algebra import INF, Monomial, Poly, minimal_support, mono_mul
@@ -414,29 +418,33 @@ def normal_cone(mu: Monomial, s: Poly) -> tuple:
     mu = tuple(mu)
     if mu not in s.coeffs:
         raise GeometryError(f"{mu} is not in the support")
-    d = s.dim
+    system = _cone_rows(mu, s)
+    return system, _cone_witness(system)[0]
+
+
+def _cone_rows(mu, s: Poly) -> HalfspaceSystem:
     rows = sorted({tuple(a - b for a, b in zip(mu, nu)) for nu in s.coeffs if nu != mu})
-    system = HalfspaceSystem(d, tuple(rows))
-    return system, _cone_witness(system)
+    return HalfspaceSystem(s.dim, tuple(rows))
 
 
-def _cone_witness(system: HalfspaceSystem):
+def _cone_witness(system: HalfspaceSystem) -> tuple:
+    """(witness, whether it is strictly interior) for `normal_cone`."""
     d = system.dim
     if not system.rows:
-        return tuple(Fraction(1) for _ in range(d))
+        return tuple(Fraction(1) for _ in range(d)), True
     # Variables: x_1..x_d, t.  Maximize t with row.x + t <= 0, sum x <= 1.
     lp_rows = [(row + (1,), "<=", 0) for row in system.rows]
     lp_rows.append(((1,) * d + (0,), "<=", 1))
     res = lp_solve(LPProblem((0,) * d + (1,), tuple(lp_rows)))
     if res.status == "optimal" and res.value > 0:
-        return res.x[:d]
+        return res.x[:d], True
     # No interior: look for a non-zero boundary point.
     lp_rows = [(row, "<=", 0) for row in system.rows]
     lp_rows.append(((1,) * d, "<=", 1))
     res = lp_solve(LPProblem((1,) * d, tuple(lp_rows)))
     if res.status == "optimal" and res.value > 0:
-        return res.x
-    return None
+        return res.x, False
+    return None, False
 
 
 def reduce_rows(system: HalfspaceSystem) -> HalfspaceSystem:
@@ -448,17 +456,118 @@ def reduce_rows(system: HalfspaceSystem) -> HalfspaceSystem:
     """
     kept = list(system.rows)
     for row in system.rows:
-        others = [r for r in kept if r != row]
-        if any(a > 0 and all(r[j] <= 0 for r in others) for j, a in enumerate(row)):
+        if _unit_facet(row, kept):
             continue
-        # row is redundant iff max row.x over the others (bounded by the
-        # unit simplex, by homogeneity) cannot exceed 0.
-        lp_rows = [(r, "<=", 0) for r in others]
-        lp_rows.append(((1,) * len(row), "<=", 1))
-        res = lp_solve(LPProblem(row, tuple(lp_rows)))
-        if res.status == "optimal" and res.value <= 0:
+        others = [r for r in kept if r != row]
+        if _implied(row, others):
             kept = others
     return HalfspaceSystem(system.dim, tuple(kept))
+
+
+def _unit_facet(row, rows) -> bool:
+    """True when some e_j satisfies every other row and violates row."""
+    return any(
+        a > 0 and all(r[j] <= 0 for r in rows if r != row) for j, a in enumerate(row)
+    )
+
+
+def _implied(row, others) -> bool:
+    """True when row . x <= 0 follows from the other rows and x >= 0: the
+    maximum of row . x over them (bounded by the unit simplex, by
+    homogeneity) is at most 0."""
+    lp_rows = [(r, "<=", 0) for r in others]
+    lp_rows.append(((1,) * len(row), "<=", 1))
+    res = lp_solve(LPProblem(row, tuple(lp_rows)))
+    return res.status == "optimal" and res.value <= 0
+
+
+def normal_fan(s: Poly) -> dict:
+    """The normal cone of every monomial of s: {mu: (system, witness)}, where
+    witness is that of `normal_cone(mu, s)` and system is its cone reduced as
+    `reduce_rows` reduces it.
+
+    A cone whose witness is interior (every other monomial is strictly larger
+    there) and whose rows are pairwise non-parallel is full-dimensional, so
+    `reduce_rows` keeps exactly its facet rows, whatever their order.  Row
+    mu - nu is a facet of mu's cone iff the two cones meet in a common facet,
+    iff nu - mu is a facet of nu's cone when that cone is such a cone too, so
+    each pair is decided once, by the first of:
+    - a unit vector e_j that satisfies every other row and violates the row,
+      in either cone;
+    - the segment tie: on the segment between the two interior witnesses,
+      the point where mu and nu tie, if every other monomial is strictly
+      larger there (moving from it towards nu's witness keeps every other
+      row of mu's cone and violates mu - nu);
+    - one LP of the row against all other rows.
+    Every other cone is reduced by `reduce_rows`.
+    """
+    cones = {}
+    full = set()  # the monomials whose cones are decided pairwise
+    for mu in s.support():
+        system = _cone_rows(mu, s)
+        witness, interior = _cone_witness(system)
+        cones[mu] = system, witness
+        rows = system.rows
+        if interior and (len(rows) < 2 or len({_direction(r) for r in rows}) == len(rows)):
+            full.add(mu)
+    values = {}  # mu -> every monomial's value at mu's witness scaled to integers
+    facet = {}  # (mu, row) -> whether mu's cone keeps the row
+    for mu in full:
+        rows = cones[mu][0].rows
+        for row in rows:
+            if (mu, row) in facet:
+                continue
+            nu = tuple(a - b for a, b in zip(mu, row))
+            keep = _unit_facet(row, rows)
+            if nu in full:
+                back = tuple(-a for a in row)
+                keep = keep or _unit_facet(back, cones[nu][0].rows) or _segment_tie(
+                    _values(mu, cones, values), _values(nu, cones, values), mu, nu
+                )
+            if not keep:
+                keep = not _implied(row, [r for r in rows if r != row])
+            facet[mu, row] = keep
+            if nu in full:
+                facet[nu, back] = keep
+    fan = {}
+    for mu, (system, witness) in cones.items():
+        if mu in full:
+            system = HalfspaceSystem(system.dim, tuple(r for r in system.rows if facet[mu, r]))
+        else:
+            system = reduce_rows(system)
+        fan[mu] = (system, witness)
+    return fan
+
+
+def _direction(row) -> tuple:
+    """The primitive integer vector along a non-zero integer row."""
+    g = gcd(*row)
+    return tuple(a // g for a in row)
+
+
+def _values(mu, cones, values) -> dict:
+    """{lam: lam . w} for every monomial lam, with w mu's witness scaled to
+    integers; cached in values."""
+    if mu not in values:
+        w = _integral(cones[mu][1])[0]
+        values[mu] = {lam: _dot(lam, w) for lam in cones}
+    return values[mu]
+
+
+def _segment_tie(at_a, at_b, mu, nu) -> bool:
+    """True when, at the point where mu and nu tie on the segment between their
+    integral witnesses a and b, every other monomial is strictly larger.
+
+    at_a and at_b hold every monomial's value at a and at b.  mu - nu is < 0
+    at a and > 0 at b, so the tie point is fb * a - fa * b with
+    fa = (mu - nu) . a and fb = (mu - nu) . b.
+    """
+    fa = at_a[mu] - at_a[nu]
+    fb = at_b[mu] - at_b[nu]
+    tie = fb * at_a[mu] - fa * at_b[mu]
+    return all(
+        fb * at_a[lam] - fa * at_b[lam] > tie for lam in at_a if lam != mu and lam != nu
+    )
 
 
 # ---------------------------------------------------------------------------

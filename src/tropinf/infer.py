@@ -1,6 +1,12 @@
 """End-to-end analysis: stabilized weight polynomials, best trajectories at
 given choice probabilities, and the probability region where a chosen
-trajectory class is the most likely one."""
+trajectory class is the most likely one.
+
+`analyze` certifies the whole support at once: one search of the reducer
+finds the word of every monomial (`lang.find_words`), and one pass over the
+normal fan finds every cone (`geometry.normal_fan`).  Probabilities are
+compared exactly, as integer numerators and denominators by
+cross-multiplication."""
 
 from __future__ import annotations
 
@@ -11,8 +17,8 @@ from fractions import Fraction
 
 from . import algebra, geometry, lang, typesys
 from .algebra import INF, Monomial, Poly, ProbAssignment
-from .geometry import HalfspaceSystem, normal_cone, reduce_rows
-from .lang import ChoiceWord, Program, find_word
+from .geometry import HalfspaceSystem
+from .lang import ChoiceWord, Program, find_words
 
 # Reduction steps allowed on each path of the search for a word.
 ORACLE_BUDGET = 10000
@@ -58,7 +64,9 @@ class AnalysisReport:
 
 def analyze(program: Program, target: int, config: Config | None = None,
             source: str = "") -> AnalysisReport:
-    """Stabilize the bounded typing search and certify every monomial.
+    """Stabilize the bounded typing search and certify every monomial: its
+    smallest word, from one search for all monomials, and its reduced cone
+    and witness, from the normal fan of the polynomial.
 
     When stabilization fails within the round budget the report still carries
     the last polynomial; it is then only valid relative to the explored
@@ -68,11 +76,16 @@ def analyze(program: Program, target: int, config: Config | None = None,
     result = typesys.stabilize(
         program, target, window=config.window, max_rounds=config.max_rounds
     )
-    selected = []
-    for mu in result.poly.support():
-        word = _resolve_word(program, target, mu)
-        cone, witness = normal_cone(mu, result.poly)
-        selected.append(SelectedTrajectory(mu, word, reduce_rows(cone), witness))
+    support = result.poly.support()
+    words = find_words(program, target, support, ORACLE_BUDGET)
+    for mu in support:
+        if mu not in words:
+            raise InferError(
+                f"no reduction with weight {algebra.mono_to_text(mu)} found within "
+                f"{ORACLE_BUDGET} steps"
+            )
+    fan = geometry.normal_fan(result.poly)
+    selected = [SelectedTrajectory(mu, words[mu], *fan[mu]) for mu in support]
     return AnalysisReport(
         params=program.params,
         input_sha256=hashlib.sha256(source.encode()).hexdigest(),
@@ -83,17 +96,6 @@ def analyze(program: Program, target: int, config: Config | None = None,
         selected=selected,
         degree_estimate=result.poly.degree(),
     )
-
-
-def _resolve_word(program, target, mu):
-    """The smallest choice word of a run to target with weight mu."""
-    word = find_word(program, target, mu, ORACLE_BUDGET)
-    if word is None:
-        raise InferError(
-            f"no reduction with weight {algebra.mono_to_text(mu)} found within "
-            f"{ORACLE_BUDGET} steps"
-        )
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -108,34 +110,49 @@ class I1Result:
     probability: Fraction  # exact probability of a winning trajectory
 
 
-def mono_probability(mu: Monomial, p: ProbAssignment) -> Fraction:
-    v = p.vector()
-    prob = Fraction(1)
-    for e, q in zip(mu, v):
-        if e:
-            prob *= q**e
-    return prob
+def _power(exps, nums, dens) -> tuple:
+    """prod over e > 0 of (num / den)^e, as an integer numerator and a
+    positive integer denominator."""
+    num = den = 1
+    for e, a, b in zip(exps, nums, dens):
+        if e > 0:
+            num *= a**e
+            den *= b**e
+    return num, den
+
+
+def _parts(p: ProbAssignment) -> tuple:
+    """The numerators and denominators of `p.vector()`, in lowest terms."""
+    nums, dens = [], []
+    for q in p.ps:
+        nums += (q.numerator, q.denominator - q.numerator)
+        dens += (q.denominator, q.denominator)
+    return nums, dens
 
 
 def solve_i1(report: AnalysisReport, p: ProbAssignment) -> I1Result:
     """The most likely selected trajectory class at given probabilities.
 
-    Winners are decided by exact rational comparison of trajectory
-    probabilities; the returned value is -ln of the best probability.
+    Winners are decided by exact comparison of trajectory probabilities,
+    each an integer numerator over an integer denominator, by
+    cross-multiplication; the returned value is -ln of the best probability.
     """
     if 2 * p.k != report.poly.dim:
         raise InferError(f"expected {report.poly.dim // 2} probabilities, got {p.k}")
     if report.poly.is_zero():
         raise InferError("no trajectory reaches the target")
-    best = None
+    nums, dens = _parts(p)
+    best = (-1, 1)  # below every probability
     winners = []
     for mu in report.poly.support():
-        prob = mono_probability(mu, p)
-        if best is None or prob > best:
-            best = prob
+        num, den = _power(mu, nums, dens)
+        order = num * best[1] - best[0] * den
+        if order > 0:
+            best = num, den
             winners = [mu]
-        elif prob == best:
+        elif order == 0:
             winners.append(mu)
+    best = Fraction(*best)
     # -ln(num/den) as ln(den) - ln(num): a probability of 1 gives 0.0, not -0.0.
     value = INF if best == 0 else math.log(best.denominator) - math.log(best.numerator)
     return I1Result(value, tuple(winners), best)
@@ -154,7 +171,8 @@ class I2Result:
 
 
 def solve_i2(report: AnalysisReport, mu: Monomial) -> I2Result:
-    """The closed region of weight vectors where mu is tropically minimal."""
+    """The closed region of weight vectors where mu is tropically minimal:
+    the selected cone, or that of the normal fan when mu is not selected."""
     mu = tuple(mu)
     for sel in report.selected:
         if sel.monomial == mu:
@@ -164,44 +182,27 @@ def solve_i2(report: AnalysisReport, mu: Monomial) -> I2Result:
             f"{algebra.mono_to_text(mu)} is not a monomial of the stabilized "
             "polynomial"
         )
-    cone, witness = normal_cone(mu, report.poly)
-    return I2Result(mu, reduce_rows(cone), witness)
+    return I2Result(mu, *geometry.normal_fan(report.poly)[mu])
 
 
 def i2_contains(result: I2Result, p: ProbAssignment) -> bool:
     """Does a probability assignment fall in the region (boundary included)?
 
     Exact rational probabilities are tested exactly: the halfspace test
-    (mu - nu) . z <= 0 at z = -ln p is equivalent to p^nu <= p^mu, and a
-    zero probability (an infinite weight) is handled case by case.
+    (mu - nu) . z <= 0 at z = -ln p is equivalent to p^nu <= p^mu, which
+    compares two integer fractions by cross-multiplication.  A row is first
+    scaled to integers, and a zero probability (an infinite weight) makes
+    its side of the comparison 0.
     """
     if 2 * p.k != result.cone.dim:
         raise InferError(f"expected {result.cone.dim // 2} probabilities, got {p.k}")
-    v = p.vector()
+    nums, dens = _parts(p)
     for row in result.cone.rows:
-        # row = mu - nu for some nu; row . z <= 0  <=>  prod q^nu <= prod q^mu
-        lhs = Fraction(1)  # q^(positive part) relative weight
-        rhs = Fraction(1)
-        lhs_zero = rhs_zero = False
-        for a, q in zip(row, v):
-            if a > 0:
-                if q == 0:
-                    lhs_zero = True
-                else:
-                    lhs *= q ** int(a)
-            elif a < 0:
-                if q == 0:
-                    rhs_zero = True
-                else:
-                    rhs *= q ** int(-a)
-        # Constraint row . z <= 0 with z = -ln q means q^(pos) >= q^(neg).
-        if lhs_zero and rhs_zero:
-            continue
-        if lhs_zero:
-            return False
-        if rhs_zero:
-            continue
-        if lhs < rhs:
+        # row . z <= 0 at z = -ln q means q^(positive part) >= q^(negative part).
+        ints = geometry._integral(row)[0]
+        pos_num, pos_den = _power(ints, nums, dens)
+        neg_num, neg_den = _power([-a for a in ints], nums, dens)
+        if pos_num * neg_den < neg_num * pos_den:
             return False
     return True
 

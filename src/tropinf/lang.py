@@ -3,7 +3,8 @@
 Programs are closed terms of a ground type; choices ``M +[Xi] N`` take the
 left branch with weight Xi and the right branch with weight ~Xi.  Reduction is
 weak-head call-by-name, with reduction allowed under succ/pred and in the
-scrutinee of ifz.
+scrutinee of ifz.  `find_words` finds the smallest run to a target for each
+of several weights in one depth-first search of the choice tree.
 """
 
 from __future__ import annotations
@@ -850,40 +851,60 @@ def enumerate_trajectories(program: Program, max_steps: int) -> list:
     return out
 
 
-def find_word(
-    program: Program, target: int, monomial: Monomial, max_steps: int
-) -> ChoiceWord | None:
-    """Search for a reduction to `target` whose weight is exactly `monomial`.
+def find_words(
+    program: Program, target: int, monomials, max_steps: int
+) -> dict:
+    """The smallest choice word of a run to `target` for each weight in
+    `monomials`: {monomial: word}, without the monomials that have no such
+    run within the step budget of each path.
 
-    Depth-first over the choice tree, left branch first and pruned by the
-    remaining exponent budget, so complete words come in lexicographic order:
-    returns the first, hence smallest, such word, or None within the step
-    budget of each path.
+    One depth-first search over the choice tree, left branch first, so
+    complete words come in lexicographic order and the first run found with a
+    weight has its smallest word.  Each path carries the monomials still
+    searched for that are >= the weight it has used, and is pruned when none
+    is left.
     """
-    stack = [(program.term, 0, (), list(monomial))]
+    wanted = {tuple(m) for m in monomials}
+    found = {}
+    if not wanted:
+        return found
+    stack = [(program.term, 0, (), [0] * (2 * program.params), list(wanted))]
     while stack:
-        term, steps, word, remaining = stack.pop()
+        term, steps, word, used, open_ = stack.pop()
         while steps < max_steps:
             step = reduce_once(term)
             if isinstance(step, NormalForm):
-                if numeral_value(term) == target and not any(remaining):
-                    return word
+                weight = tuple(used)
+                if numeral_value(term) == target and weight in wanted and weight not in found:
+                    found[weight] = word
+                    if len(found) == len(wanted):
+                        return found
                 break
             if isinstance(step, Deterministic):
                 term = step.term
                 steps += 1
                 continue
             i = step.param
-            can_left = remaining[2 * (i - 1)] > 0
-            can_right = remaining[2 * (i - 1) + 1] > 0
-            if can_right:
-                rem = list(remaining)
-                rem[2 * (i - 1) + 1] -= 1
-                stack.append((step.right, steps + 1, word + ((i, 1),), rem))
-            if not can_left:
+            left = 2 * (i - 1)
+            right = [m for m in open_ if m[left + 1] > used[left + 1] and m not in found]
+            if right:
+                rused = list(used)
+                rused[left + 1] += 1
+                stack.append((step.right, steps + 1, word + ((i, 1),), rused, right))
+            open_ = [m for m in open_ if m[left] > used[left] and m not in found]
+            if not open_:
                 break
-            remaining[2 * (i - 1)] -= 1
+            used[left] += 1
             term = step.left
             word = word + ((i, 0),)
             steps += 1
-    return None
+    return found
+
+
+def find_word(
+    program: Program, target: int, monomial: Monomial, max_steps: int
+) -> ChoiceWord | None:
+    """The smallest choice word of a run to `target` whose weight is exactly
+    `monomial`, or None within the step budget of each path: `find_words`
+    for one monomial."""
+    return find_words(program, target, [monomial], max_steps).get(tuple(monomial))

@@ -24,8 +24,8 @@ passed or returned, costs one unfolding more than its argument's row, and a
 type that costs more than n is dropped, so a recursion that feeds its
 binders ever larger atoms stops.  Only the rows are kept, never the
 derivations: each rule maps the rows of the premises to the rows of the
-conclusion.  A row names no run: the reducer does (`lang.find_word`, called
-by `infer.analyze`).
+conclusion.  A row names no run: the reducer does (`lang.find_words`,
+called by `infer.analyze`).
 
 `stabilize` annotates the program once and shares one `RowTable` between its
 rounds.  A subterm without Fix has only rows of fixpoint count 0, which n

@@ -14,6 +14,7 @@ from tropinf.geometry import (
     lp_solve,
     minimal_vertices,
     normal_cone,
+    normal_fan,
     np_min,
     reduce_rows,
     vn,
@@ -151,11 +152,16 @@ class TestHullCertificates:
         assert hull_vertices(pts) == tuple(pts)
         assert lp_calls == []
 
-    def test_analyze_m2_solves_few_lps(self, lp_calls):
+    def test_analyze_m2_solves_few_lps(self, lp_calls, monkeypatch):
         # Every vertex of m2's minimizations is settled by a certificate or
-        # skipped as dominated.
+        # skipped as dominated, and the fan of its 6 monomials solves one
+        # witness LP per monomial and 4 LPs for the 15 pairs of cones.
+        solved = []
+        solve = geometry.lp_solve
+        monkeypatch.setattr(geometry, "lp_solve", lambda prob: solved.append(prob) or solve(prob))
         infer.analyze(load("m2"), 1)
         assert lp_calls == []
+        assert len(solved) <= 10
 
 
 class TestMinimalVertices:
@@ -313,3 +319,67 @@ class TestNormalCone:
             value, winners = eval_trop(s, z)
             hits = [m for m, cone in cones.items() if cone.contains(z)]
             assert hits and set(winners) <= set(hits)
+
+
+def reference_fan(s: Poly) -> dict:
+    """Each cone by `normal_cone` and the LP-only row reduction."""
+    fan = {}
+    for mu in s.support():
+        cone, witness = normal_cone(mu, s)
+        fan[mu] = (reference_reduce_rows(cone), witness)
+    return fan
+
+
+class TestNormalFan:
+    @seed(SEED)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.sets(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=8),
+            )
+        )
+    )
+    # Item 5 of the roadmap: (3,3) is a vertex but never the strict minimum,
+    # so its cone has no interior.
+    @example((2, {(0, 4), (4, 0), (3, 3)}))
+    # (2,2) is dominated by (0,0): its cone is the origin, with no witness.
+    @example((2, {(0, 0), (2, 2)}))
+    # Not minimal: (1,2) lies on the segment from (2,1) to (0,4), so two rows
+    # of its cone are parallel and only one of them is kept.
+    @example((2, {(0, 4), (1, 2), (1, 4), (2, 1), (3, 0), (3, 2), (4, 4)}))
+    def test_matches_cone_by_cone_reference(self, data):
+        d, support = data
+        s = Poly.from_support(d, support)
+        for poly in (np_min(s), s):
+            assert normal_fan(poly) == reference_fan(poly)
+
+    def test_segment_tie_keeps_a_row_without_lp(self, monkeypatch):
+        s = Poly.from_support(3, [(0, 0, 2), (0, 2, 1), (1, 0, 0)])
+        # No unit vector settles the row between (0,0,2) and (1,0,0) in
+        # either cone; at their tie point on the segment between the two
+        # witnesses, (0,2,1) is strictly larger.
+        assert not geometry._unit_facet((-1, 0, 2), normal_cone((0, 0, 2), s)[0].rows)
+        assert not geometry._unit_facet((1, 0, -2), normal_cone((1, 0, 0), s)[0].rows)
+        implied = []
+        monkeypatch.setattr(geometry, "_implied", lambda *args: implied.append(args))
+        fan = normal_fan(s)
+        assert implied == []
+        assert fan == reference_fan(s)
+        assert fan[(0, 0, 2)][0].rows == ((-1, 0, 2), (0, -2, 1))
+
+    def test_two_monomials_solve_no_more_lps_than_cone_by_cone(self, monkeypatch):
+        solved = []
+        solve = geometry.lp_solve
+        monkeypatch.setattr(geometry, "lp_solve", lambda prob: solved.append(prob) or solve(prob))
+        grid = list(itertools.product(range(3), repeat=2))
+        for mu, nu in itertools.combinations(grid, 2):
+            s = Poly.from_support(2, [mu, nu])
+            solved.clear()
+            fan = normal_fan(s)
+            fan_lps = len(solved)
+            solved.clear()
+            for m in s.support():
+                reduce_rows(normal_cone(m, s)[0])
+            assert fan_lps <= len(solved), (mu, nu)

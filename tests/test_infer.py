@@ -3,9 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from tropinf import infer
 from tropinf.algebra import ProbAssignment, poly_to_text
+from tropinf.geometry import HalfspaceSystem
 from tropinf.infer import (
     Config,
+    I2Result,
     InferError,
     analyze,
     i2_contains,
@@ -101,6 +104,14 @@ class TestAnalyze:
                     ties += len(words) > 1
         assert checked > 100 and ties > 0
 
+    def test_monomial_without_a_run_names_the_first_one_missing(self, monkeypatch):
+        # Within 20 steps the runs of the first two monomials of m2's support
+        # are found, but not that of the third.
+        monkeypatch.setattr(infer, "ORACLE_BUDGET", 20)
+        with pytest.raises(InferError) as err:
+            analyze(load("m2"), 1)
+        assert str(err.value) == "no reduction with weight ~X1*~X2*X3*X4*~X5 found within 20 steps"
+
     def test_unstable_is_labelled(self):
         rep = analyze(load("m3"), 1, config=Config(max_rounds=1))
         assert not rep.stable and rep.rounds == [(1, 1)]
@@ -185,6 +196,21 @@ class TestI2:
         # p = 0 makes the all-right trajectory certain.
         assert i2_contains(res, ProbAssignment([F(0)]))
         assert not i2_contains(res, ProbAssignment([F(1)]))
+
+    def test_rational_rows_are_scaled_not_truncated(self):
+        # (1/2, -1/2) and (1, -1) both say p >= 1/2.
+        for row in ((F(1, 2), F(-1, 2)), (1, -1)):
+            res = I2Result((1, 0), HalfspaceSystem(2, (row,)), None)
+            assert not i2_contains(res, ProbAssignment([F(1, 4)]))
+            assert i2_contains(res, ProbAssignment([F(1, 2)]))
+            assert i2_contains(res, ProbAssignment([F(3, 4)]))
+
+    def test_unselected_monomial_reads_the_fan(self, m1_report):
+        bare = report_from_json(report_to_json(m1_report))
+        bare.selected = []
+        for sel in m1_report.selected:
+            res = solve_i2(bare, sel.monomial)
+            assert (res.cone, res.witness) == (sel.cone, sel.witness)
 
     def test_monomial_not_selected(self, m1_report):
         with pytest.raises(InferError):

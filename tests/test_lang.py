@@ -23,6 +23,7 @@ from tropinf.lang import (
     Zero,
     enumerate_trajectories,
     find_word,
+    find_words,
     numeral,
     numeral_value,
     parse,
@@ -230,3 +231,19 @@ class TestReplay:
         # Two reductions share weight X ~X^2; the smaller word wins.
         assert find_word(program, 0, (1, 2), 100) == ((1, 1), (1, 0), (1, 1))
         assert find_word(program, 1, (3, 0), 100) is None
+
+    @pytest.mark.parametrize("fix", [False, True])
+    def test_find_words_is_find_word_per_monomial(self, rng, fix):
+        # One search for all weights finds the same smallest words as one
+        # search per weight, also when some weight has no run.
+        found = 0
+        for _ in range(40):
+            program = random_program(rng, max_nodes=30, k=rng.randint(1, 3), fix=fix)
+            monomials = {t.monomial for t in enumerate_trajectories(program, 16)}
+            monomials.add(tuple(rng.randint(0, 2) for _ in range(2 * program.params)))
+            for target in (0, 1):
+                words = find_words(program, target, monomials, 60)
+                single = {m: find_word(program, target, m, 60) for m in monomials}
+                assert words == {m: w for m, w in single.items() if w is not None}, program
+                found += len(words)
+        assert found > 40
