@@ -29,13 +29,16 @@ called by `infer.analyze`).
 
 `stabilize` annotates the program once and shares one `RowTable` between its
 rounds.  A subterm without Fix has only rows of fixpoint count 0, which n
-never changes, so its rows are kept across rounds, keyed by p and the types
-of the binders free in it or bound by a flow λ inside it; a subterm holding
-a Fix, and every Fix unfolding, is rebuilt in every round.  Polynomials
-depend on neither bound, and the table maps the inputs of every product,
-sum and choice shift to its result, so one `stabilize` minimizes each
-distinct product, sum and shift once, whichever subterm, unfolding or round
-asks for it.
+never changes, so its rows are kept across rounds, keyed by the types of the
+binders free in it or bound by a flow λ inside it.  p is read only where a λ
+row is dropped for a multiset wider than p, so the rows are kept across a
+change of p too unless p pruned a λ row, and a round that changes only p
+after a round that pruned nothing repeats that round: `search` returns its
+judgement without a pass.  A subterm holding a Fix, and every Fix
+unfolding, is rebuilt in every other round.  Polynomials depend on neither
+bound, and the table maps the inputs of every product, sum and choice shift
+to its result, so one `stabilize` minimizes each distinct product, sum and
+shift once, whichever subterm, unfolding or round asks for it.
 """
 
 from __future__ import annotations
@@ -142,9 +145,12 @@ class Entry:
         return (self.ctx, self.itype, self.fixes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TropJudgement:
-    entries: list
+    """The rows of a whole program.  Frozen, since a table hands one
+    judgement out for every round that repeats the last (see `search`)."""
+
+    entries: tuple
     dim: int
 
 
@@ -250,14 +256,18 @@ def _rule_ifz(
     return merge(out, memo)
 
 
-def _rule_lam(name, entries, dim, p):
+def _rule_lam(name, entries, p):
+    """The arrow rows of λname over the body rows whose multiset of name has
+    at most p types, and the size of the widest multiset, kept or not."""
     out = []
+    wide = 0
     for e in entries:
         ms, rest = ctx_split(e.ctx, name)
+        wide = max(wide, len(ms))
         if len(ms) > p:
             continue
         out.append(Entry(rest, iarrow(ms, e.itype), e.poly, e.fixes))
-    return merge(out)
+    return merge(out), wide
 
 
 def _assignments(args, pool):
@@ -450,13 +460,19 @@ class RowTable:
     Every row of a subterm without Fix has fixpoint count 0, so n never
     changes its rows: they depend only on the subterm, p and the types of the
     binders free in it or bound by a flow λ inside it.  One table serves the
-    rounds of one `stabilize`; it keeps rows under (subterm, those types)
-    for the current p and drops them all when p changes, since rows at a
-    smaller p are never asked for again.  Subterms are keyed by id, which
-    stays valid because the table holds the annotated tree.  The types that
-    reached each flow λ (`reach`), and the memo of minimized sums, products
-    and shifts, are kept for the table's whole life: larger bounds only add
-    types and lower costs, and a polynomial depends on neither bound.
+    rounds of one `stabilize`; it keeps rows under (subterm, those types).
+    p is read only by `_rule_lam`, which drops the λ rows whose multiset is
+    wider than p, so the table records the widest multiset any λ row had
+    since its rows were last dropped (`wide`).  While `wide` is at most p no
+    row was dropped, and the rows are those of every p from `wide` up: `at`
+    keeps them across a change of p when `wide` is at most both the old and
+    the new p, and drops them all otherwise, so rows never move to another p
+    once p pruned one.  Subterms are keyed by id, which stays valid because
+    the table holds the annotated tree.  The types that reached each flow λ
+    (`reach`), and the memo of minimized sums, products and shifts, are kept
+    for the table's whole life: larger bounds only add types and lower
+    costs, and a polynomial depends on neither bound.  `last` holds the n and
+    the judgement of the last search that completed on the table.
     """
 
     def __init__(self, program: Program):
@@ -473,14 +489,17 @@ class RowTable:
                 self.fix_free[node] = inner
         self.reach: dict = {}  # flow λ id -> {type: least cost}
         self.free: dict = {}  # subterm id -> free variables, computed on demand
-        self.p = None
+        self.p = 0
         self.rows: dict = {}
+        self.wide = 0
+        self.last = None
         self.memo: dict = {}
 
     def at(self, p: int) -> dict:
         """The rows kept for bound p."""
-        if p != self.p:
-            self.p, self.rows = p, {}
+        if p != self.p and self.wide > min(p, self.p):
+            self.rows, self.wide = {}, 0
+        self.p = p
         return self.rows
 
 
@@ -494,6 +513,7 @@ class _Search:
         self.sources = table.sources
         self.inner = table.inner
         self.reach = table.reach
+        self.table = table
         self.rows = table.at(p)
         self.memo = table.memo
         self.unit = Poly.unit(self.dim)
@@ -517,8 +537,9 @@ class _Search:
 
         env maps every variable in scope to the (type, cost) pairs of the
         types that reach its binder.  The rows of a Fix-free subterm are
-        built once per p and types of its free variables and flow λs; a
-        subterm that feeds flow λs passes its row types on.
+        built once per types of its free variables and flow λs, and again
+        only when p changes after it pruned a row; a subterm that feeds flow
+        λs passes its row types on.
         """
         node = id(tt)
         inner = self.fix_free.get(node)
@@ -587,14 +608,14 @@ class _Search:
                 body = self.build(
                     tt.children[0].children[0], {**env, name: _reaching(arg, env)}
                 )
-                fun = _rule_lam(name, body, dim, self.p)
+                fun = self._lam(name, body)
             else:
                 fun = self.build(tt.children[0], env)
             return _rule_app(fun, arg, dim, self.n, memo)
         if kind is Lam:
             self.read.add(id(tt))
             env = {**env, term.name: self.bound(id(tt))}
-            return _rule_lam(term.name, self.build(tt.children[0], env), dim, self.p)
+            return self._lam(term.name, self.build(tt.children[0], env))
         if kind is Fix:
             return self._fix(tt, env)
         subs = [self.build(c, env) for c in tt.children]
@@ -607,6 +628,13 @@ class _Search:
         if kind is Pred:
             return _rule_atom("pred", lambda n: max(n - 1, 0), subs[0], memo)
         raise TypesysError(f"cannot type {term!r}")
+
+    def _lam(self, name: str, body: list) -> list:
+        """`_rule_lam` at p, recording its widest multiset in the table."""
+        rows, wide = _rule_lam(name, body, self.p)
+        if wide > self.table.wide:
+            self.table.wide = wide
+        return rows
 
     def _fix(self, tt: TypedTerm, env: dict) -> list:
         """Unfold fix M until an unfolding reproduces the previous one's rows
@@ -638,17 +666,26 @@ def search(
     extract the polynomial of the closed rows at a ground target atom.
     `table` must come from the same program; rounds that share one reuse the
     rows of its Fix-free subterms, the types that reached its binders, its
-    minimized polynomials and its annotation.  Without it the search starts
-    from a fresh table; the rows are the same either way.
+    minimized polynomials and its annotation.  A round with the n of the last
+    one, at a p that no λ row since the rows were kept was wider than, takes
+    exactly the steps of the last one, so it returns the last judgement
+    without a pass.  Without a table the search starts from a fresh one; the
+    rows are the same either way.
     """
     if table is None:
         table = RowTable(program)
+    elif table.last is not None and table.last[0] == n and table.wide <= min(table.p, p):
+        table.at(p)
+        return table.last[1]
+    table.last = None
     bounded = _Search(program.params, n, p, table)
     # Pass again while a pass grew the types of a flow λ it had used.
     while True:
         rows = bounded.build(table.tt, {})
         if not bounded.stale:
-            return TropJudgement(rows, bounded.dim)
+            judgement = TropJudgement(tuple(rows), bounded.dim)
+            table.last = (n, judgement)
+            return judgement
         bounded.read, bounded.stale = set(), set()
 
 
@@ -697,7 +734,9 @@ def stabilize(
     polynomial unchanged, i.e. the last window + 1 rounds agree.  Since the
     schedule alternates increments of n and p, the default window of 2 only
     accepts a polynomial that survived both a recursion-budget increase and a
-    multiset-size increase.  Gives up (stable=False) after max_rounds rounds.
+    multiset-size increase.  A p increment after a round in which p pruned
+    no λ row repeats that round (see `search`), so there surviving it says
+    nothing more.  Gives up (stable=False) after max_rounds rounds.
     Raises ValueError unless window and max_rounds are at least 1.
     """
     if window < 1 or max_rounds < 1:

@@ -50,7 +50,7 @@ class TestMerge:
     def test_fix_counts_kept_separate(self):
         a, b = self.unit((1, 0), fixes=0), self.unit((1, 0), fixes=1)
         assert len(merge([a, b])) == 2
-        assert conclusion_poly(TropJudgement([a, b], 2), 1) == a.poly
+        assert conclusion_poly(TropJudgement((a, b), 2), 1) == a.poly
 
     def test_dominated_monomial_dropped(self):
         out = merge([self.unit((1, 0)), self.unit((2, 1))])
@@ -110,8 +110,9 @@ class TestBetaRedexFlow:
     def test_rule_lam_keeps_atoms_above_p(self):
         above = Entry(ctx_of("x", 5), 5, Poly.unit(2), 0)
         twice = Entry(ctx_sum(ctx_of("x", 0), ctx_of("x", 0)), 0, Poly.unit(2), 0)
-        (out,) = _rule_lam("x", [above, twice], 2, p=1)
+        (out,), wide = _rule_lam("x", [above, twice], p=1)
         assert out.ctx == () and out.itype == iarrow([5], 5)
+        assert wide == 2
 
 
 class TestFlow:
@@ -371,11 +372,18 @@ class TestRowTable:
         with pytest.raises(dataclasses.FrozenInstanceError):
             row.fixes = 1
 
+    def test_judgements_are_frozen(self):
+        # A judgement may be handed out again for a later round.
+        judgement = search(load("m1"), 1, 1, 1)
+        assert isinstance(judgement.entries, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            judgement.entries = ()
+
     @staticmethod
-    def rounds(monkeypatch, program, counters=()):
-        """Run stabilize and return, for each round, (n, p, judgement, counts)
-        where counts holds the calls of each function named in counters
-        during that round."""
+    def rounds(monkeypatch, program, counters=(), window=2):
+        """Run stabilize with this window and return, for each round,
+        (n, p, judgement, counts) where counts holds the calls of each
+        function named in counters during that round."""
         out, counts = [], dict.fromkeys(counters, 0)
         for name in counters:
             def counted(*args, _real=getattr(typesys, name), _name=name):
@@ -391,7 +399,7 @@ class TestRowTable:
             return judgement
 
         monkeypatch.setattr(typesys, "search", recording)
-        stabilize(program, 1, max_rounds=6)
+        stabilize(program, 1, window=window, max_rounds=6)
         monkeypatch.undo()
         return out
 
@@ -405,6 +413,7 @@ class TestRowTable:
         for n, p, judgement, _ in rounds:
             fresh = search(program, 1, n, p)
             assert self.rows(judgement) == self.rows(fresh), (program, n, p)
+        return rounds
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_corpus_rounds_match_fresh_searches(self, monkeypatch, name):
@@ -421,7 +430,8 @@ class TestRowTable:
 
     def test_subterm_without_the_binder_is_kept_across_n(self, monkeypatch):
         # Neither 0 +[X2] 1 nor 1 mentions y, so their rows are keyed without
-        # y and found again in round (2,1).
+        # y and found again in round (2,1); p prunes no row of this program,
+        # so they are kept across p as well.
         program = parse(self.REDEX_OVER_FIX)
         built = []
         real = typesys._Search._rule
@@ -434,13 +444,50 @@ class TestRowTable:
         monkeypatch.setattr(typesys._Search, "_rule", recording)
         rounds = stabilize(program, 1).rounds
         assert rounds[:3] == [(1, 1), (2, 1), (2, 2)]
-        assert built == [(n, p) for n, p in rounds if n == p]
+        assert built == [(1, 1)]
 
-    @pytest.mark.parametrize("fix", [False, True], ids=["fix-free", "recursive"])
-    def test_random_rounds_match_fresh_searches(self, monkeypatch, rng, fix):
-        for _ in range(20):
-            program = random_program(rng, max_nodes=18 if fix else 14, fix=fix)
-            self.assert_rounds_match_fresh_searches(monkeypatch, program)
+    @pytest.mark.parametrize("kind", ["fix-free", "recursive", "lambda-argument"])
+    def test_random_rounds_match_fresh_searches(self, monkeypatch, rng, kind):
+        # A lambda argument called twice, as in ifz (f N) then f N' else M,
+        # takes a multiset of two types, which p = 1 prunes; about one in ten
+        # of these programs does, so they are drawn more often.
+        reused = pruned = 0
+        for _ in range(50 if kind == "lambda-argument" else 20):
+            if kind == "lambda-argument":
+                program = random_lambda_argument_program(rng)
+            else:
+                fix = kind == "recursive"
+                program = random_program(rng, max_nodes=18 if fix else 14, fix=fix)
+            rounds = self.assert_rounds_match_fresh_searches(monkeypatch, program)
+            for (_, _, before, _), (n, p, judgement, _) in zip(rounds, rounds[1:]):
+                reused += judgement is before
+                pruned += judgement is not before and n == p
+        if kind == "lambda-argument":
+            assert reused and pruned, (reused, pruned)
+
+    # p = 1 drops the λ row whose x is used twice: the run through the else
+    # branch, the only one that reaches 1.
+    PRUNED_AT_P1 = r"params 1; (\x. ifz x then x else 0) (0 +[X1] 1)"
+
+    def test_round_after_pruning_rebuilds(self, monkeypatch):
+        program = parse(self.PRUNED_AT_P1)
+        rounds = self.rounds(monkeypatch, program, ["_combine"])
+        polys = {(n, p): poly_to_text(conclusion_poly(j, 1)) for n, p, j, _ in rounds}
+        combine = {(n, p): c["_combine"] for n, p, _, c in rounds}
+        assert polys[1, 1] == polys[2, 1] == "0"
+        assert polys[2, 2] == "X1*~X1"
+        assert combine[2, 2] > 0
+        self.assert_rounds_match_fresh_searches(monkeypatch, program)
+
+    @pytest.mark.parametrize("source", [PRUNED_AT_P1, load_source("m2")])
+    def test_smaller_p_after_larger(self, source):
+        # Rows kept at p = 2 must not reach p = 1 where p = 1 prunes one.
+        program = parse(source)
+        table = typesys.RowTable(program)
+        for n, p in ((2, 2), (2, 1), (2, 2)):
+            judgement = search(program, 1, n, p, table)
+            fresh = search(program, 1, n, p)
+            assert self.rows(judgement) == self.rows(fresh), (n, p)
 
     def test_annotate_once_per_stabilize(self, monkeypatch):
         calls = []
@@ -460,10 +507,13 @@ class TestRowTable:
 
     def test_recursive_program_rebuilds_only_the_unfolding(self, monkeypatch):
         # m2's λ under fix is reused when n grows; its unfolding is redone.
-        rounds = self.rounds(monkeypatch, load("m2"), ["_combine"])
+        # p prunes no row of m2, so a round that only raises p repeats the
+        # round before it and builds nothing.
+        rounds = self.rounds(monkeypatch, load("m2"), ["_combine"], window=3)
         combine = {(n, p): c["_combine"] for n, p, _, c in rounds}
         assert 0 < combine[2, 1] < combine[1, 1]
-        assert 0 < combine[3, 2] < combine[2, 2]
+        assert combine[2, 2] == combine[3, 3] == 0
+        assert 0 < combine[3, 2] < combine[1, 1]
 
 
 class TestPolyMemo:
