@@ -576,7 +576,8 @@ def _segment_tie(at_a, at_b, mu, nu) -> bool:
 
 
 def _frac_to_json(q) -> str:
-    return "inf" if q == INF else str(Fraction(q))
+    # str gives an int and a Fraction of the same value the same text.
+    return "inf" if q == INF else str(q)
 
 
 def _frac_from_json(text: str):

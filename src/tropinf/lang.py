@@ -5,6 +5,11 @@ left branch with weight Xi and the right branch with weight ~Xi.  Reduction is
 weak-head call-by-name, with reduction allowed under succ/pred and in the
 scrutinee of ifz.  `find_words` finds the smallest run to a target for each
 of several weights in one depth-first search of the choice tree.
+
+The front end reads a program once.  `parse` is one recursive descent that
+checks the depth, parameter indices and scope of each node as it builds it;
+`annotate` is one inference walk that creates each typed node, with its free
+variables, and then closes every node's type in place.
 """
 
 from __future__ import annotations
@@ -104,54 +109,6 @@ def numeral_value(t: Term) -> int | None:
     return n if isinstance(t, Zero) else None
 
 
-_CHILDREN = ("body", "fun", "arg", "scrutinee", "then", "orelse", "left", "right")
-
-
-def term_depth(t: Term) -> int:
-    """The height of a term's syntax tree, computed without recursion; the
-    numeral n nests n + 1 levels (n succs around 0)."""
-    deepest = 0
-    stack = [(t, 1)]
-    while stack:
-        t, depth = stack.pop()
-        deepest = max(deepest, depth)
-        for name in _CHILDREN:
-            child = getattr(t, name, None)
-            if child is not None:
-                stack.append((child, depth + 1))
-    return deepest
-
-
-def free_vars(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Lam):
-        return free_vars(t.body) - {t.name}
-    if isinstance(t, (Succ, Pred, Fix)):
-        return free_vars(t.body)
-    if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    if isinstance(t, Ifz):
-        return free_vars(t.scrutinee) | free_vars(t.then) | free_vars(t.orelse)
-    if isinstance(t, Choice):
-        return free_vars(t.left) | free_vars(t.right)
-    return frozenset()
-
-
-def max_param(t: Term) -> int:
-    if isinstance(t, Choice):
-        return max(t.param, max_param(t.left), max_param(t.right))
-    if isinstance(t, Lam):
-        return max_param(t.body)
-    if isinstance(t, (Succ, Pred, Fix)):
-        return max_param(t.body)
-    if isinstance(t, App):
-        return max(max_param(t.fun), max_param(t.arg))
-    if isinstance(t, Ifz):
-        return max(max_param(t.scrutinee), max_param(t.then), max_param(t.orelse))
-    return 0
-
-
 @dataclass(frozen=True)
 class Program:
     """A term together with its number of choice parameters."""
@@ -205,66 +162,81 @@ _KEYWORDS = {"succ", "pred", "fix", "ifz", "then", "else", "params"}
 # this keeps every pass well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
+# Most significant digits of a numeral, parameter count or index: the lowest
+# limit Python may set on the digits of a decimal string it converts to int.
+_MAX_DIGITS = 640
+
 
 def _tokenize(source: str):
     tokens = []
-    i = 0
-    line, col = 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            while i < n and source[i] != "\n":
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        end = text.find("#")  # a comment runs to the end of the line
+        if end < 0:
+            end = len(text)
+        i = 0
+        while i < end:
+            ch = text[i]
+            if ch in " \t\r":
                 i += 1
-            continue
-        pos = (line, col)
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(("int", source[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "kw" if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, pos))
-            col += j - i
-            i = j
-            continue
-        if source.startswith("+[", i):
-            tokens.append(("+[", "+[", pos))
-            i += 2
-            col += 2
-            continue
-        if ch in "\\.();]":
-            tokens.append((ch, ch, pos))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} at line {line}, column {col}")
-    tokens.append(("eof", "", (line, col)))
+                continue
+            pos = (line, i + 1)
+            # The commonest tokens first: names, then punctuation.
+            if ch.isalpha() or ch == "_":
+                j = i + 1
+                while j < end and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                word = text[i:j]
+                tokens.append(("kw" if word in _KEYWORDS else "ident", word, pos))
+                i = j
+                continue
+            if ch in "\\.();]":
+                tokens.append((ch, ch, pos))
+                i += 1
+                continue
+            if "0" <= ch <= "9":  # ASCII digits only
+                j = i + 1
+                while j < end and "0" <= text[j] <= "9":
+                    j += 1
+                tokens.append(("int", text[i:j], pos))
+                i = j
+                continue
+            if text.startswith("+[", i):
+                tokens.append(("+[", "+[", pos))
+                i += 2
+                continue
+            raise ParseError(f"unexpected character {ch!r} at line {line}, column {i + 1}")
+    # The end of input sits at the end of the last line, or at its comment.
+    tokens.append(("eof", "", (len(lines), end + 1)))
     return tokens
 
 
+def _count(digits: str, what: str, pos) -> int:
+    """The value of a digit string, checked for its length before it is
+    converted."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(
+            f"{what} at line {pos[0]}, column {pos[1]} has more than {_MAX_DIGITS} digits"
+        )
+    return int(digits)
+
+
 class _Parser:
+    """Recursive descent that checks, while it builds each node, what the
+    whole program must satisfy: the height of its syntax tree (`height` is
+    that of the term last parsed), the parameters it uses and the variables
+    it leaves unbound.  `parse_program` reports them once the input is read.
+    """
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.height = 0
+        self.used = 0  # the largest parameter index
+        self.scope: list = []  # the names bound around the current position
+        self.unbound: set = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -292,17 +264,16 @@ class _Parser:
                 f"{pos[0]}, column {pos[1]}"
             )
         self.depth += 1
-        try:
-            return parse()
-        finally:
-            self.depth -= 1
+        term = parse()  # an error ends the whole parse, so depth is not restored
+        self.depth -= 1
+        return term
 
     def parse_program(self) -> Program:
         declared = None
         while self.peek()[0] == "kw" and self.peek()[1] == "params":
             self.next()
             tok = self.expect("int", "parameter count")
-            declared = int(tok[1])
+            declared = _count(tok[1], "parameter count", tok[2])
             self.expect(";")
         term = self.parse_term()
         tok = self.peek()
@@ -310,13 +281,12 @@ class _Parser:
             raise ParseError(
                 f"trailing input at line {tok[2][0]}, column {tok[2][1]}: {tok[1]!r}"
             )
-        depth = term_depth(term)
-        if depth > MAX_DEPTH:
+        if self.height > MAX_DEPTH:
             raise ParseError(
-                f"term nesting depth {depth} exceeds the limit of {MAX_DEPTH} "
+                f"term nesting depth {self.height} exceeds the limit of {MAX_DEPTH} "
                 "(the numeral n nests n + 1 levels)"
             )
-        used = max_param(term)
+        used = self.used
         if declared is not None:
             if used > declared:
                 raise ParseError(
@@ -325,26 +295,34 @@ class _Parser:
             k = declared
         else:
             k = used
-        fv = free_vars(term)
-        if fv:
-            raise ParseError(f"unbound variable {sorted(fv)[0]!r}")
+        if self.unbound:
+            raise ParseError(f"unbound variable {min(self.unbound)!r}")
         return Program(term, k)
 
     def parse_term(self) -> Term:
-        if self.peek()[0] == "\\":
-            pos = self.next()[2]
+        tok = self.tokens[self.i]
+        if tok[0] == "\\":
+            self.i += 1
             name = self.expect("ident", "binder name")[1]
             self.expect(".")
-            return Lam(name, self.nested(self.parse_term, pos))
+            self.scope.append(name)
+            body = self.nested(self.parse_term, tok[2])
+            self.scope.pop()
+            self.height += 1
+            return Lam(name, body)
         return self.parse_choice()
 
     def parse_choice(self) -> Term:
         left = self.parse_app()
-        if self.peek()[0] == "+[":
-            pos = self.next()[2]
+        tok = self.tokens[self.i]
+        if tok[0] == "+[":
+            self.i += 1
             param = self._parse_param()
             self.expect("]")
-            right = self.nested(self.parse_choice, pos)  # right-associative
+            self.used = max(self.used, param)
+            height = self.height
+            right = self.nested(self.parse_choice, tok[2])  # right-associative
+            self.height = max(height, self.height) + 1
             return Choice(param, left, right)
         return left
 
@@ -353,8 +331,8 @@ class _Parser:
         name = tok[1]
         if name == "X":
             return 1
-        if name.startswith("X") and name[1:].isdigit():
-            idx = int(name[1:])
+        if name.startswith("X") and name[1:].isascii() and name[1:].isdigit():
+            idx = _count(name[1:], "parameter index", tok[2])
             if idx >= 1:
                 return idx
         raise ParseError(
@@ -363,19 +341,35 @@ class _Parser:
 
     def parse_app(self) -> Term:
         term = self.parse_atom()
-        while self.peek()[0] in ("int", "ident", "(", "\\") or (
-            self.peek()[0] == "kw" and self.peek()[1] in ("succ", "pred", "fix", "ifz")
-        ):
+        tokens = self.tokens
+        while True:
+            kind, text, _ = tokens[self.i]
+            if kind not in ("int", "ident", "(", "\\") and (
+                kind != "kw" or text not in ("succ", "pred", "fix", "ifz")
+            ):
+                return term
+            height = self.height
             term = App(term, self.parse_atom())
-        return term
+            self.height = max(height, self.height) + 1
 
     def parse_atom(self) -> Term:
-        kind, text, pos = self.peek()
+        kind, text, pos = self.tokens[self.i]
         if kind == "int":
-            self.next()
-            return numeral(int(text))
+            self.i += 1
+            # Checked before the numeral is built: it nests n + 1 levels.
+            n = _count(text, "numeral", pos)
+            if n >= MAX_DEPTH:
+                raise ParseError(
+                    f"numeral {n} at line {pos[0]}, column {pos[1]}: term nesting "
+                    f"depth {n + 1} exceeds the limit of {MAX_DEPTH}"
+                )
+            self.height = n + 1
+            return numeral(n)
         if kind == "ident":
-            self.next()
+            self.i += 1
+            if text not in self.scope:
+                self.unbound.add(text)
+            self.height = 1
             return Var(text)
         if kind == "(":
             self.next()
@@ -385,22 +379,21 @@ class _Parser:
         if kind == "\\":
             return self.parse_term()
         if kind == "kw":
-            if text == "succ":
+            if text in ("succ", "pred", "fix"):
                 self.next()
-                return Succ(self.nested(self.parse_atom, pos))
-            if text == "pred":
-                self.next()
-                return Pred(self.nested(self.parse_atom, pos))
-            if text == "fix":
-                self.next()
-                return Fix(self.nested(self.parse_atom, pos))
+                body = self.nested(self.parse_atom, pos)
+                self.height += 1
+                return {"succ": Succ, "pred": Pred, "fix": Fix}[text](body)
             if text == "ifz":
                 self.next()
                 scrutinee = self.nested(self.parse_term, pos)
+                height = self.height
                 self._expect_kw("then")
                 then = self.nested(self.parse_term, pos)
+                height = max(height, self.height)
                 self._expect_kw("else")
                 orelse = self.nested(self.parse_term, pos)
+                self.height = max(height, self.height) + 1
                 return Ifz(scrutinee, then, orelse)
         raise ParseError(
             f"unexpected {text!r} at line {pos[0]}, column {pos[1]}"
@@ -466,54 +459,43 @@ class _TVar:
 
 
 def _resolve(t):
-    while isinstance(t, _TVar) and t.ref is not None:
-        t = t.ref
-    return t
+    """The representative of t; every variable on the way is pointed at it."""
+    root = t
+    while type(root) is _TVar and root.ref is not None:
+        root = root.ref
+    while t is not root:
+        t.ref, t = root, t.ref
+    return root
 
 
 def _occurs(v, t):
     t = _resolve(t)
     if t is v:
         return True
-    if isinstance(t, Arrow):
+    if type(t) is Arrow:
         return _occurs(v, t.arg) or _occurs(v, t.res)
     return False
 
 
 def _unify(a, b):
     a, b = _resolve(a), _resolve(b)
-    if a is b or a == b:
+    if a is b:
         return
-    if isinstance(a, _TVar):
+    if type(a) is _TVar:
         if _occurs(a, b):
             raise TypeCheckError("cannot infer a type (recursive constraint)")
         a.ref = b
         return
-    if isinstance(b, _TVar):
+    if type(b) is _TVar:
         _unify(b, a)
         return
-    if isinstance(a, Arrow) and isinstance(b, Arrow):
+    if type(a) is Arrow and type(b) is Arrow:
         _unify(a.arg, b.arg)
         _unify(a.res, b.res)
         return
     raise TypeCheckError(
         f"type mismatch: {_partial_text(a)} vs {_partial_text(b)}"
     )
-
-
-def _deep_resolve(t):
-    t = _resolve(t)
-    if isinstance(t, Arrow):
-        return Arrow(_deep_resolve(t.arg), _deep_resolve(t.res))
-    return t
-
-
-def _has_tvar(t):
-    if isinstance(t, _TVar):
-        return True
-    if isinstance(t, Arrow):
-        return _has_tvar(t.arg) or _has_tvar(t.res)
-    return False
 
 
 def _partial_text(t):
@@ -525,152 +507,177 @@ def _partial_text(t):
     return t.name
 
 
-@dataclass
+@dataclass(slots=True)
 class TypedTerm:
-    """A term with its inferred simple type and typed children."""
+    """A term with its inferred simple type, its typed children and the
+    variables free in it."""
 
     term: Term
     ty: SimpleType
     children: tuple
+    free: frozenset
+
+
+_NO_FREE = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if not a or a is b:
+        return b
+    return a | b if b else a
 
 
 class _Inference:
-    """Constraint-based simple type inference.
+    """Constraint-based simple type inference in one walk of the term.
 
     The cast rule lets any term of type Bool be used at type Nat, so
     subsumption constraints are collected as pairs (lower, upper) and solved
     to the least solution; remaining ground-flexible variables that never get
     forced are a sign of a genuinely ambiguous (polymorphic) term and are
-    reported as uninferable.
+    reported as uninferable.  Ground types are the singletons BOOL and NAT,
+    so they compare by identity.  The walk creates every node once, with a
+    type that may hold variables, and `finish` replaces that type in place.
     """
 
     def __init__(self):
         self.subs = []  # (lower, upper)
+        self.open = []  # the nodes whose type may hold variables
+        self.singletons = {}  # variable name -> the set of it alone
 
-    def sub(self, lower, upper):
-        self.subs.append((lower, upper))
-
-    def infer(self, t: Term, env: dict):
-        n = numeral_value(t)
+    def infer(self, t: Term, env: dict) -> TypedTerm:
+        kind = type(t)
+        n = numeral_value(t) if kind is Zero or kind is Succ else None
         if n is not None:
-            return self._typed(t, BOOL if n <= 1 else NAT, [])
-        if isinstance(t, Var):
-            if t.name not in env:
+            return TypedTerm(t, BOOL if n <= 1 else NAT, (), _NO_FREE)
+        if kind is Var:
+            ty = env.get(t.name)
+            if ty is None:
                 raise TypeCheckError(f"unbound variable {t.name!r}")
-            return self._typed(t, env[t.name], [])
-        if isinstance(t, Succ):
-            body = self.infer(t.body, env)
-            self.sub(body.ty, NAT)
-            return self._typed(t, NAT, [body])
-        if isinstance(t, Pred):
-            body = self.infer(t.body, env)
-            self.sub(body.ty, NAT)
-            return self._typed(t, NAT, [body])
-        if isinstance(t, Ifz):
-            scrutinee = self.infer(t.scrutinee, env)
-            self.sub(scrutinee.ty, NAT)
-            then = self.infer(t.then, env)
-            orelse = self.infer(t.orelse, env)
-            out = _TVar()
-            self.sub(then.ty, out)
-            self.sub(orelse.ty, out)
-            return self._typed(t, out, [scrutinee, then, orelse])
-        if isinstance(t, Choice):
-            left = self.infer(t.left, env)
-            right = self.infer(t.right, env)
-            out = _TVar()
-            self.sub(left.ty, out)
-            self.sub(right.ty, out)
-            return self._typed(t, out, [left, right])
-        if isinstance(t, Lam):
-            arg = _TVar()
-            body = self.infer(t.body, {**env, t.name: arg})
-            return self._typed(t, Arrow(arg, body.ty), [body])
-        if isinstance(t, App):
+            free = self.singletons.get(t.name)
+            if free is None:
+                free = self.singletons[t.name] = frozenset((t.name,))
+            children = ()
+        elif kind is App:
             fun = self.infer(t.fun, env)
             arg = self.infer(t.arg, env)
-            a, b = _TVar(), _TVar()
-            _unify(fun.ty, Arrow(a, b))
-            self.sub(arg.ty, a)
-            return self._typed(t, b, [fun, arg])
-        if isinstance(t, Fix):
+            a, ty = _TVar(), _TVar()
+            _unify(fun.ty, Arrow(a, ty))
+            self.subs.append((arg.ty, a))
+            children, free = (fun, arg), _union(fun.free, arg.free)
+        elif kind is Lam:
+            arg = _TVar()
+            body = self.infer(t.body, {**env, t.name: arg})
+            ty, children, free = Arrow(arg, body.ty), (body,), body.free
+            if t.name in free:
+                free = free - self.singletons[t.name]
+        elif kind is Choice:
+            left = self.infer(t.left, env)
+            right = self.infer(t.right, env)
+            ty = _TVar()
+            self.subs += ((left.ty, ty), (right.ty, ty))
+            children, free = (left, right), _union(left.free, right.free)
+        elif kind is Ifz:
+            scrutinee = self.infer(t.scrutinee, env)
+            self.subs.append((scrutinee.ty, NAT))
+            then = self.infer(t.then, env)
+            orelse = self.infer(t.orelse, env)
+            ty = _TVar()
+            self.subs += ((then.ty, ty), (orelse.ty, ty))
+            children = (scrutinee, then, orelse)
+            free = _union(scrutinee.free, _union(then.free, orelse.free))
+        elif kind is Succ or kind is Pred:
             body = self.infer(t.body, env)
-            a = _TVar()
-            _unify(body.ty, Arrow(a, a))
-            return self._typed(t, a, [body])
-        raise TypeCheckError(f"unknown term {t!r}")
-
-    def _typed(self, term, ty, children):
-        return TypedTerm(term, ty, tuple(children))
+            self.subs.append((body.ty, NAT))
+            return TypedTerm(t, NAT, (body,), body.free)
+        elif kind is Fix:
+            body = self.infer(t.body, env)
+            ty = _TVar()
+            _unify(body.ty, Arrow(ty, ty))
+            children, free = (body,), body.free
+        else:
+            raise TypeCheckError(f"unknown term {t!r}")
+        node = TypedTerm(t, ty, children, free)
+        self.open.append(node)
+        return node
 
     def solve(self):
         pending = self.subs
         while True:
-            changed = False
             keep = []
             for lower, upper in pending:
                 lower, upper = _resolve(lower), _resolve(upper)
-                if lower == upper:
-                    changed = True
+                if lower is upper or (lower is BOOL and upper is NAT):
                     continue
-                if isinstance(lower, Arrow) or isinstance(upper, Arrow):
-                    # The cast applies at ground type only.
+                # The cast applies at ground type only.
+                if type(lower) is Arrow or type(upper) is Arrow or upper is BOOL or lower is NAT:
                     _unify(lower, upper)
-                    changed = True
-                    continue
-                if upper == BOOL or lower == NAT:
-                    _unify(lower, upper)
-                    changed = True
-                    continue
-                if lower == BOOL and upper == NAT:
-                    changed = True
-                    continue
-                keep.append((lower, upper))
-            pending = keep
-            if not changed:
+                else:
+                    keep.append((lower, upper))
+            if len(keep) == len(pending):
                 break
+            pending = keep
         # Remaining constraints are Bool <= var, var <= Nat, or var <= var;
         # the least solution sends every such variable to Bool.
         for lower, upper in pending:
             for side in (lower, upper):
                 side = _resolve(side)
-                if isinstance(side, _TVar):
+                if type(side) is _TVar:
                     side.ref = BOOL
-        # Re-check everything with the defaults in place.
+
+    def finish(self):
+        """Re-check every constraint with the defaults in place, then give
+        every node its type without variables.
+
+        Closed types are interned, so two are equal exactly when they are
+        the same object, and each type is closed once.
+        """
+        closed: dict = {}  # id of an Arrow -> its closed type, or None
+        interned: dict = {}  # (id of arg, id of res) -> the closed Arrow
+
+        def close(t):
+            """t without variables, or None if it has one left."""
+            t = _resolve(t)
+            if type(t) is not Arrow:
+                return None if type(t) is _TVar else t
+            out = closed.get(id(t), False)
+            if out is False:
+                arg, res = close(t.arg), close(t.res)
+                if arg is None or res is None:
+                    out = None
+                else:
+                    key = (id(arg), id(res))
+                    out = interned.get(key)
+                    if out is None:
+                        out = t if arg is t.arg and res is t.res else Arrow(arg, res)
+                        interned[key] = out
+                closed[id(t)] = out
+            return out
+
         for lower, upper in self.subs:
-            lower, upper = _deep_resolve(lower), _deep_resolve(upper)
-            if _has_tvar(lower) or _has_tvar(upper):
+            lower, upper = _resolve(lower), _resolve(upper)
+            if lower is upper or (lower is BOOL and upper is NAT):
                 continue
-            if lower != upper and not (lower == BOOL and upper == NAT):
-                raise TypeCheckError(
-                    f"type mismatch: {_partial_text(lower)} vs {_partial_text(upper)}"
-                )
-
-    def finish(self, tt: TypedTerm) -> TypedTerm:
-        ty = _resolve(tt.ty)
-        if isinstance(ty, _TVar):
-            raise TypeCheckError("cannot infer a type (unconstrained variable)")
-        if isinstance(ty, Arrow):
-            ty = Arrow(
-                self._finish_ty(ty.arg), self._finish_ty(ty.res)
+            lower, upper = close(lower), close(upper)
+            if lower is None or upper is None or lower is upper:
+                continue
+            raise TypeCheckError(
+                f"type mismatch: {_partial_text(lower)} vs {_partial_text(upper)}"
             )
-        return TypedTerm(tt.term, ty, tuple(self.finish(c) for c in tt.children))
-
-    def _finish_ty(self, ty):
-        ty = _resolve(ty)
-        if isinstance(ty, _TVar):
-            raise TypeCheckError("cannot infer a type (unconstrained variable)")
-        if isinstance(ty, Arrow):
-            return Arrow(self._finish_ty(ty.arg), self._finish_ty(ty.res))
-        return ty
+        for node in self.open:
+            ty = close(node.ty)
+            if ty is None:
+                raise TypeCheckError("cannot infer a type (unconstrained variable)")
+            node.ty = ty
 
 
 def annotate(term: Term) -> TypedTerm:
-    """Infer simple types for a closed term, annotating every subterm."""
+    """Infer simple types for a closed term, annotating every subterm with
+    its type and free variables."""
     inf = _Inference()
     tt = inf.infer(term, {})
     inf.solve()
-    return inf.finish(tt)
+    inf.finish()
+    return tt
 
 
 def type_check(term: Term) -> SimpleType:

@@ -28,7 +28,9 @@ conclusion.  A row names no run: the reducer does (`lang.find_words`,
 called by `infer.analyze`).
 
 `stabilize` annotates the program once and shares one `RowTable` between its
-rounds.  A subterm without Fix has only rows of fixpoint count 0, which n
+rounds.  The annotation gives every subterm its free variables, and one walk
+of the annotated tree finds the subterms without Fix and the flow of types
+to binders.  A subterm without Fix has only rows of fixpoint count 0, which n
 never changes, so its rows are kept across rounds, keyed by the types of the
 binders free in it or bound by a flow λ inside it.  p is read only where a λ
 row is dropped for a multiset wider than p, so the rows are kept across a
@@ -63,7 +65,6 @@ from .lang import (
     TypeCheckError,
     Var,
     annotate,
-    free_vars,
     numeral_value,
 )
 
@@ -317,28 +318,6 @@ def _rule_app(fun_entries, arg_entries, dim, max_fixes, memo: dict, fix=0):
 
 
 # ---------------------------------------------------------------------------
-# Bounded search
-# ---------------------------------------------------------------------------
-
-
-def _walk(tt: TypedTerm, fix_free: dict, flow: list, bound: bool = False) -> bool:
-    """Map the id of every subterm of tt that holds no Fix node to () in
-    fix_free, and add every flow λ (see `_flow`) to flow; bound marks the
-    function of an application."""
-    kind = type(tt.term)
-    if kind is Lam and not bound:
-        flow.append(tt)
-    free = kind is not Fix
-    fun = kind is App
-    for child in tt.children:
-        free = _walk(child, fix_free, flow, fun and type(child.term) is Lam) and free
-        fun = False
-    if free:
-        fix_free[id(tt)] = ()
-    return free
-
-
-# ---------------------------------------------------------------------------
 # Flow: the types that reach each binder
 # ---------------------------------------------------------------------------
 
@@ -365,8 +344,12 @@ def _reaching(rows, env) -> tuple:
     return tuple(sorted(costs.items()))
 
 
-def _flow(root: TypedTerm, flow: list) -> tuple:
-    """Which subterms feed the binder of each flow λ.
+_NONE = frozenset()
+
+
+def _flow(root: TypedTerm) -> tuple:
+    """The subterms without Fix, and which subterms feed the binder of each
+    flow λ, from one walk of the annotated tree.
 
     The binder of a β-redex (λx. M) N is typed at N's rows; the binder of
     every other λ, a flow λ, is typed at the rows of the arguments it is
@@ -374,50 +357,70 @@ def _flow(root: TypedTerm, flow: list) -> tuple:
     fixpoint) names the applications that may call a flow λ.  fix M counts as
     M applied to fix M, so the f of fix (λf. B) is fed by the fix node, and
     the values of fix M reach f through the fixpoint.
-    Returns (sources, inner): sources maps the id of an argument (or Fix)
-    subterm to the (λ id, step) pairs of the flow λs it feeds, where step is
-    1 when the call goes through a fixpoint binder, or calls a λ that such a
-    call passed or returned; inner maps the id of a subterm to the ids of
-    the flow λs inside it.
+    Returns (fix_free, sources, inner): fix_free maps the id of every subterm
+    that holds no Fix node to the ids of the flow λs inside it; sources maps
+    the id of an argument (or Fix) subterm to the (λ id, step) pairs of the
+    flow λs it feeds, where step is 1 when the call goes through a fixpoint
+    binder, or calls a λ that such a call passed or returned; inner maps the
+    id of a Fix node to the ids of the flow λs inside it.
     """
     # The values of a subterm: a set of (λ id, through a fixpoint binder).
-    # A variable shares the set of its binder, and values only grow.
+    # A variable shares the set of its binder, and values only grow.  Types
+    # are equal along every flow of a λ, so a subterm of ground type has no
+    # values and is left out.
     vals: dict = {}
     args: dict = {}  # λ id -> the values its binder takes
     bodies: dict = {}  # λ id -> its body
     joins: list = []  # (values, values of each branch) of a choice or ifz
     calls: list = []  # (App or Fix node, its values, its function's values)
 
-    lams = {id(tt) for tt in flow}
+    lams: set = set()  # the flow λs
+    fixes: list = []  # the Fix nodes walked so far
+    fix_free: dict = {}
     inner: dict = {}
 
-    def walk(tt, scope) -> set:
-        """Record tt's values and calls; return the flow λs inside it."""
+    def walk(tt, scope, applied) -> frozenset:
+        """Record tt's values and calls; return the flow λs inside it.
+        applied marks the function of an application."""
         term = tt.term
-        if isinstance(term, Lam):
-            scope = {**scope, term.name: id(tt)}
-            bodies[id(tt)] = tt.children[0]
-        below = set()
+        kind = type(term)
+        node = id(tt)
+        seen = len(fixes)
+        if kind is Lam:
+            scope = {**scope, term.name: node}
+            bodies[node] = tt.children[0]
+        below = _NONE
+        fun = kind is App
         for child in tt.children:
-            below |= walk(child, scope)
-        if isinstance(term, Lam):
-            out = {(id(tt), False)}
-            if id(tt) in lams:
-                below.add(id(tt))
-        elif isinstance(term, Var):
-            out = args.setdefault(scope[term.name], set())
-        else:
-            out = set()
-            if isinstance(term, (App, Fix)):
-                calls.append((tt, out, vals[id(tt.children[0])]))
-            elif isinstance(term, (Ifz, Choice)) and isinstance(tt.ty, Arrow):
+            found = walk(child, scope, fun)
+            if found:
+                below = below | found if below else found
+            fun = False
+        if kind is Lam:
+            vals[node] = {(node, False)}
+            if not applied:
+                lams.add(node)
+                below = below | {node}
+        elif kind is App or kind is Fix:
+            out = vals[node] = set()
+            calls.append((tt, out, vals[id(tt.children[0])]))
+            if kind is Fix:
+                fixes.append(node)
+                if below:
+                    inner[node] = tuple(sorted(below))
+        elif type(tt.ty) is Arrow:
+            if kind is Var:
+                vals[node] = args.setdefault(scope[term.name], set())
+            else:
+                out = vals[node] = set()
                 joins.append((out, [vals[id(c)] for c in tt.children[-2:]]))
-        vals[id(tt)] = out
-        if below:
-            inner[id(tt)] = tuple(sorted(below))
+        if len(fixes) == seen:
+            fix_free[node] = tuple(sorted(below)) if below else ()
         return below
 
-    walk(root, {})
+    walk(root, {}, False)
+    if not lams:
+        return fix_free, {}, inner
     changed = True
     while changed:
         changed = False
@@ -431,7 +434,7 @@ def _flow(root: TypedTerm, flow: list) -> tuple:
             if isinstance(tt.term, Fix):
                 arg = {(lam, True) for lam, _ in out}
             else:
-                arg = vals[id(tt.children[1])]
+                arg = vals.get(id(tt.children[1]), _NONE)
             for lam, through in tuple(fun):
                 # What a call through a fixpoint binder passes lives one
                 # unfolding deeper, and so does every later call of it.
@@ -440,7 +443,7 @@ def _flow(root: TypedTerm, flow: list) -> tuple:
                 if not passed <= into:
                     into |= passed
                     changed = True
-                body = vals[id(bodies[lam])]
+                body = vals.get(id(bodies[lam]), _NONE)
                 out |= {(v, True) for v, _ in body} if through else body
             changed = changed or len(out) != size
 
@@ -450,12 +453,13 @@ def _flow(root: TypedTerm, flow: list) -> tuple:
         for lam, through in fun:
             if lam in lams:
                 sources.setdefault(id(arg), set()).add((lam, int(through)))
-    return {node: tuple(sorted(feeds)) for node, feeds in sources.items()}, inner
+    return fix_free, {node: tuple(sorted(f)) for node, f in sources.items()}, inner
 
 
 class RowTable:
-    """A program annotated once, the flow of types to its binders, the rows of
-    its Fix-free subterms, and a memo of minimized polynomials.
+    """A program annotated once, with the free variables of every subterm,
+    the flow of types to its binders, the rows of its Fix-free subterms, and
+    a memo of minimized polynomials.
 
     Every row of a subterm without Fix has fixpoint count 0, so n never
     changes its rows: they depend only on the subterm, p and the types of the
@@ -479,16 +483,8 @@ class RowTable:
         self.tt = annotate(program.term)
         if isinstance(self.tt.ty, Arrow):
             raise TypeCheckError("program has an arrow type; a ground type is required")
-        # Fix-free subterm id -> the ids of the flow λs inside it.
-        self.fix_free: dict = {}
-        flow: list = []
-        _walk(self.tt, self.fix_free, flow)
-        self.sources, self.inner = _flow(self.tt, flow) if flow else ({}, {})
-        for node, inner in self.inner.items():
-            if node in self.fix_free:
-                self.fix_free[node] = inner
+        self.fix_free, self.sources, self.inner = _flow(self.tt)
         self.reach: dict = {}  # flow λ id -> {type: least cost}
-        self.free: dict = {}  # subterm id -> free variables, computed on demand
         self.p = 0
         self.rows: dict = {}
         self.wide = 0
@@ -509,7 +505,6 @@ class _Search:
         self.n = n
         self.p = p
         self.fix_free = table.fix_free
-        self.free = table.free
         self.sources = table.sources
         self.inner = table.inner
         self.reach = table.reach
@@ -537,9 +532,9 @@ class _Search:
 
         env maps every variable in scope to the (type, cost) pairs of the
         types that reach its binder.  The rows of a Fix-free subterm are
-        built once per types of its free variables and flow λs, and again
-        only when p changes after it pruned a row; a subterm that feeds flow
-        λs passes its row types on.
+        built once per types of its free variables (`tt.free`) and flow λs,
+        and again only when p changes after it pruned a row; a subterm that
+        feeds flow λs passes its row types on.
         """
         node = id(tt)
         inner = self.fix_free.get(node)
@@ -548,10 +543,7 @@ class _Search:
         else:
             if env:
                 # A binder not free in tt never reaches its rows.
-                free = self.free.get(node)
-                if free is None:
-                    free = self.free[node] = free_vars(tt.term)
-                env = {x: pairs for x, pairs in env.items() if x in free}
+                env = {x: pairs for x, pairs in env.items() if x in tt.free}
             key = (node, frozenset(env.items()))
             if inner:
                 key += tuple(map(self.bound, inner))

@@ -47,6 +47,14 @@ def term_size(t) -> int:
     return 1 + sum(term_size(c) for c in children)
 
 
+def term_depth(t) -> int:
+    """The height of a term's syntax tree; the numeral n nests n + 1 levels
+    (n succs around 0)."""
+    children = [getattr(t, a, None) for a in ("body", "fun", "arg", "scrutinee",
+                                              "then", "orelse", "left", "right")]
+    return 1 + max((term_depth(c) for c in children if c is not None), default=0)
+
+
 def random_ground_term(rng: random.Random, budget: int, k: int = 2, var=None):
     """A random well-typed ground term without fixpoints.
 

@@ -152,6 +152,32 @@ class TestDeepNesting:
             assert "nesting" in proc.stderr and "internal error" not in proc.stderr
 
 
+class TestDigitStrings:
+    """Digit strings the parser cannot take end with exit 1 and a message
+    that names their place, in well under the time a numeral of their value
+    would take to build."""
+
+    @pytest.mark.parametrize(
+        "source",
+        ["params 1; \u00b2\n", "params 1; \u0663\n", "params 1; 0 +[X\u00b2] 1\n",
+         "params 1; 2000000\n", "params 1; " + "9" * 5000 + "\n",
+         "params " + "1" * 5000 + "; 0\n", "params 1; 0 +[X" + "1" * 5000 + "] 1\n"],
+        ids=["superscript", "arabic", "superscript-index", "seven-digits",
+             "literal-5000-digits", "count-5000-digits", "index-5000-digits"],
+    )
+    def test_check_exits_1(self, tmp_path, source):
+        path = tmp_path / "digits.pcfx"
+        path.write_text(source, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropinf.cli", "check", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "line 1, column" in proc.stderr and "internal error" not in proc.stderr
+
+
 class TestBadBounds:
     """Search bounds below 1 are bad arguments: exit 1 with a message."""
 

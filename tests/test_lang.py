@@ -1,10 +1,21 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import load, random_program
+import annotate_reference
+from conftest import (
+    CORPUS,
+    load,
+    random_lambda_argument_program,
+    random_program,
+    term_depth,
+    term_size,
+)
 from eval_reference import eval_prob
 from replay_reference import replay_word
+from tropinf import lang
 from tropinf.algebra import ProbAssignment, Poly
 from tropinf.lang import (
     MAX_DEPTH,
@@ -18,6 +29,7 @@ from tropinf.lang import (
     NAT,
     ParseError,
     Succ,
+    Term,
     TypeCheckError,
     Var,
     Zero,
@@ -27,13 +39,69 @@ from tropinf.lang import (
     numeral,
     numeral_value,
     parse,
-    term_depth,
     term_to_text,
     type_check,
     type_to_text,
     word_monomial,
     word_to_text,
 )
+from tropinf.typesys import RowTable
+
+# The exact message of every kind of front-end error, from parsing to the
+# ground-type check of `RowTable`.  The inputs after "over a limit" used to
+# exit through an int() error, be read as a number, or be built before they
+# were rejected, and their messages are new; every other message is the one
+# the parser and type checker gave before they became one pass.
+# Type mismatches that print type variables are left out: their numbers
+# come from a counter shared by every inference in the process.
+ERRORS = {
+    # The first name is a binder's, used outside its body.
+    "unbound": (r"params 1; (\a. zeta) (beta +[X1] a)", ParseError,
+                "unbound variable 'a'"),
+    "undeclared": ("params 1; 0 +[X2] 1", ParseError,
+                   "parameter X2 used but only 1 declared"),
+    "bad-param": ("0 +[Y1] 1", ParseError, "bad parameter name 'Y1' at line 1, column 5"),
+    "param-0": ("0 +[X0] 1", ParseError, "bad parameter name 'X0' at line 1, column 5"),
+    "trailing": ("(1) )", ParseError, "trailing input at line 1, column 5: ')'"),
+    "character": ("1 2 3 !", ParseError, "unexpected character '!' at line 1, column 7"),
+    "source-nesting": ("(" * 101 + "0" + ")" * 101, ParseError,
+                       "nesting deeper than the limit of 100 levels at line 1, column 101"),
+    "tree-depth": ("\\f. f" + " 0" * 100, ParseError,
+                   "term nesting depth 102 exceeds the limit of 100 "
+                   "(the numeral n nests n + 1 levels)"),
+    "expected-after-comment": ("ifz 0 then 1 1 # c", ParseError,
+                               "expected 'else' at line 1, column 16, found ''"),
+    "end-of-input": ("(1", ParseError, "expected ), found end of input"),
+    "semicolon": ("params 1\n(0 +[X1] 1) 2\n", ParseError,
+                  "expected ; at line 2, column 1, found '('"),
+    "mismatch": (r"(\m. ifz m 2 then fix m else 0) (\f. 0)", TypeCheckError,
+                 "type mismatch: Bool vs Nat"),
+    "recursive": (r"(\x. x x) (\y. y)", TypeCheckError,
+                  "cannot infer a type (recursive constraint)"),
+    "unconstrained": (r"fix (\x. x)", TypeCheckError,
+                      "cannot infer a type (unconstrained variable)"),
+    "arrow-program": (r"\x. succ x", TypeCheckError,
+                      "program has an arrow type; a ground type is required"),
+    # over a limit
+    "literal-100": ("100", ParseError,
+                    "numeral 100 at line 1, column 1: term nesting depth 101 exceeds "
+                    "the limit of 100"),
+    "literal-2000000": ("params 1; 2000000", ParseError,
+                        "numeral 2000000 at line 1, column 11: term nesting depth "
+                        "2000001 exceeds the limit of 100"),
+    "literal-5000-digits": ("params 1; " + "9" * 5000, ParseError,
+                            "numeral at line 1, column 11 has more than 640 digits"),
+    "count-5000-digits": ("params " + "1" * 5000 + "; 0", ParseError,
+                          "parameter count at line 1, column 8 has more than 640 digits"),
+    "index-5000-digits": ("params 1; 0 +[X" + "1" * 5000 + "] 1", ParseError,
+                          "parameter index at line 1, column 15 has more than 640 digits"),
+    "superscript-digit": ("params 1; \u00b2", ParseError,
+                          "unexpected character '\u00b2' at line 1, column 11"),
+    "arabic-digit": ("params 1; \u0663", ParseError,
+                     "unexpected character '\u0663' at line 1, column 11"),
+    "superscript-index": ("params 1; 0 +[X\u00b2] 1", ParseError,
+                          "bad parameter name 'X\u00b2' at line 1, column 15"),
+}
 
 
 class TestParser:
@@ -91,6 +159,23 @@ class TestParser:
             parse("params 1; 0 +[X2] 1")  # undeclared parameter
         with pytest.raises(ParseError):
             parse("1 2 3 !")
+
+    @pytest.mark.parametrize("name", list(ERRORS))
+    def test_error_message(self, name):
+        source, error, message = ERRORS[name]
+        with pytest.raises(error) as info:
+            RowTable(parse(source))
+        assert str(info.value) == message
+
+    def test_literal_checked_before_it_is_built(self, monkeypatch):
+        built = []
+        real = lang.numeral
+        monkeypatch.setattr(lang, "numeral", lambda n: built.append(n) or real(n))
+        with pytest.raises(ParseError, match="line 1, column 11"):
+            parse("params 1; 2000000")
+        assert built == []
+        assert parse("0" * 5000 + "5").term == numeral(5)
+        assert parse("params 0" + "0" * 5000 + "2; 0 +[X0" + "0" * 5000 + "2] 1").params == 2
 
     def test_nesting_limit(self):
         nested = "(" * MAX_DEPTH + "0" + ")" * MAX_DEPTH
@@ -158,6 +243,102 @@ class TestTypeCheck:
         for _ in range(100):
             ty = type_check(random_program(rng).term)
             assert ty in (BOOL, NAT)
+
+
+def _normalized(message: str) -> str:
+    """message with its type variables numbered in order of appearance."""
+    names: dict = {}
+    return re.sub(r"\?\d+", lambda m: names.setdefault(m.group(), f"?{len(names)}"), message)
+
+
+def _annotation(annotate, term):
+    try:
+        return annotate(term), None
+    except TypeCheckError as exc:
+        return None, (type(exc), _normalized(str(exc)))
+
+
+def _replaced(t: Term, k: int, new: Term) -> Term:
+    """t with its subterm number k in pre-order replaced by new."""
+    if k == 0:
+        return new
+    k -= 1
+    for field in dataclasses.fields(t):
+        child = getattr(t, field.name)
+        if isinstance(child, Term):
+            size = term_size(child)
+            if k < size:
+                return dataclasses.replace(t, **{field.name: _replaced(child, k, new)})
+            k -= size
+    raise IndexError(k)
+
+
+def _subterms(t: Term) -> list:
+    """The subterms of t in pre-order."""
+    out = [t]
+    for field in dataclasses.fields(t):
+        child = getattr(t, field.name)
+        if isinstance(child, Term):
+            out += _subterms(child)
+    return out
+
+
+def _mutant(rng, t: Term) -> Term:
+    """t with one subterm replaced by a term that often does not fit: a
+    polymorphic or self-applied λ, an applied numeral, a variable that may be
+    unbound, or another subterm of t."""
+    subterms = _subterms(t)
+    candidates = [
+        Lam("m", Var("m")),
+        Lam("m", Succ(Var("m"))),
+        Lam("m", App(Var("m"), Var("m"))),
+        App(numeral(2), numeral(0)),
+        Fix(numeral(1)),
+        App(Var("f"), Lam("m", Var("m"))),
+        Var(rng.choice(["x", "f", "y", "zz"])),
+        rng.choice(subterms),
+    ]
+    return _replaced(t, rng.randrange(len(subterms)), rng.choice(candidates))
+
+
+class TestAnnotate:
+    """The one-pass annotation gives every node the simple type and free
+    variables the reference gives it, and fails with the same error."""
+
+    def _check(self, term):
+        new, error = _annotation(lang.annotate, term)
+        ref, ref_error = _annotation(annotate_reference.annotate, term)
+        assert error == ref_error, term_to_text(term)
+        if ref is None:
+            return error
+        pairs = [(new, ref)]
+        while pairs:
+            a, b = pairs.pop()
+            assert a.term is b.term and a.ty == b.ty, term_to_text(term)
+            assert a.free == annotate_reference.free_vars(b.term)
+            assert len(a.children) == len(b.children)
+            pairs.extend(zip(a.children, b.children))
+        return None
+
+    def test_corpus(self):
+        for path in sorted(CORPUS.glob("*.pcfx")):
+            assert self._check(parse(path.read_text()).term) is None
+
+    @pytest.mark.parametrize("draw", ["ground", "fix", "lambda-argument"])
+    def test_random_programs_and_their_mutants(self, rng, draw):
+        errors = set()
+        for _ in range(60):
+            if draw == "lambda-argument":
+                program = random_lambda_argument_program(rng)
+            else:
+                program = random_program(rng, max_nodes=20, fix=draw == "fix")
+            assert self._check(program.term) is None
+            for _ in range(3):
+                error = self._check(_mutant(rng, program.term))
+                if error is not None:
+                    errors.add(re.match("[a-z ]*[a-z]", error[1]).group())
+        # The mutants reach the inference's errors, not only its successes.
+        assert {"type mismatch", "unbound variable", "cannot infer a type"} <= errors
 
 
 class TestReduce:
