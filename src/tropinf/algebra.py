@@ -1,4 +1,4 @@
-"""Formal polynomials over choice weights.
+"""Tropical polynomials over choice weights, held as their supports.
 
 A monomial is an exponent vector over a fixed list of weight variables.  For a
 program with k choice parameters the convention is dimension 2k with layout
@@ -7,15 +7,17 @@ of a choice on parameter i and ``~Xi`` the weight of the right branch.  The
 algebra itself is dimension-generic so it can also be used for free-standing
 polynomials in any number of variables.
 
-Coefficients live in the extended naturals (non-negative integers plus
-infinity); addition and multiplication saturate at infinity.
+The degree, Newton polytope and normal fan of a polynomial depend only on
+which monomials occur, never on how many runs share one, so a polynomial is
+its support: every coefficient is 1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 INF = math.inf
 
@@ -27,30 +29,8 @@ class AlgebraError(ValueError):
     pass
 
 
-def ext_add(a, b):
-    """Sum in the extended naturals."""
-    if a == INF or b == INF:
-        return INF
-    return a + b
-
-
-def ext_mul(a, b):
-    """Product in the extended naturals (0 * inf = 0)."""
-    if a == 0 or b == 0:
-        return 0
-    if a == INF or b == INF:
-        return INF
-    return a * b
-
-
 def mono_unit(dim: int) -> Monomial:
     return (0,) * dim
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise AlgebraError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -63,48 +43,56 @@ def mono_leq(a: Monomial, b: Monomial) -> bool:
 
 
 class Poly:
-    """A formal polynomial: a finite map from monomials to extended naturals.
+    """A tropical polynomial: a dimension and the frozenset `coeffs` of its
+    monomials, each with coefficient 1.
 
-    Instances are treated as immutable once built; zero coefficients are never
-    stored.
+    `Poly(dim, monomials)` checks every exponent; polynomials built from
+    valid ones (`zero`, `unit`, `+`, `shift`, and minimization in
+    `geometry`) go through `_of`, which checks nothing.  Instances are
+    immutable.
     """
 
-    __slots__ = ("dim", "coeffs", "_hash")
+    __slots__ = ("dim", "coeffs")
 
-    def __init__(self, dim: int, coeffs: Mapping[Monomial, object] | None = None):
-        cleaned = {}
-        for m, c in (coeffs or {}).items():
+    def __init__(self, dim: int, monomials: Iterable[Monomial] = ()):
+        if type(dim) is not int or dim < 0:
+            raise AlgebraError(f"bad dimension {dim!r}")
+        support = frozenset(map(tuple, monomials))
+        for m in support:
             if len(m) != dim:
                 raise AlgebraError(f"monomial {m} does not have dimension {dim}")
-            if any(e < 0 or not isinstance(e, int) for e in m):
+            if any(type(e) is not int or e < 0 for e in m):
                 raise AlgebraError(f"bad exponent vector {m}")
-            if c == 0:
-                continue
-            if c != INF and (not isinstance(c, int) or c < 0):
-                raise AlgebraError(f"bad coefficient {c!r}")
-            cleaned[tuple(m)] = c
         self.dim = dim
-        self.coeffs = cleaned
-        self._hash = None
+        self.coeffs = support
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _of(cls, dim: int, support: frozenset) -> "Poly":
+        """The polynomial on a support of valid exponent vectors of
+        dimension dim, taken as it is."""
+        s = object.__new__(cls)
+        s.dim = dim
+        s.coeffs = support
+        return s
+
+    @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls(dim, {})
+        return cls._of(dim, frozenset())
 
     @classmethod
     def unit(cls, dim: int) -> "Poly":
-        return cls(dim, {mono_unit(dim): 1})
+        return cls._of(dim, frozenset((mono_unit(dim),)))
 
     @classmethod
-    def monomial(cls, m: Monomial, coeff=1) -> "Poly":
-        return cls(len(m), {tuple(m): coeff})
+    def monomial(cls, m: Monomial) -> "Poly":
+        return cls(len(m), (m,))
 
     @classmethod
     def from_support(cls, dim: int, monomials: Iterable[Monomial]) -> "Poly":
-        """The all-one polynomial on the given support."""
-        return cls(dim, {tuple(m): 1 for m in monomials})
+        """The polynomial on the given support: `Poly(dim, monomials)`."""
+        return cls(dim, monomials)
 
     # -- structure ----------------------------------------------------------
 
@@ -126,9 +114,8 @@ class Poly:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.dim, frozenset(self.coeffs.items())))
-        return self._hash
+        # A frozenset caches its hash.
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({poly_to_text(self)!r})"
@@ -136,26 +123,16 @@ class Poly:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        """The tropical sum: the union of the supports."""
         if self.dim != other.dim:
             raise AlgebraError("dimension mismatch in addition")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = ext_add(out.get(m, 0), c)
-        return Poly(self.dim, out)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.dim != other.dim:
-            raise AlgebraError("dimension mismatch in multiplication")
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = mono_mul(m1, m2)
-                out[m] = ext_add(out.get(m, 0), ext_mul(c1, c2))
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, self.coeffs | other.coeffs)
 
     def shift(self, m: Monomial) -> "Poly":
         """Multiply by a single monomial (translation of the support)."""
-        return Poly(self.dim, {mono_mul(m, n): c for n, c in self.coeffs.items()})
+        if len(m) != self.dim:
+            raise AlgebraError("dimension mismatch in shift")
+        return Poly._of(self.dim, frozenset(tuple(map(add, m, n)) for n in self.coeffs))
 
 
 # -- assignments ------------------------------------------------------------
@@ -163,7 +140,12 @@ class Poly:
 
 class ProbAssignment:
     """A probability per choice parameter: parameter i takes its left branch
-    with probability ps[i-1] and its right branch with the complement."""
+    with probability ps[i-1] and its right branch with the complement.
+
+    `nums` and `dens` hold the probability of each weight variable, in the
+    X1, ~X1, X2, ~X2, ... layout, as a numerator over a denominator in lowest
+    terms.
+    """
 
     def __init__(self, ps: Sequence[Fraction]):
         ps = [Fraction(p) for p in ps]
@@ -171,18 +153,14 @@ class ProbAssignment:
             if not 0 <= p <= 1:
                 raise AlgebraError(f"probability {p} outside [0, 1]")
         self.ps = ps
+        self.nums, self.dens = [], []
+        for p in ps:
+            self.nums += (p.numerator, p.denominator - p.numerator)
+            self.dens += (p.denominator, p.denominator)
 
     @property
     def k(self) -> int:
         return len(self.ps)
-
-    def vector(self) -> list:
-        """Per-variable values in the X1, ~X1, X2, ~X2, ... layout."""
-        out = []
-        for p in self.ps:
-            out.append(p)
-            out.append(1 - p)
-        return out
 
     def __repr__(self):
         return f"ProbAssignment({self.ps!r})"
@@ -238,45 +216,20 @@ def poly_to_text(s: Poly, names: Sequence[str] | None = None) -> str:
     if s.is_zero():
         return "0"
     names = names or var_names(s.dim)
-    parts = []
-    for m in sorted(s.coeffs):
-        c = s.coeffs[m]
-        body = mono_to_text(m, names)
-        if c == 1:
-            parts.append(body)
-        elif c == INF:
-            parts.append(f"inf*{body}" if body != "1" else "inf")
-        else:
-            parts.append(f"{c}*{body}" if body != "1" else str(c))
-    return " + ".join(parts)
-
-
-def _coeff_to_json(c):
-    return "inf" if c == INF else c
-
-
-def _coeff_from_json(c):
-    if c == "inf":
-        return INF
-    if isinstance(c, int) and c >= 0:
-        return c
-    raise AlgebraError(f"bad coefficient in JSON: {c!r}")
+    return " + ".join(mono_to_text(m, names) for m in sorted(s.coeffs))
 
 
 def poly_to_json(s: Poly) -> dict:
     return {
         "dim": s.dim,
-        "terms": [
-            {"exponents": list(m), "coeff": _coeff_to_json(s.coeffs[m])}
-            for m in sorted(s.coeffs)
-        ],
+        "terms": [{"exponents": list(m), "coeff": 1} for m in sorted(s.coeffs)],
     }
 
 
 def poly_from_json(obj: dict) -> Poly:
-    dim = obj["dim"]
-    coeffs = {}
-    for term in obj["terms"]:
-        m = tuple(term["exponents"])
-        coeffs[m] = _coeff_from_json(term["coeff"])
-    return Poly(dim, coeffs)
+    terms = obj["terms"]
+    for term in terms:
+        c = term["coeff"]
+        if type(c) is not int or c != 1:
+            raise AlgebraError(f"bad coefficient in JSON: {c!r}")
+    return Poly(obj["dim"], (term["exponents"] for term in terms))

@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
-from .algebra import INF, Monomial, Poly, minimal_support, mono_mul
+from .algebra import INF, Monomial, Poly, minimal_support
 
 Sense = str  # "<=", "=", ">="
 
@@ -323,8 +324,8 @@ def minimal_vertices(points: Iterable[Monomial]) -> list:
 
 
 def np_min(s: Poly) -> Poly:
-    """The minimal polynomial of s: the all-one polynomial on the
-    pointwise-minimal vertices of the Newton polytope of s.
+    """The minimal polynomial of s: the polynomial on the pointwise-minimal
+    vertices of the Newton polytope of s.
 
     `minimal_vertices` finds them dominance first: it decides vertexhood only
     for the monomials that no kept vertex dominates.
@@ -332,7 +333,7 @@ def np_min(s: Poly) -> Poly:
     For non-negative weight assignments, minimizing m . z over the support of
     s and over the support of the minimal polynomial give the same value.
     """
-    return Poly.from_support(s.dim, minimal_vertices(s.coeffs))
+    return Poly._of(s.dim, frozenset(minimal_vertices(s.coeffs)))
 
 
 def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
@@ -356,12 +357,13 @@ def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
         if s.is_zero():
             return Poly.zero(d)
     if len(polys) == 1:
-        return Poly.from_support(d, minimal_support(polys[0].coeffs))
+        return Poly._of(d, frozenset(minimal_support(polys[0].coeffs)))
     points = polys[0].coeffs
     for s in polys[1:-1]:
-        points = hull_vertices({mono_mul(p, q) for p in points for q in s.coeffs})
+        points = hull_vertices({tuple(map(add, p, q)) for p in points for q in s.coeffs})
     last = polys[-1].coeffs
-    return Poly.from_support(d, minimal_vertices({mono_mul(p, q) for p in points for q in last}))
+    sums = {tuple(map(add, p, q)) for p in points for q in last}
+    return Poly._of(d, frozenset(minimal_vertices(sums)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,15 +121,6 @@ def _power(exps, nums, dens) -> tuple:
     return num, den
 
 
-def _parts(p: ProbAssignment) -> tuple:
-    """The numerators and denominators of `p.vector()`, in lowest terms."""
-    nums, dens = [], []
-    for q in p.ps:
-        nums += (q.numerator, q.denominator - q.numerator)
-        dens += (q.denominator, q.denominator)
-    return nums, dens
-
-
 def solve_i1(report: AnalysisReport, p: ProbAssignment) -> I1Result:
     """The most likely selected trajectory class at given probabilities.
 
@@ -141,7 +132,7 @@ def solve_i1(report: AnalysisReport, p: ProbAssignment) -> I1Result:
         raise InferError(f"expected {report.poly.dim // 2} probabilities, got {p.k}")
     if report.poly.is_zero():
         raise InferError("no trajectory reaches the target")
-    nums, dens = _parts(p)
+    nums, dens = p.nums, p.dens
     best = (-1, 1)  # below every probability
     winners = []
     for mu in report.poly.support():
@@ -196,7 +187,7 @@ def i2_contains(result: I2Result, p: ProbAssignment) -> bool:
     """
     if 2 * p.k != result.cone.dim:
         raise InferError(f"expected {result.cone.dim // 2} probabilities, got {p.k}")
-    nums, dens = _parts(p)
+    nums, dens = p.nums, p.dens
     for row in result.cone.rows:
         # row . z <= 0 at z = -ln q means q^(positive part) >= q^(negative part).
         ints = geometry._integral(row)[0]

@@ -162,6 +162,11 @@ _KEYWORDS = {"succ", "pred", "fix", "ifz", "then", "else", "params"}
 # this keeps every pass well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
+# Most choice parameters a program may declare or use.  A monomial has two
+# exponents per parameter, so every pass over rows and polynomials grows with
+# the count.
+MAX_PARAMS = 1000
+
 # Most significant digits of a numeral, parameter count or index: the lowest
 # limit Python may set on the digits of a decimal string it converts to int.
 _MAX_DIGITS = 640
@@ -211,15 +216,20 @@ def _tokenize(source: str):
     return tokens
 
 
-def _count(digits: str, what: str, pos) -> int:
+def _count(digits: str, what: str, pos, limit: int | None = None) -> int:
     """The value of a digit string, checked for its length before it is
-    converted."""
+    converted, and then against limit if one is given."""
     digits = digits.lstrip("0") or "0"
     if len(digits) > _MAX_DIGITS:
         raise ParseError(
             f"{what} at line {pos[0]}, column {pos[1]} has more than {_MAX_DIGITS} digits"
         )
-    return int(digits)
+    n = int(digits)
+    if limit is not None and n > limit:
+        raise ParseError(
+            f"{what} {n} at line {pos[0]}, column {pos[1]} exceeds the limit of {limit}"
+        )
+    return n
 
 
 class _Parser:
@@ -273,7 +283,7 @@ class _Parser:
         while self.peek()[0] == "kw" and self.peek()[1] == "params":
             self.next()
             tok = self.expect("int", "parameter count")
-            declared = _count(tok[1], "parameter count", tok[2])
+            declared = _count(tok[1], "parameter count", tok[2], MAX_PARAMS)
             self.expect(";")
         term = self.parse_term()
         tok = self.peek()
@@ -332,7 +342,7 @@ class _Parser:
         if name == "X":
             return 1
         if name.startswith("X") and name[1:].isascii() and name[1:].isdigit():
-            idx = _count(name[1:], "parameter index", tok[2])
+            idx = _count(name[1:], "parameter index", tok[2], MAX_PARAMS)
             if idx >= 1:
                 return idx
         raise ParseError(

@@ -174,7 +174,8 @@ def _sum_min(polys: tuple, memo: dict) -> Poly:
     key = ("+", frozenset(polys))
     out = memo.get(key)
     if out is None:
-        out = memo[key] = np_min(sum(polys[1:], polys[0]))
+        union = frozenset().union(*(s.coeffs for s in key[1]))
+        out = memo[key] = np_min(Poly._of(polys[0].dim, union))
     return out
 
 

@@ -1,23 +1,31 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from tropinf.algebra import (
     INF,
     AlgebraError,
     Poly,
     ProbAssignment,
-    ext_add,
-    ext_mul,
     minimal_support,
     mono_to_text,
     poly_from_json,
     poly_to_json,
     poly_to_text,
 )
+from tropinf.geometry import hull_vertices, np_min, vn
 
-from eval_reference import TropAssignment, eval_prob, eval_trop, tropicalize
+from conftest import SEED
+from eval_reference import (
+    CountPoly,
+    TropAssignment,
+    eval_prob,
+    eval_trop,
+    ext_add,
+    ext_mul,
+    tropicalize,
+)
 
 X, XB = (1, 0), (0, 1)  # X1 and ~X1 in dimension 2
 
@@ -38,24 +46,51 @@ class TestExtNat:
         assert ext_mul(INF, 2) == INF
 
 
+# A monomial of the wrong dimension, a negative or non-int exponent, a
+# non-int dimension.
+BAD_SUPPORTS = {
+    "dimension": (2, [(1, 0, 0)]),
+    "negative": (2, [(1, -1)]),
+    "float": (2, [(1.0, 0)]),
+    "bool": (2, [(True, 0)]),
+    "string": (2, [("1", 0)]),
+    "bad-dim": ("2", []),
+}
+
+
 class TestPoly:
     def test_zero_coeffs_dropped(self):
-        assert Poly(2, {(1, 0): 0}).is_zero()
+        assert CountPoly(2, {(1, 0): 0}).is_zero()
 
     def test_bad_coeff(self):
         with pytest.raises(AlgebraError):
-            Poly(2, {(1, 0): -1})
+            CountPoly(2, {(1, 0): -1})
         with pytest.raises(AlgebraError):
-            Poly(2, {(1, -1): 1})
+            CountPoly(2, {(1, -1): 1})
+
+    @pytest.mark.parametrize("name", sorted(BAD_SUPPORTS))
+    def test_boundary_rejects(self, name):
+        dim, monomials = BAD_SUPPORTS[name]
+        with pytest.raises(AlgebraError):
+            Poly(dim, monomials)
+        terms = [{"exponents": list(m), "coeff": 1} for m in monomials]
+        with pytest.raises(AlgebraError):
+            poly_from_json({"dim": dim, "terms": terms})
 
     def test_mul_cauchy(self):
-        s = Poly(2, {X: 1, XB: 1})
+        s = CountPoly(2, {X: 1, XB: 1})
         sq = s * s
         assert sq.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+        assert tropicalize(sq) == P((2, 0), (1, 1), (0, 2))
 
     def test_shift(self):
-        s = Poly(2, {X: 1, XB: 2})
+        s = CountPoly(2, {X: 1, XB: 2})
         assert s.shift(X).coeffs == {(2, 0): 1, (1, 1): 2}
+        assert tropicalize(s).shift(X) == P((2, 0), (1, 1))
+
+    def test_sum_is_union(self):
+        assert P(X) + P(X, XB) == P(X, XB)
+        assert P(X) + Poly.zero(2) == P(X)
 
     def test_degree(self):
         assert Poly.zero(2).degree() == 0
@@ -64,7 +99,8 @@ class TestPoly:
 
 monos2 = st.tuples(st.integers(0, 4), st.integers(0, 4))
 coeffs = st.one_of(st.integers(1, 5), st.just(INF))
-polys2 = st.dictionaries(monos2, coeffs, max_size=5).map(lambda d: Poly(2, d))
+polys2 = st.dictionaries(monos2, coeffs, max_size=5).map(lambda d: CountPoly(2, d))
+supports2 = st.frozensets(monos2, max_size=5).map(lambda ms: Poly(2, ms))
 
 
 class TestSemiringLaws:
@@ -81,18 +117,48 @@ class TestSemiringLaws:
 
     @given(polys2)
     def test_units(self, a):
-        assert a + Poly.zero(2) == a
-        assert a * Poly.unit(2) == a
-        assert a * Poly.zero(2) == Poly.zero(2)
+        zero = CountPoly(2)
+        assert a + zero == a
+        assert a * CountPoly.unit(2) == a
+        assert a * zero == zero
+
+
+def counted(d):
+    """A dimension-d polynomial with extended-natural coefficients."""
+    mono = st.tuples(*[st.integers(0, 3)] * d)
+    return st.dictionaries(mono, coeffs, max_size=5).map(lambda c: CountPoly(d, c))
+
+
+class TestSupportsOfCounts:
+    """The engine's polynomials are the supports of the counted ones: sums,
+    shifts and minimized products agree with the counted polynomials."""
+
+    @seed(SEED)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(
+                counted(d), counted(d), counted(d), st.tuples(*[st.integers(0, 3)] * d)
+            )
+        )
+    )
+    def test_same_supports(self, polys):
+        a, b, c, m = polys
+        sa, sb, sc = map(tropicalize, (a, b, c))
+        assert sa + sb == tropicalize(a + b)
+        assert sa.shift(m) == tropicalize(a.shift(m))
+        assert np_min(sa).support() == minimal_support(hull_vertices(a.coeffs))
+        product = a * b * c
+        assert vn([sa, sb, sc]).support() == minimal_support(hull_vertices(product.coeffs))
 
 
 class TestEvalProb:
     def test_three_choice_program_mass(self):
         # All six trajectory weights of the three-choice program sum to 1.
         monos = [(2, 0), (1, 1), (2, 1), (1, 2), (1, 2), (0, 3)]
-        s = Poly(2, {})
+        s = CountPoly(2)
         for m in monos:
-            s = s + Poly.monomial(m)
+            s = s + CountPoly.monomial(m)
         for p in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)):
             assert eval_prob(s, ProbAssignment([p])) == 1
 
@@ -105,7 +171,7 @@ class TestEvalProb:
         assert eval_prob(s, ProbAssignment([p])) == expected
 
     def test_infinite_coefficient(self):
-        s = Poly(2, {X: INF})
+        s = CountPoly(2, {X: INF})
         assert eval_prob(s, ProbAssignment([Fraction(1, 2)])) == INF
         # ... but an infinite coefficient on a zero-probability monomial
         # contributes nothing.
@@ -157,21 +223,27 @@ class TestMinimalSupport:
             assert eval_trop(s, z)[0] == eval_trop(mini, z)[0]
 
     def test_tropicalize(self):
-        s = Poly(2, {X: 3, XB: INF})
+        s = CountPoly(2, {X: 3, XB: INF})
         assert tropicalize(s) == P(X, XB)
 
 
 class TestTextAndJson:
     def test_text(self):
-        s = Poly(2, {(2, 0): 1, (0, 3): 1})
+        s = P((2, 0), (0, 3))
         assert poly_to_text(s) == "~X1^3 + X1^2"
         assert mono_to_text((1, 2)) == "X1*~X1^2"
         assert poly_to_text(Poly.zero(2)) == "0"
         assert mono_to_text((0, 0)) == "1"
 
-    @given(polys2)
+    @given(supports2)
     def test_json_roundtrip(self, s):
         assert poly_from_json(poly_to_json(s)) == s
+
+    @pytest.mark.parametrize("coeff", [0, 2, "inf", 1.0, True, None])
+    def test_json_rejects_coeff_other_than_1(self, coeff):
+        obj = {"dim": 2, "terms": [{"exponents": [1, 0], "coeff": coeff}]}
+        with pytest.raises(AlgebraError, match="bad coefficient"):
+            poly_from_json(obj)
 
     def test_probability_bounds(self):
         with pytest.raises(AlgebraError):

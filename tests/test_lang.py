@@ -95,6 +95,12 @@ ERRORS = {
                           "parameter count at line 1, column 8 has more than 640 digits"),
     "index-5000-digits": ("params 1; 0 +[X" + "1" * 5000 + "] 1", ParseError,
                           "parameter index at line 1, column 15 has more than 640 digits"),
+    "count-over-limit": ("params 100000; 0 +[X1] 1", ParseError,
+                         "parameter count 100000 at line 1, column 8 exceeds the limit "
+                         "of 1000"),
+    "index-over-limit": ("0 +[X1001] 1", ParseError,
+                         "parameter index 1001 at line 1, column 5 exceeds the limit "
+                         "of 1000"),
     "superscript-digit": ("params 1; \u00b2", ParseError,
                           "unexpected character '\u00b2' at line 1, column 11"),
     "arabic-digit": ("params 1; \u0663", ParseError,
