@@ -85,15 +85,6 @@ class Poly:
     def unit(cls, dim: int) -> "Poly":
         return cls._of(dim, frozenset((mono_unit(dim),)))
 
-    @classmethod
-    def monomial(cls, m: Monomial) -> "Poly":
-        return cls(len(m), (m,))
-
-    @classmethod
-    def from_support(cls, dim: int, monomials: Iterable[Monomial]) -> "Poly":
-        """The polynomial on the given support: `Poly(dim, monomials)`."""
-        return cls(dim, monomials)
-
     # -- structure ----------------------------------------------------------
 
     def support(self) -> list:
@@ -148,9 +139,10 @@ class ProbAssignment:
     """
 
     def __init__(self, ps: Sequence[Fraction]):
-        ps = [Fraction(p) for p in ps]
+        ps = [p if type(p) is Fraction else Fraction(p) for p in ps]
         for p in ps:
-            if not 0 <= p <= 1:
+            # A Fraction's denominator is positive.
+            if not 0 <= p.numerator <= p.denominator:
                 raise AlgebraError(f"probability {p} outside [0, 1]")
         self.ps = ps
         self.nums, self.dens = [], []

@@ -578,8 +578,9 @@ def _segment_tie(at_a, at_b, mu, nu) -> bool:
 
 
 def _frac_to_json(q) -> str:
-    # str gives an int and a Fraction of the same value the same text.
-    return "inf" if q == INF else str(q)
+    # str gives an int and a Fraction of the same value the same text; only
+    # a float can be INF, and comparing a Fraction with a float is slow.
+    return "inf" if type(q) is float and q == INF else str(q)
 
 
 def _frac_from_json(text: str):

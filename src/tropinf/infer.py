@@ -207,6 +207,7 @@ TOOL_VERSION = "0.1.0"
 
 
 def report_to_json(report: AnalysisReport) -> dict:
+    names = algebra.var_names(report.poly.dim)
     return {
         "schema": SCHEMA,
         "tool_version": TOOL_VERSION,
@@ -217,11 +218,11 @@ def report_to_json(report: AnalysisReport) -> dict:
         "rounds": [list(r) for r in report.rounds],
         "degree_estimate": report.degree_estimate,
         "polynomial": algebra.poly_to_json(report.poly),
-        "polynomial_text": algebra.poly_to_text(report.poly),
+        "polynomial_text": algebra.poly_to_text(report.poly, names),
         "selected": [
             {
                 "monomial": list(sel.monomial),
-                "monomial_text": algebra.mono_to_text(sel.monomial),
+                "monomial_text": algebra.mono_to_text(sel.monomial, names),
                 "word": [[param, bit] for param, bit in sel.word],
                 "word_text": lang.word_to_text(sel.word),
                 "cone": geometry.cone_to_json(sel.cone, sel.witness),

@@ -19,10 +19,11 @@ returned, or under fix), takes the union of the row types of the arguments
 of the calls that 0-CFA says may reach it (`_flow`), iterated until no set
 grows; fix M counts as M applied to fix M, so the f of fix (λf. M) takes
 the rows of each unfolding before the next.  A type that reaches a binder by
-a call through a fixpoint binder, or by a call of a λ that such a call
-passed or returned, costs one unfolding more than its argument's row, and a
-type that costs more than n is dropped, so a recursion that feeds its
-binders ever larger atoms stops.  Only the rows are kept, never the
+a call through a fixpoint binder, by a call of a λ from inside its own body
+(a charged call), or by a call of a λ that such a call passed or returned,
+costs one unfolding more than its argument's row, and a type that costs
+more than n is dropped, so a recursion that feeds its binders ever larger
+atoms stops, with or without fix.  Only the rows are kept, never the
 derivations: each rule maps the rows of the premises to the rows of the
 conclusion.  A row names no run: the reducer does (`lang.find_words`,
 called by `infer.analyze`).
@@ -36,11 +37,15 @@ binders free in it or bound by a flow λ inside it.  p is read only where a λ
 row is dropped for a multiset wider than p, so the rows are kept across a
 change of p too unless p pruned a λ row, and a round that changes only p
 after a round that pruned nothing repeats that round: `search` returns its
-judgement without a pass.  A subterm holding a Fix, and every Fix
-unfolding, is rebuilt in every other round.  Polynomials depend on neither
-bound, and the table maps the inputs of every product, sum and choice shift
-to its result, so one `stabilize` minimizes each distinct product, sum and
-shift once, whichever subterm, unfolding or round asks for it.
+judgement without a pass.  A program with no Fix node and no charged call
+has only rows of fixpoint count 0 and types of cost 0, so its judgement
+does not depend on n either: under the same condition on p, `search` hands
+out the last judgement at any n, and the rounds after the first search
+nothing.  A subterm holding a Fix, and every Fix unfolding, is rebuilt in
+every other round.  Polynomials depend on neither bound, and the table maps
+the inputs of every product, sum and choice shift to its result, so one
+`stabilize` minimizes each distinct product, sum and shift once, whichever
+subterm, unfolding or round asks for it.
 """
 
 from __future__ import annotations
@@ -357,13 +362,17 @@ def _flow(root: TypedTerm) -> tuple:
     called with.  0-CFA (the λs each subterm may evaluate to, as a least
     fixpoint) names the applications that may call a flow λ.  fix M counts as
     M applied to fix M, so the f of fix (λf. B) is fed by the fix node, and
-    the values of fix M reach f through the fixpoint.
+    the values of fix M reach f through the fixpoint.  A call of a λ from
+    inside that λ's own body is charged like a call through a fixpoint
+    binder: 0-CFA merges the closures that such a λ builds, so without the
+    charge a binder could take its own results forever.
     Returns (fix_free, sources, inner): fix_free maps the id of every subterm
     that holds no Fix node to the ids of the flow λs inside it; sources maps
     the id of an argument (or Fix) subterm to the (λ id, step) pairs of the
     flow λs it feeds, where step is 1 when the call goes through a fixpoint
-    binder, or calls a λ that such a call passed or returned; inner maps the
-    id of a Fix node to the ids of the flow λs inside it.
+    binder, is a charged call, or calls a λ that such a call passed or
+    returned; inner maps the id of a Fix node to the ids of the flow λs
+    inside it.
     """
     # The values of a subterm: a set of (λ id, through a fixpoint binder).
     # A variable shares the set of its binder, and values only grow.  Types
@@ -373,16 +382,18 @@ def _flow(root: TypedTerm) -> tuple:
     args: dict = {}  # λ id -> the values its binder takes
     bodies: dict = {}  # λ id -> its body
     joins: list = []  # (values, values of each branch) of a choice or ifz
-    calls: list = []  # (App or Fix node, its values, its function's values)
+    # (App or Fix node, its values, its function's values, the λs around it)
+    calls: list = []
 
     lams: set = set()  # the flow λs
     fixes: list = []  # the Fix nodes walked so far
     fix_free: dict = {}
     inner: dict = {}
 
-    def walk(tt, scope, applied) -> frozenset:
+    def walk(tt, scope, around, applied) -> frozenset:
         """Record tt's values and calls; return the flow λs inside it.
-        applied marks the function of an application."""
+        around is the set of λs whose bodies hold tt; applied marks the
+        function of an application."""
         term = tt.term
         kind = type(term)
         node = id(tt)
@@ -390,10 +401,11 @@ def _flow(root: TypedTerm) -> tuple:
         if kind is Lam:
             scope = {**scope, term.name: node}
             bodies[node] = tt.children[0]
+            around = around | {node}
         below = _NONE
         fun = kind is App
         for child in tt.children:
-            found = walk(child, scope, fun)
+            found = walk(child, scope, around, fun)
             if found:
                 below = below | found if below else found
             fun = False
@@ -404,7 +416,7 @@ def _flow(root: TypedTerm) -> tuple:
                 below = below | {node}
         elif kind is App or kind is Fix:
             out = vals[node] = set()
-            calls.append((tt, out, vals[id(tt.children[0])]))
+            calls.append((tt, out, vals[id(tt.children[0])], around))
             if kind is Fix:
                 fixes.append(node)
                 if below:
@@ -419,7 +431,7 @@ def _flow(root: TypedTerm) -> tuple:
             fix_free[node] = tuple(sorted(below)) if below else ()
         return below
 
-    walk(root, {}, False)
+    walk(root, {}, _NONE, False)
     if not lams:
         return fix_free, {}, inner
     changed = True
@@ -430,15 +442,17 @@ def _flow(root: TypedTerm) -> tuple:
             for part in parts:
                 out |= part
             changed = changed or len(out) != size
-        for tt, out, fun in calls:
+        for tt, out, fun, around in calls:
             size = len(out)
             if isinstance(tt.term, Fix):
                 arg = {(lam, True) for lam, _ in out}
             else:
                 arg = vals.get(id(tt.children[1]), _NONE)
             for lam, through in tuple(fun):
-                # What a call through a fixpoint binder passes lives one
-                # unfolding deeper, and so does every later call of it.
+                # What a call through a fixpoint binder, or a call of a λ
+                # from inside its own body, passes lives one unfolding
+                # deeper, and so does every later call of it.
+                through = through or lam in around
                 passed = {(v, True) for v, _ in arg} if through else arg
                 into = args.setdefault(lam, set())
                 if not passed <= into:
@@ -449,11 +463,12 @@ def _flow(root: TypedTerm) -> tuple:
             changed = changed or len(out) != size
 
     sources: dict = {}
-    for tt, _, fun in calls:
+    for tt, _, fun, around in calls:
         arg = tt if isinstance(tt.term, Fix) else tt.children[1]
         for lam, through in fun:
             if lam in lams:
-                sources.setdefault(id(arg), set()).add((lam, int(through)))
+                step = int(through or lam in around)
+                sources.setdefault(id(arg), set()).add((lam, step))
     return fix_free, {node: tuple(sorted(f)) for node, f in sources.items()}, inner
 
 
@@ -477,7 +492,9 @@ class RowTable:
     (`reach`), and the memo of minimized sums, products and shifts, are kept
     for the table's whole life: larger bounds only add types and lower
     costs, and a polynomial depends on neither bound.  `last` holds the n and
-    the judgement of the last search that completed on the table.
+    the judgement of the last search that completed on the table, and
+    `n_matters` is false when the program has no Fix node and no charged
+    call, so that n changes none of its rows.
     """
 
     def __init__(self, program: Program):
@@ -485,6 +502,11 @@ class RowTable:
         if isinstance(self.tt.ty, Arrow):
             raise TypeCheckError("program has an arrow type; a ground type is required")
         self.fix_free, self.sources, self.inner = _flow(self.tt)
+        # With no Fix node and no charged call every row has fixpoint count
+        # 0 and every type costs 0, so n changes nothing.
+        self.n_matters = id(self.tt) not in self.fix_free or any(
+            step for feeds in self.sources.values() for _, step in feeds
+        )
         self.reach: dict = {}  # flow λ id -> {type: least cost}
         self.p = 0
         self.rows: dict = {}
@@ -660,14 +682,19 @@ def search(
     `table` must come from the same program; rounds that share one reuse the
     rows of its Fix-free subterms, the types that reached its binders, its
     minimized polynomials and its annotation.  A round with the n of the last
-    one, at a p that no λ row since the rows were kept was wider than, takes
-    exactly the steps of the last one, so it returns the last judgement
-    without a pass.  Without a table the search starts from a fresh one; the
-    rows are the same either way.
+    one, or any n when n matters to none of the program's rows (no Fix node
+    and no charged call), at a p that no λ row since the rows were kept was
+    wider than, takes exactly the steps of the last one, so it returns the
+    last judgement without a pass.  Without a table the search starts from a
+    fresh one; the rows are the same either way.
     """
     if table is None:
         table = RowTable(program)
-    elif table.last is not None and table.last[0] == n and table.wide <= min(table.p, p):
+    elif (
+        table.last is not None
+        and (table.last[0] == n or not table.n_matters)
+        and table.wide <= min(table.p, p)
+    ):
         table.at(p)
         return table.last[1]
     table.last = None
@@ -729,7 +756,11 @@ def stabilize(
     accepts a polynomial that survived both a recursion-budget increase and a
     multiset-size increase.  A p increment after a round in which p pruned
     no λ row repeats that round (see `search`), so there surviving it says
-    nothing more.  Gives up (stable=False) after max_rounds rounds.
+    nothing more.  Nor does an n increment for a program with no Fix node and
+    no charged call, whose rows n never changes: there a round after one in
+    which p pruned nothing hands out that round's judgement again, and
+    agreeing with it proves nothing.
+    Gives up (stable=False) after max_rounds rounds.
     Raises ValueError unless window and max_rounds are at least 1.
     """
     if window < 1 or max_rounds < 1:

@@ -100,6 +100,11 @@ class CountPoly:
         return self * CountPoly.monomial(m)
 
 
+def monomial(m: Monomial) -> Poly:
+    """The polynomial of the single monomial m."""
+    return Poly(len(m), (m,))
+
+
 def prob_vector(p: ProbAssignment) -> list:
     """Per-variable probabilities in the X1, ~X1, X2, ~X2, ... layout."""
     out = []

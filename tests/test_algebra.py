@@ -31,7 +31,7 @@ X, XB = (1, 0), (0, 1)  # X1 and ~X1 in dimension 2
 
 
 def P(*monos):
-    return Poly.from_support(len(monos[0]), monos)
+    return Poly(len(monos[0]), monos)
 
 
 class TestExtNat:
@@ -217,7 +217,7 @@ class TestMinimalSupport:
     def test_trop_value_preserved(self, s, zs):
         if s.is_zero():
             return
-        mini = Poly.from_support(2, minimal_support(s.coeffs))
+        mini = Poly(2, minimal_support(s.coeffs))
         for z in zs:
             z = [Fraction(c) for c in z]
             assert eval_trop(s, z)[0] == eval_trop(mini, z)[0]
@@ -248,3 +248,22 @@ class TestTextAndJson:
     def test_probability_bounds(self):
         with pytest.raises(AlgebraError):
             ProbAssignment([Fraction(3, 2)])
+
+
+class TestProbAssignment:
+    def test_inputs(self):
+        # A Fraction is taken as it is; an int or a string is read as one.
+        p = ProbAssignment([Fraction(1, 3), 1, "2/4", 0])
+        assert p.ps == [Fraction(1, 3), Fraction(1), Fraction(1, 2), Fraction(0)]
+        assert all(type(q) is Fraction for q in p.ps)
+        assert p.nums == [1, 2, 1, 0, 1, 1, 0, 1]
+        assert p.dens == [3, 3, 1, 1, 2, 2, 1, 1]
+        assert p.k == 4
+
+    @pytest.mark.parametrize(
+        "prob, text", [(Fraction(3, 2), "3/2"), (-1, "-1"), (Fraction(-1, 3), "-1/3")]
+    )
+    def test_out_of_range_message(self, prob, text):
+        with pytest.raises(AlgebraError) as info:
+            ProbAssignment([Fraction(1, 2), prob])
+        assert str(info.value) == f"probability {text} outside [0, 1]"

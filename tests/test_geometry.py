@@ -174,7 +174,7 @@ class TestMinimalVertices:
     def test_matches_hull_then_dominance(self, pts):
         d = len(pts[0])
         expected = minimal_support(reference_hull_vertices(pts))
-        assert np_min(Poly.from_support(d, pts)).support() == expected
+        assert np_min(Poly(d, pts)).support() == expected
 
     def test_point_dominated_only_by_a_non_vertex_is_kept(self):
         # (2,2) is the midpoint of (0,4) and (4,0); (2,3) is a vertex that
@@ -184,7 +184,7 @@ class TestMinimalVertices:
 
     def test_centroid_of_a_simplex_needs_one_lp(self, lp_calls):
         pts = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
-        assert np_min(Poly.from_support(3, pts)).support() == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
+        assert np_min(Poly(3, pts)).support() == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
         assert lp_calls == [(1, 1, 1)]
 
     def test_point_a_kept_vertex_dominates_is_not_tested(self, lp_calls):
@@ -200,17 +200,17 @@ class TestMinimalVertices:
 class TestNpMin:
     def test_six_point_support(self):
         pts = [(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3), (5, 3, 4), (4, 2, 3)]
-        mini = np_min(Poly.from_support(3, pts))
+        mini = np_min(Poly(3, pts))
         assert set(mini.coeffs) == {(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3)}
 
     def test_binomial_cube(self):
-        s = CountPoly.of(Poly.from_support(2, [(1, 0), (0, 1)]))
+        s = CountPoly.of(Poly(2, [(1, 0), (0, 1)]))
         cube = s * s * s
         mini = np_min(tropicalize(cube))
         assert mini.support() == [(0, 3), (3, 0)]
 
     def test_antichain_unchanged(self):
-        s = Poly.from_support(2, [(2, 0), (1, 1), (0, 2)])
+        s = Poly(2, [(2, 0), (1, 1), (0, 2)])
         mini = np_min(s)
         # (1,1) is minimal but not a vertex of the hull.
         assert mini.support() == [(0, 2), (2, 0)]
@@ -221,7 +221,7 @@ class TestNpMin:
 
 class TestVN:
     def test_power_golden(self):
-        s = Poly.from_support(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        s = Poly(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         for k in range(2, 6):
             out = vn([s] * k)
             assert out.support() == [
@@ -250,8 +250,8 @@ class TestVN:
     )
     def test_equals_minimized_naive_product(self, data):
         d, supp_s, supp_t = data
-        s = np_min(Poly.from_support(d, supp_s))
-        t = np_min(Poly.from_support(d, supp_t))
+        s = np_min(Poly(d, supp_s))
+        t = np_min(Poly(d, supp_t))
         out = vn([s, t])
         naive = CountPoly.of(s) * CountPoly.of(t)
         oracle = minimal_support(hull_vertices(naive.coeffs))
@@ -260,7 +260,7 @@ class TestVN:
 
 class TestNormalCone:
     def test_three_choice_cone(self):
-        s = Poly.from_support(2, [(2, 0), (2, 1), (0, 3)])
+        s = Poly(2, [(2, 0), (2, 1), (0, 3)])
         cone, witness = normal_cone((0, 3), s)
         assert set(cone.rows) == {(F(-2), F(2)), (F(-2), F(3))}
         assert witness is not None and cone.contains(witness)
@@ -292,16 +292,16 @@ class TestNormalCone:
 
     def test_not_in_support(self):
         with pytest.raises(GeometryError):
-            normal_cone((5, 5), Poly.from_support(2, [(2, 0)]))
+            normal_cone((5, 5), Poly(2, [(2, 0)]))
 
     def test_single_monomial_cone_is_everything(self):
-        cone, witness = normal_cone((1, 1), Poly.from_support(2, [(1, 1)]))
+        cone, witness = normal_cone((1, 1), Poly(2, [(1, 1)]))
         assert cone.rows == ()
         assert witness == (1, 1)
 
     def test_empty_cone_of_dominated_vertex(self):
         # (2,2) never minimizes against (0,0): the cone is only the origin.
-        s = Poly.from_support(2, [(0, 0), (2, 2)])
+        s = Poly(2, [(0, 0), (2, 2)])
         cone, witness = normal_cone((2, 2), s)
         assert witness is None
 
@@ -312,7 +312,7 @@ class TestNormalCone:
         assert not cone.contains([F(0), INF])
 
     def test_cones_cover_quadrant(self, rng):
-        s = Poly.from_support(2, [(2, 0), (0, 3)])
+        s = Poly(2, [(2, 0), (0, 3)])
         cones = {m: normal_cone(m, s)[0] for m in s.coeffs}
         for _ in range(100):
             z = [F(rng.randint(0, 30), rng.randint(1, 7)) for _ in range(2)]
@@ -351,12 +351,12 @@ class TestNormalFan:
     @example((2, {(0, 4), (1, 2), (1, 4), (2, 1), (3, 0), (3, 2), (4, 4)}))
     def test_matches_cone_by_cone_reference(self, data):
         d, support = data
-        s = Poly.from_support(d, support)
+        s = Poly(d, support)
         for poly in (np_min(s), s):
             assert normal_fan(poly) == reference_fan(poly)
 
     def test_segment_tie_keeps_a_row_without_lp(self, monkeypatch):
-        s = Poly.from_support(3, [(0, 0, 2), (0, 2, 1), (1, 0, 0)])
+        s = Poly(3, [(0, 0, 2), (0, 2, 1), (1, 0, 0)])
         # No unit vector settles the row between (0,0,2) and (1,0,0) in
         # either cone; at their tie point on the segment between the two
         # witnesses, (0,2,1) is strictly larger.
@@ -375,7 +375,7 @@ class TestNormalFan:
         monkeypatch.setattr(geometry, "lp_solve", lambda prob: solved.append(prob) or solve(prob))
         grid = list(itertools.product(range(3), repeat=2))
         for mu, nu in itertools.combinations(grid, 2):
-            s = Poly.from_support(2, [mu, nu])
+            s = Poly(2, [mu, nu])
             solved.clear()
             fan = normal_fan(s)
             fan_lps = len(solved)
@@ -383,3 +383,13 @@ class TestNormalFan:
             for m in s.support():
                 reduce_rows(normal_cone(m, s)[0])
             assert fan_lps <= len(solved), (mu, nu)
+
+
+class TestJson:
+    @pytest.mark.parametrize(
+        "q, text",
+        [(3, "3"), (-2, "-2"), (F(-1, 2), "-1/2"), (F(4, 2), "2"), (F(0), "0"), (INF, "inf")],
+    )
+    def test_frac_to_json(self, q, text):
+        assert geometry._frac_to_json(q) == text
+        assert geometry._frac_from_json(text) == q

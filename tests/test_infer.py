@@ -21,7 +21,7 @@ from tropinf import typesys
 from tropinf.lang import enumerate_trajectories, parse
 
 from conftest import load, load_source, random_program
-from eval_reference import eval_prob
+from eval_reference import eval_prob, monomial
 from replay_reference import replay_word
 
 
@@ -130,7 +130,7 @@ class TestI1:
         from tropinf.algebra import Poly
 
         assert res.probability == eval_prob(
-            Poly.monomial(res.winners[0]), p
+            monomial(res.winners[0]), p
         )
 
     def test_biased_towards_right(self, m1_report):

@@ -13,7 +13,7 @@ from conftest import (
     term_depth,
     term_size,
 )
-from eval_reference import eval_prob
+from eval_reference import eval_prob, monomial
 from replay_reference import replay_word
 from tropinf import lang
 from tropinf.algebra import ProbAssignment, Poly
@@ -364,7 +364,7 @@ class TestReduce:
         trs = enumerate_trajectories(load("m1"), 100)
         for p in (Fraction(1, 2), Fraction(2, 5)):
             total = sum(
-                eval_prob(Poly.monomial(t.monomial), ProbAssignment([p])) for t in trs
+                eval_prob(monomial(t.monomial), ProbAssignment([p])) for t in trs
             )
             assert total == 1
 
@@ -387,7 +387,7 @@ class TestReduce:
             program = random_program(rng)
             trs = enumerate_trajectories(program, 500)
             p = ProbAssignment([Fraction(1, 3), Fraction(2, 7)])
-            total = sum(eval_prob(Poly.monomial(t.monomial), p) for t in trs)
+            total = sum(eval_prob(monomial(t.monomial), p) for t in trs)
             assert total == 1
 
     def test_word_matches_monomial(self, rng):

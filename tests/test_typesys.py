@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import signal
 from fractions import Fraction
 
 import pytest
@@ -26,9 +28,25 @@ from tropinf.typesys import (
 )
 
 from conftest import load, load_source, random_lambda_argument_program, random_program
-from eval_reference import eval_prob
+from eval_reference import eval_prob, monomial
 
 import itertools
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    """Fail the test with TimeoutError if the block runs longer than seconds."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestItypeText:
@@ -40,7 +58,7 @@ class TestItypeText:
 
 class TestMerge:
     def unit(self, mono, fixes=0):
-        return Entry(ctx=(), itype=1, poly=Poly.monomial(mono), fixes=fixes)
+        return Entry(ctx=(), itype=1, poly=monomial(mono), fixes=fixes)
 
     def test_same_key_summed(self):
         out = merge([self.unit((1, 0)), self.unit((0, 1))])
@@ -65,8 +83,8 @@ class TestApplyRule:
         assert out[0].poly.support() == [(0, 1), (1, 0)]
 
     def test_ifz_selects_on_scrutinee_atom(self):
-        z = Entry((), 0, Poly.monomial((1, 0)), 0)
-        nz = Entry((), 2, Poly.monomial((0, 1)), 0)
+        z = Entry((), 0, monomial((1, 0)), 0)
+        nz = Entry((), 2, monomial((0, 1)), 0)
         then = Entry((), 1, Poly.unit(2), 0)
         orelse = Entry((), 0, Poly.unit(2), 0)
         out = _rule_ifz([z, nz], [then], [orelse], dim=2, max_fixes=0, memo={})
@@ -86,7 +104,7 @@ class TestBetaRedexFlow:
             for t in enumerate_trajectories(program, 200)
             if t.normal_form == target
         ]
-        return np_min(Poly.from_support(dim, support)) if support else Poly.zero(dim)
+        return np_min(Poly(dim, support)) if support else Poly.zero(dim)
 
     def test_argument_above_the_atom_bound(self):
         # The scrutinee reduces to 4; the only run takes the else branch.
@@ -223,11 +241,49 @@ class TestFlow:
                     continue
                 for ps in ((Fraction(1, 2),) * 2, (Fraction(1, 3), Fraction(4, 5))):
                     point = ProbAssignment(ps)
-                    best = max(eval_prob(Poly.from_support(2 * point.k, [mu]), point) for mu in runs)
+                    best = max(eval_prob(Poly(2 * point.k, [mu]), point) for mu in runs)
                     got = solve_i1(report, point).probability
                     if got != best:
                         failures.append((program, target, ps, got, best))
         assert failures == []
+
+
+# Fix-free programs that call a λ from inside its own body: 0-CFA merges the
+# closures of \x. f (f x) built with f = the successor and with f = that
+# closure, so x's own results reach x.  Uncharged, no bound stopped them.
+SELF_CALLS = [
+    (r"params 1; (\t. t (t (\y. succ y)) 0) (\f. \x. f (f x))", 4),
+    (r"params 2; (\d. d (d (\z. z +[X2] succ z))) (\h. \x. h (h x)) 0", 2),
+]
+
+
+class TestChargedCalls:
+    """A call of a λ from inside its own body costs one unfolding, as a call
+    through a fixpoint binder does, so every fix-free program finishes."""
+
+    @pytest.mark.parametrize("source, target", SELF_CALLS)
+    def test_stabilize_finishes(self, source, target):
+        with alarm(20):
+            res = stabilize(parse(source), target)
+        # The schedule's p stops the search short of the enumerated answer
+        # (the multiset bound's gap), but the rounds end.
+        assert res.rounds == [(1, 1), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("source, target", SELF_CALLS)
+    def test_unbounded_p_matches_enumeration(self, source, target):
+        program = parse(source)
+        oracle = TestBetaRedexFlow.oracle(program, target)
+        assert not oracle.is_zero()
+        with alarm(20):
+            for n in (1, 2, 3):
+                judgement = search(program, target, n, 10**6)
+                assert conclusion_poly(judgement, target) == oracle, n
+
+    def test_self_call_is_charged(self):
+        table = typesys.RowTable(parse(SELF_CALLS[0][0]))
+        steps = {step for feeds in table.sources.values() for _, step in feeds}
+        assert steps == {0, 1}
+        assert table.n_matters
 
 
 class TestCtx:
@@ -268,7 +324,7 @@ class TestSearchGoldens:
                 if t.normal_form is not None and t.normal_form == 1
             ]
             dim = 2 * max(program.params, 1)
-            oracle = np_min(Poly.from_support(dim, [t.monomial for t in trajs]))
+            oracle = np_min(Poly(dim, [t.monomial for t in trajs]))
             assert conclusion_poly(judgement, 1) == oracle
 
     def test_arrow_program_rejected(self):
@@ -354,7 +410,7 @@ class TestStabilize:
             dim = 2 * max(program.params, 1)
             support = [t.monomial for t in trajs if t.normal_form == 1]
             if support:
-                oracle = np_min(Poly.from_support(dim, support))
+                oracle = np_min(Poly(dim, support))
             else:
                 oracle = Poly.zero(dim)
             assert res.poly == oracle, program
@@ -504,6 +560,22 @@ class TestRowTable:
         counts = {(n, p): c for n, p, _, c in rounds}
         assert counts[1, 1]["_combine"] > 0
         assert counts[2, 1] == {"_combine": 0, "merge": 0}
+
+    @pytest.mark.parametrize(
+        "source, reused",
+        [(load_source("m4_3"), True), (load_source("m3"), False), (SELF_CALLS[0][0], False)],
+        ids=["m4_3", "m3", "charged-call"],
+    )
+    def test_round_that_n_cannot_change(self, source, reused):
+        # m4_3 has neither fix nor a charged call, so no n changes its rows
+        # and round (2,1) hands out the judgement of round (1,1).  m3 has fix,
+        # and the first self-calling program a charged call.
+        program = parse(source)
+        table = typesys.RowTable(program)
+        with alarm(20):
+            first = search(program, 1, 1, 1, table)
+            assert (search(program, 1, 2, 1, table) is first) is reused
+        assert table.n_matters is not reused
 
     def test_recursive_program_rebuilds_only_the_unfolding(self, monkeypatch):
         # m2's λ under fix is reused when n grows; its unfolding is redone.
