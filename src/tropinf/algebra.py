@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import add, le
 from typing import Iterable, Sequence
 
 INF = math.inf
@@ -31,15 +32,6 @@ class AlgebraError(ValueError):
 
 def mono_unit(dim: int) -> Monomial:
     return (0,) * dim
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_leq(a: Monomial, b: Monomial) -> bool:
-    """Pointwise order on exponent vectors."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 class Poly:
@@ -95,7 +87,7 @@ class Poly:
 
     def degree(self) -> int:
         """Maximal total degree of a monomial (0 for the zero polynomial)."""
-        return max((mono_degree(m) for m in self.coeffs), default=0)
+        return max(map(sum, self.coeffs), default=0)
 
     def __eq__(self, other):
         return (
@@ -161,18 +153,19 @@ class ProbAssignment:
 # -- dominance --------------------------------------------------------------
 
 
+def dominated(m: Monomial, points: Iterable[Monomial]) -> bool:
+    """True when some point n of points is <= m pointwise; map(le, n, m),
+    all and any each loop in C."""
+    return any(map(all, map(map, repeat(le), points, repeat(m))))
+
+
 def minimal_support(points: Iterable[Monomial]) -> list:
     """The pointwise-minimal elements of a set of monomials, sorted.
 
     Pass `s.coeffs` for the minimal part of the support of a polynomial s.
     """
     pts = list(points)
-    out = []
-    for m in pts:
-        if any(n != m and mono_leq(n, m) for n in pts):
-            continue
-        out.append(m)
-    return sorted(out)
+    return sorted(m for m in pts if not dominated(m, filter(m.__ne__, pts)))
 
 
 # -- text and JSON forms ----------------------------------------------------

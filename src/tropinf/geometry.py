@@ -8,28 +8,32 @@ integer certificates first: the lex-least and lex-greatest point at an extreme
 of a coordinate (vertices of a face, hence of the hull), the unique maximizer
 along the direction from the centroid (a vertex), and the midpoint of two
 other points (not a vertex).  A small linear program decides only the points
-these leave open.  Cone row reduction keeps a row without an LP when a unit
+these leave open.  The certificates read coordinate columns built once per
+point set, and they, the dominance test and the all-int test of LP rows loop
+in C.  `vn` returns a product of single monomials as the monomial of their
+sum, with no hull.  Cone row reduction keeps a row without an LP when a unit
 vector satisfies the other rows and violates it.  `normal_fan` reduces the
-cones of all monomials together: a cone with an interior witness keeps
-exactly its facet rows, and two such cones share each facet, so each pair
-of monomials is decided once, by a unit vector, by the point where the two
-tie on the segment between their witnesses, or else by one LP.  The LPs and
-the cone witnesses are solved by a two-phase simplex with Bland's pivoting
-rule on an integer tableau that shares one positive common denominator
-(fraction-free, Bareiss-style pivoting).  Rational input rows are scaled to
-integers and results come back as exact `Fraction`s.  No floating point
-enters any geometric predicate.
+cones of all monomials together: a cone with an interior witness keeps exactly
+its facet rows, and two such cones share each facet, so each pair of monomials
+is decided once, by a unit vector, by the point where the two tie on the
+segment between their witnesses, or else by one LP.  The LPs and the cone
+witnesses are solved by a two-phase simplex with Bland's pivoting rule on an
+integer tableau that shares one positive common denominator (fraction-free,
+Bareiss-style pivoting).  Rational input rows are scaled to integers and
+results come back as exact `Fraction`s.  No floating point enters any
+geometric predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .algebra import INF, Monomial, Poly, minimal_support
+from .algebra import INF, Monomial, Poly, dominated, minimal_support
 
 Sense = str  # "<=", "=", ">="
 
@@ -65,9 +69,9 @@ _FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 def _integral(values) -> tuple:
     """A rational row scaled by the least positive integer s making it
     integral; returns (the scaled row as ints, s)."""
-    if all(type(v) is int for v in values):
+    if {*map(type, values)} <= {int}:
         return list(values), 1
-    fracs = [Fraction(v) for v in values]
+    fracs = list(map(Fraction, values))
     s = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (s // f.denominator) for f in fracs], s
 
@@ -219,15 +223,14 @@ def _is_vertex(p, others) -> bool:
     """True iff p is not a convex combination of the other points."""
     if not others:
         return True
-    d = len(p)
-    rows = [(tuple(q[c] for q in others), "=", p[c]) for c in range(d)]
+    rows = [(col, "=", a) for col, a in zip(zip(*others), p)]
     rows.append(((1,) * len(others), "=", 1))
     prob = LPProblem((0,) * len(others), tuple(rows))
     return lp_solve(prob).status == "infeasible"
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 class _VertexTest:
@@ -249,28 +252,33 @@ class _VertexTest:
 
     def __init__(self, present: set):
         self.present = present
-        self.pts = sorted(present)
-        self.total = [sum(col) for col in zip(*self.pts)]
-        self.verdict = {}  # point -> True, False, or None when left to the LP
-        for c in range(len(self.pts[0])):
-            column = [p[c] for p in self.pts]
-            for ext in (min(column), max(column)):
-                hits = [p for p in self.pts if p[c] == ext]
-                self.verdict[hits[0]] = self.verdict[hits[-1]] = True
+        self.pts = pts = sorted(present)
+        cols = list(zip(*pts))
+        self.total = list(map(sum, cols))
+        # pts is sorted, so at an extreme of a column the first point is the
+        # lex-least there and the first of the reversed points the lex-greatest.
+        ext, back = [*map(min, cols), *map(max, cols)], pts[::-1]
+        least = map(pts.__getitem__, map(tuple.index, cols * 2, ext))
+        greatest = map(back.__getitem__, map(tuple.index, list(zip(*back)) * 2, ext))
+        # point -> True, False, or None when left to the LP
+        self.verdict = dict.fromkeys(chain(least, greatest), True)
 
     def _certify(self, p):
         """True or False when the centroid or midpoint certificate settles p,
         else None."""
         pts = self.pts
-        # Scaled by len(pts) to stay integral.
-        c = [len(pts) * a - t for a, t in zip(p, self.total)]
+        # c points from the centroid to p, scaled by len(pts) to stay
+        # integral.  p is one of pts, so it is the unique maximizer of c.x iff
+        # c.p is the maximum and no other point attains it.
+        c = list(map(sub, map(mul, p, repeat(len(pts))), self.total))
+        values = list(map(sum, map(map, repeat(mul), repeat(c), pts)))
         top = _dot(c, p)
-        if all(_dot(c, q) < top for q in pts if q != p):
+        if max(values) == top and values.count(top) == 1:
             return True
         # p is the midpoint of q and 2p - q, two other points of the set.
-        if any(tuple(2 * a - b for a, b in zip(p, q)) in self.present for q in pts if q != p):
-            return False
-        return None
+        twice = list(map(add, p, p))
+        mirrors = map(tuple, map(map, repeat(sub), repeat(twice), filter(p.__ne__, pts)))
+        return False if any(map(self.present.__contains__, mirrors)) else None
 
     def __call__(self, p) -> bool:
         verdict = self.verdict
@@ -292,7 +300,7 @@ def hull_vertices(points: Iterable[Monomial]) -> tuple:
     exists (the lex-extreme points of a coordinate-extreme face, the centroid
     direction, midpoints), and an LP decides only the points left open.
     """
-    present = {tuple(p) for p in points}
+    present = set(map(tuple, points))
     # Distinct points are always vertices of their own hull.
     if len(present) <= 2:
         return tuple(sorted(present))
@@ -311,14 +319,14 @@ def minimal_vertices(points: Iterable[Monomial]) -> list:
     dominating it dominates the point too.  A point dominated only by
     non-vertices is still tested.
     """
-    present = {tuple(p) for p in points}
+    present = set(map(tuple, points))
     if len(present) <= 2:
         return minimal_support(present)
     is_vertex = _VertexTest(present)
     kept = []
     # pts is sorted and the sort is stable: the order is (sum(p), p).
     for p in sorted(is_vertex.pts, key=sum):
-        if not any(all(a <= b for a, b in zip(v, p)) for v in kept) and is_vertex(p):
+        if not dominated(p, kept) and is_vertex(p):
             kept.append(p)
     return sorted(kept)
 
@@ -342,8 +350,9 @@ def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
     Folds pairwise Minkowski vertex sums over the factor supports.  The last
     sum is not hulled in full: `minimal_vertices` keeps its pointwise-minimal
     vertices, deciding vertexhood only for the sums that no kept vertex
-    dominates.  A single factor keeps the pointwise-minimal points of its
-    support.  The empty product is the unit polynomial (dim must then be
+    dominates.  A product of single monomials is the monomial of their sum,
+    with no hull, and a single factor keeps the pointwise-minimal points of
+    its support.  The empty product is the unit polynomial (dim must then be
     given).
     """
     if not polys:
@@ -356,13 +365,18 @@ def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
             raise GeometryError("dimension mismatch in product")
         if s.is_zero():
             return Poly.zero(d)
-    if len(polys) == 1:
-        return Poly._of(d, frozenset(minimal_support(polys[0].coeffs)))
-    points = polys[0].coeffs
-    for s in polys[1:-1]:
-        points = hull_vertices({tuple(map(add, p, q)) for p in points for q in s.coeffs})
-    last = polys[-1].coeffs
-    sums = {tuple(map(add, p, q)) for p in points for q in last}
+    supports = [s.coeffs for s in polys]
+    if max(map(len, supports)) == 1:
+        (total,) = supports[0]
+        for (m,) in supports[1:]:
+            total = tuple(map(add, total, m))
+        return Poly._of(d, frozenset((total,)))
+    if len(supports) == 1:
+        return Poly._of(d, frozenset(minimal_support(supports[0])))
+    points = supports[0]
+    for support in supports[1:-1]:
+        points = hull_vertices({tuple(map(add, p, q)) for p in points for q in support})
+    sums = {tuple(map(add, p, q)) for p in points for q in supports[-1]}
     return Poly._of(d, frozenset(minimal_vertices(sums)))
 
 

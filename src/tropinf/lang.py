@@ -916,12 +916,3 @@ def find_words(
             word = word + ((i, 0),)
             steps += 1
     return found
-
-
-def find_word(
-    program: Program, target: int, monomial: Monomial, max_steps: int
-) -> ChoiceWord | None:
-    """The smallest choice word of a run to `target` whose weight is exactly
-    `monomial`, or None within the step budget of each path: `find_words`
-    for one monomial."""
-    return find_words(program, target, [monomial], max_steps).get(tuple(monomial))

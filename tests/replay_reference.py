@@ -1,14 +1,17 @@
-"""Replay a choice word through the reducer, kept as a test reference.
+"""Choice words of single runs, kept as test references.
 
-`tropinf.lang.find_word` searches the choice tree for a run; this follows one
-given word, so tests can check that every word a report names reaches its
-target with its monomial, and that `enumerate_trajectories` agrees with it.
+`tropinf.lang.find_words` searches the choice tree for the runs of several
+weights at once.  `replay_word` follows one given word, so tests can check
+that every word a report names reaches its target with its monomial, and that
+`enumerate_trajectories` agrees with it.  `find_word` is `find_words` for one
+weight, so tests can check the shared search against one search per weight.
 """
 
 from tropinf.lang import (
     Deterministic,
     NormalForm,
     Program,
+    find_words,
     numeral_value,
     reduce_once,
     word_monomial,
@@ -41,3 +44,10 @@ def replay_word(program: Program, word: tuple, max_steps: int):
             pos += 1
         steps += 1
     return None, word_monomial(word[:pos], k), steps
+
+
+def find_word(program: Program, target: int, monomial: tuple, max_steps: int):
+    """The smallest choice word of a run to `target` whose weight is exactly
+    `monomial`, or None within the step budget of each path: `find_words`
+    for one monomial."""
+    return find_words(program, target, [monomial], max_steps).get(tuple(monomial))

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -234,28 +236,43 @@ class TestVN:
     def test_zero_factor(self):
         assert vn([Poly.zero(2), Poly.unit(2)]) == Poly.zero(2)
 
+    @seed(SEED)
     @settings(deadline=None, max_examples=40)
     @given(
-        st.integers(1, 3).flatmap(
+        st.integers(1, 10).flatmap(
             lambda d: st.tuples(
                 st.just(d),
-                st.sets(
-                    st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=6
-                ),
-                st.sets(
-                    st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=6
+                st.lists(
+                    st.one_of(
+                        st.sets(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=1),
+                        st.sets(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=4),
+                    ),
+                    min_size=1,
+                    max_size=3,
                 ),
             )
         )
     )
     def test_equals_minimized_naive_product(self, data):
-        d, supp_s, supp_t = data
-        s = np_min(Poly(d, supp_s))
-        t = np_min(Poly(d, supp_t))
-        out = vn([s, t])
-        naive = CountPoly.of(s) * CountPoly.of(t)
-        oracle = minimal_support(hull_vertices(naive.coeffs))
+        # Single-monomial factors are drawn often: their product takes its
+        # own path.  The oracle hulls with one LP per point.
+        d, supports = data
+        factors = [np_min(Poly(d, supp)) for supp in supports]
+        out = vn(factors)
+        naive = functools.reduce(operator.mul, map(CountPoly.of, factors))
+        oracle = minimal_support(reference_hull_vertices(naive.coeffs))
         assert out.support() == oracle
+
+    def test_single_monomial_product_is_their_sum(self, monkeypatch):
+        def no_hull(*args):
+            raise AssertionError("a product of single monomials built a hull")
+
+        for name in ("_VertexTest", "hull_vertices", "minimal_vertices", "minimal_support"):
+            monkeypatch.setattr(geometry, name, no_hull)
+        factors = [Poly(3, [(1, 0, 2)]), Poly(3, [(0, 0, 1)]), Poly(3, [(2, 1, 0)])]
+        assert vn(factors) == Poly(3, [(3, 1, 3)])
+        assert vn(factors[:2]) == Poly(3, [(1, 0, 3)])
+        assert vn(factors[:1]) == factors[0]
 
 
 class TestNormalCone:

@@ -14,7 +14,7 @@ from conftest import (
     term_size,
 )
 from eval_reference import eval_prob, monomial
-from replay_reference import replay_word
+from replay_reference import find_word, replay_word
 from tropinf import lang
 from tropinf.algebra import ProbAssignment, Poly
 from tropinf.lang import (
@@ -34,7 +34,6 @@ from tropinf.lang import (
     Var,
     Zero,
     enumerate_trajectories,
-    find_word,
     find_words,
     numeral,
     numeral_value,

@@ -44,6 +44,11 @@ def alarm(seconds: int):
     signal.alarm(seconds)
     try:
         yield
+    except TimeoutError as exc:
+        # The handler raises in whatever frame the alarm interrupts, and a
+        # frame with no line number crashes pytest's failure report; a fresh
+        # exception raised here carries a traceback pytest can print.
+        raise TimeoutError(*exc.args) from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
