@@ -80,8 +80,9 @@ def _analysis_options(command):
     options = (
         click.option("--target", type=click.IntRange(min=0), default=1, show_default=True,
                      help="Ground numeral to reach."),
-        click.option("--window", type=click.IntRange(min=1), default=2, show_default=True,
-                     help="Unchanged bound increments needed to call the result stable."),
+        click.option("--window", type=click.IntRange(min=1), default=1, show_default=True,
+                     help="Unchanged increments of the recursion bound n needed to call "
+                          "a recursive program's result stable."),
         click.option("--max-rounds", type=click.IntRange(min=1), default=16, show_default=True,
                      help="Most search rounds to run before giving up."),
         click.option("--output", type=click.Choice(["text", "json"]), default="text",
@@ -135,7 +136,10 @@ def enumerate(path, budget, target):
 def _report_text(report):
     lines = []
     lines.append(f"target: {report.target}")
-    lines.append(f"stable: {str(report.stable).lower()}  rounds: {report.rounds}")
+    lines.append(
+        f"stable: {str(report.stable).lower()}  exact: {str(report.exact).lower()}"
+        f"  rounds: {report.rounds}"
+    )
     if not report.stable:
         lines.append(
             "note: bounds did not stabilize; results are relative to the "

@@ -30,7 +30,7 @@ class InferError(Exception):
 
 @dataclass
 class Config:
-    window: int = 2
+    window: int = 1
     max_rounds: int = 16
 
 
@@ -57,7 +57,8 @@ class AnalysisReport:
     target: int
     poly: Poly
     stable: bool
-    rounds: list
+    exact: bool  # the polynomial is that of the whole family of typings
+    rounds: list  # of (n, None)
     selected: list  # of SelectedTrajectory
     degree_estimate: int
 
@@ -70,7 +71,8 @@ def analyze(program: Program, target: int, config: Config | None = None,
 
     When stabilization fails within the round budget the report still carries
     the last polynomial; it is then only valid relative to the explored
-    trajectory space (stable=False).
+    trajectory space (stable=False).  A program with no Fix node and no
+    charged call is typed in one round of the whole family (exact=True).
     """
     config = config or Config()
     result = typesys.stabilize(
@@ -92,6 +94,7 @@ def analyze(program: Program, target: int, config: Config | None = None,
         target=target,
         poly=result.poly,
         stable=result.stable,
+        exact=result.exact,
         rounds=result.rounds,
         selected=selected,
         degree_estimate=result.poly.degree(),
@@ -202,7 +205,7 @@ def i2_contains(result: I2Result, p: ProbAssignment) -> bool:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-SCHEMA = "tropinf-report/1"
+SCHEMA = "tropinf-report/2"
 TOOL_VERSION = "0.1.0"
 
 
@@ -215,6 +218,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         "params": report.params,
         "target": report.target,
         "stable": report.stable,
+        "exact": report.exact,
         "rounds": [list(r) for r in report.rounds],
         "degree_estimate": report.degree_estimate,
         "polynomial": algebra.poly_to_json(report.poly),
@@ -253,6 +257,7 @@ def report_from_json(obj: dict) -> AnalysisReport:
         target=obj["target"],
         poly=poly,
         stable=obj["stable"],
+        exact=obj["exact"],
         rounds=[tuple(r) for r in obj["rounds"]],
         selected=selected,
         degree_estimate=obj["degree_estimate"],

@@ -9,20 +9,19 @@ need no key function.  Contexts map variables to multisets of refinement types;
 weight polynomials are kept minimal throughout by replacing every product
 with its Minkowski-sum minimization and re-minimizing after every merge of
 equal (context, type) rows.  The family computed for the whole program under
-bounds (n, p) collects every derivation that uses at most n fixpoint rule
-applications and multisets of size at most p; p bounds nothing else.  A
-binder is typed only at the types that reach it, which may be atoms above p:
-a row of λx. M whose multiset holds any other type is never picked by the
-application rule.  The binder of a β-redex (λx. M) N takes the types of N's
-rows.  Every other binder, that of a flow λ (a λ passed as an argument,
-returned, or under fix), takes the union of the row types of the arguments
-of the calls that 0-CFA says may reach it (`_flow`), iterated until no set
-grows; fix M counts as M applied to fix M, so the f of fix (λf. M) takes
-the rows of each unfolding before the next.  A type that reaches a binder by
-a call through a fixpoint binder, by a call of a λ from inside its own body
-(a charged call), or by a call of a λ that such a call passed or returned,
-costs one unfolding more than its argument's row, and a type that costs
-more than n is dropped, so a recursion that feeds its binders ever larger
+bound n collects every derivation that uses at most n fixpoint rule
+applications.  A binder is typed only at the types that reach it: a row of
+λx. M whose multiset holds any other type is never picked by the application
+rule.  The binder of a β-redex (λx. M) N takes the types of N's rows.  Every
+other binder, that of a flow λ (a λ passed as an argument, returned, or
+under fix), takes the union of the row types of the arguments of the calls
+that 0-CFA says may reach it (`_flow`), iterated until no set grows; fix M
+counts as M applied to fix M, so the f of fix (λf. M) takes the rows of each
+unfolding before the next.  A type that reaches a binder by a call through
+a fixpoint binder, by a call of a λ from inside its own body (a charged
+call), or by a call of a λ that such a call passed or returned, costs one
+unfolding more than its argument's row, and a type that costs more than n
+is dropped, so a recursion that feeds its binders ever larger
 atoms stops, with or without fix.  Only the rows are kept, never the
 derivations: each rule maps the rows of the premises to the rows of the
 conclusion.  A row names no run: the reducer does (`lang.find_words`,
@@ -32,20 +31,15 @@ called by `infer.analyze`).
 rounds.  The annotation gives every subterm its free variables, and one walk
 of the annotated tree finds the subterms without Fix and the flow of types
 to binders.  A subterm without Fix has only rows of fixpoint count 0, which n
-never changes, so its rows are kept across rounds, keyed by the types of the
-binders free in it or bound by a flow λ inside it.  p is read only where a λ
-row is dropped for a multiset wider than p, so the rows are kept across a
-change of p too unless p pruned a λ row, and a round that changes only p
-after a round that pruned nothing repeats that round: `search` returns its
-judgement without a pass.  A program with no Fix node and no charged call
-has only rows of fixpoint count 0 and types of cost 0, so its judgement
-does not depend on n either: under the same condition on p, `search` hands
-out the last judgement at any n, and the rounds after the first search
-nothing.  A subterm holding a Fix, and every Fix unfolding, is rebuilt in
-every other round.  Polynomials depend on neither bound, and the table maps
-the inputs of every product, sum and choice shift to its result, so one
-`stabilize` minimizes each distinct product, sum and shift once, whichever
-subterm, unfolding or round asks for it.
+never changes, so its rows are kept for the table's whole life, keyed by the
+types of the binders free in it or bound by a flow λ inside it.  A program
+with no Fix node and no charged call has only rows of fixpoint count 0 and
+types of cost 0, so n changes none of its rows: one search gives its whole
+family, and `stabilize` runs no other round.  A subterm holding a Fix, and
+every Fix unfolding, is rebuilt in every round.  Polynomials do not depend on
+n, and the table maps the inputs of every product, sum and choice shift to
+its result, so one `stabilize` minimizes each distinct product, sum and shift
+once, whichever subterm, unfolding or round asks for it.
 """
 
 from __future__ import annotations
@@ -153,8 +147,7 @@ class Entry:
 
 @dataclass(frozen=True)
 class TropJudgement:
-    """The rows of a whole program.  Frozen, since a table hands one
-    judgement out for every round that repeats the last (see `search`)."""
+    """The rows of a whole program, frozen like the rows themselves."""
 
     entries: tuple
     dim: int
@@ -162,9 +155,8 @@ class TropJudgement:
 
 # A memo maps the inputs of a minimization to its result: ("*", polys) to the
 # minimized product, ("+", set of polys) to the minimized sum, and (poly,
-# param, bit) to the shift of a choice branch.  A polynomial depends on
-# neither n nor p, so one memo serves every round of a `stabilize` (see
-# `RowTable`).
+# param, bit) to the shift of a choice branch.  A polynomial does not depend
+# on n, so one memo serves every round of a `stabilize` (see `RowTable`).
 
 
 def _sum_min(polys: tuple, memo: dict) -> Poly:
@@ -263,18 +255,13 @@ def _rule_ifz(
     return merge(out, memo)
 
 
-def _rule_lam(name, entries, p):
-    """The arrow rows of λname over the body rows whose multiset of name has
-    at most p types, and the size of the widest multiset, kept or not."""
+def _rule_lam(name, entries):
+    """The arrow rows of λname over the body rows."""
     out = []
-    wide = 0
     for e in entries:
         ms, rest = ctx_split(e.ctx, name)
-        wide = max(wide, len(ms))
-        if len(ms) > p:
-            continue
         out.append(Entry(rest, iarrow(ms, e.itype), e.poly, e.fixes))
-    return merge(out), wide
+    return merge(out)
 
 
 def _assignments(args, pool):
@@ -478,23 +465,15 @@ class RowTable:
     a memo of minimized polynomials.
 
     Every row of a subterm without Fix has fixpoint count 0, so n never
-    changes its rows: they depend only on the subterm, p and the types of the
+    changes its rows: they depend only on the subterm and the types of the
     binders free in it or bound by a flow λ inside it.  One table serves the
-    rounds of one `stabilize`; it keeps rows under (subterm, those types).
-    p is read only by `_rule_lam`, which drops the λ rows whose multiset is
-    wider than p, so the table records the widest multiset any λ row had
-    since its rows were last dropped (`wide`).  While `wide` is at most p no
-    row was dropped, and the rows are those of every p from `wide` up: `at`
-    keeps them across a change of p when `wide` is at most both the old and
-    the new p, and drops them all otherwise, so rows never move to another p
-    once p pruned one.  Subterms are keyed by id, which stays valid because
-    the table holds the annotated tree.  The types that reached each flow λ
+    rounds of one `stabilize`; it keeps rows under (subterm, those types) for
+    its whole life.  Subterms are keyed by id, which stays valid because the
+    table holds the annotated tree.  The types that reached each flow λ
     (`reach`), and the memo of minimized sums, products and shifts, are kept
-    for the table's whole life: larger bounds only add types and lower
-    costs, and a polynomial depends on neither bound.  `last` holds the n and
-    the judgement of the last search that completed on the table, and
-    `n_matters` is false when the program has no Fix node and no charged
-    call, so that n changes none of its rows.
+    too: a larger n only adds types and lowers costs, and a polynomial does
+    not depend on n.  `n_matters` is false when the program has no Fix node
+    and no charged call, so that n changes none of its rows.
     """
 
     def __init__(self, program: Program):
@@ -508,31 +487,19 @@ class RowTable:
             step for feeds in self.sources.values() for _, step in feeds
         )
         self.reach: dict = {}  # flow λ id -> {type: least cost}
-        self.p = 0
         self.rows: dict = {}
-        self.wide = 0
-        self.last = None
         self.memo: dict = {}
-
-    def at(self, p: int) -> dict:
-        """The rows kept for bound p."""
-        if p != self.p and self.wide > min(p, self.p):
-            self.rows, self.wide = {}, 0
-        self.p = p
-        return self.rows
 
 
 class _Search:
-    def __init__(self, k: int, n: int, p: int, table: RowTable):
+    def __init__(self, k: int, n: int, table: RowTable):
         self.dim = 2 * k
         self.n = n
-        self.p = p
         self.fix_free = table.fix_free
         self.sources = table.sources
         self.inner = table.inner
         self.reach = table.reach
-        self.table = table
-        self.rows = table.at(p)
+        self.rows = table.rows
         self.memo = table.memo
         self.unit = Poly.unit(self.dim)
         self.bounds: dict = {}  # flow λ id -> its pairs of cost at most n
@@ -555,9 +522,8 @@ class _Search:
 
         env maps every variable in scope to the (type, cost) pairs of the
         types that reach its binder.  The rows of a Fix-free subterm are
-        built once per types of its free variables (`tt.free`) and flow λs,
-        and again only when p changes after it pruned a row; a subterm that
-        feeds flow λs passes its row types on.
+        built once per types of its free variables (`tt.free`) and flow λs;
+        a subterm that feeds flow λs passes its row types on.
         """
         node = id(tt)
         inner = self.fix_free.get(node)
@@ -623,14 +589,14 @@ class _Search:
                 body = self.build(
                     tt.children[0].children[0], {**env, name: _reaching(arg, env)}
                 )
-                fun = self._lam(name, body)
+                fun = _rule_lam(name, body)
             else:
                 fun = self.build(tt.children[0], env)
             return _rule_app(fun, arg, dim, self.n, memo)
         if kind is Lam:
             self.read.add(id(tt))
             env = {**env, term.name: self.bound(id(tt))}
-            return self._lam(term.name, self.build(tt.children[0], env))
+            return _rule_lam(term.name, self.build(tt.children[0], env))
         if kind is Fix:
             return self._fix(tt, env)
         subs = [self.build(c, env) for c in tt.children]
@@ -643,13 +609,6 @@ class _Search:
         if kind is Pred:
             return _rule_atom("pred", lambda n: max(n - 1, 0), subs[0], memo)
         raise TypesysError(f"cannot type {term!r}")
-
-    def _lam(self, name: str, body: list) -> list:
-        """`_rule_lam` at p, recording its widest multiset in the table."""
-        rows, wide = _rule_lam(name, body, self.p)
-        if wide > self.table.wide:
-            self.table.wide = wide
-        return rows
 
     def _fix(self, tt: TypedTerm, env: dict) -> list:
         """Unfold fix M until an unfolding reproduces the previous one's rows
@@ -672,40 +631,24 @@ class _Search:
             entries, seen = unfolded, fingerprint
 
 
-def search(
-    program: Program, target: int, n: int, p: int, table: RowTable | None = None
-) -> TropJudgement:
-    """The bounded family of typings of a program under bounds (n, p).
+def search(program: Program, n: int, table: RowTable | None = None) -> TropJudgement:
+    """The family of typings of a program with at most n fixpoint rule uses.
 
     Returns the judgement for the whole program; use conclusion_poly to
     extract the polynomial of the closed rows at a ground target atom.
     `table` must come from the same program; rounds that share one reuse the
     rows of its Fix-free subterms, the types that reached its binders, its
-    minimized polynomials and its annotation.  A round with the n of the last
-    one, or any n when n matters to none of the program's rows (no Fix node
-    and no charged call), at a p that no λ row since the rows were kept was
-    wider than, takes exactly the steps of the last one, so it returns the
-    last judgement without a pass.  Without a table the search starts from a
-    fresh one; the rows are the same either way.
+    minimized polynomials and its annotation.  Without a table the search
+    starts from a fresh one; the rows are the same either way.
     """
     if table is None:
         table = RowTable(program)
-    elif (
-        table.last is not None
-        and (table.last[0] == n or not table.n_matters)
-        and table.wide <= min(table.p, p)
-    ):
-        table.at(p)
-        return table.last[1]
-    table.last = None
-    bounded = _Search(program.params, n, p, table)
+    bounded = _Search(program.params, n, table)
     # Pass again while a pass grew the types of a flow λ it had used.
     while True:
         rows = bounded.build(table.tt, {})
         if not bounded.stale:
-            judgement = TropJudgement(tuple(rows), bounded.dim)
-            table.last = (n, judgement)
-            return judgement
+            return TropJudgement(tuple(rows), bounded.dim)
         bounded.read, bounded.stale = set(), set()
 
 
@@ -726,41 +669,28 @@ def conclusion_poly(
 # ---------------------------------------------------------------------------
 
 
-def bound_schedule():
-    """(1,1), (2,1), (2,2), (3,2), (3,3), ... alternating increments."""
-    n = p = 1
-    while True:
-        yield n, p
-        if n == p:
-            n += 1
-        else:
-            p += 1
-
-
 @dataclass
 class StabilizeResult:
     judgement: TropJudgement
     poly: Poly
     stable: bool
-    rounds: list  # of (n, p) actually run
+    exact: bool  # the judgement is the whole family, not a bounded one
+    rounds: list  # of (n, None) actually run; None: no multiset bound
 
 
 def stabilize(
-    program: Program, target: int, window: int = 2, max_rounds: int = 16
+    program: Program, target: int, window: int = 1, max_rounds: int = 16
 ) -> StabilizeResult:
-    """Grow the search bounds until the conclusion polynomial stops changing.
+    """The polynomial of the closed rows at `target`, from one search when n
+    matters to none of the program's rows, else from n = 1, 2, 3, ... until
+    the polynomial stops changing.
 
-    Declares stability when the last `window` bound increments all left the
-    polynomial unchanged, i.e. the last window + 1 rounds agree.  Since the
-    schedule alternates increments of n and p, the default window of 2 only
-    accepts a polynomial that survived both a recursion-budget increase and a
-    multiset-size increase.  A p increment after a round in which p pruned
-    no λ row repeats that round (see `search`), so there surviving it says
-    nothing more.  Nor does an n increment for a program with no Fix node and
-    no charged call, whose rows n never changes: there a round after one in
-    which p pruned nothing hands out that round's judgement again, and
-    agreeing with it proves nothing.
-    Gives up (stable=False) after max_rounds rounds.
+    A program with no Fix node and no charged call (`RowTable.n_matters` is
+    false) has the same rows at every n, so one search gives its whole
+    family: the result is stable and exact.  Any other program declares
+    stability when the last `window` increments of n all left the
+    polynomial unchanged, i.e. the last window + 1 rounds agree; that result
+    is not exact.  Gives up (stable=False) after max_rounds rounds.
     Raises ValueError unless window and max_rounds are at least 1.
     """
     if window < 1 or max_rounds < 1:
@@ -768,15 +698,16 @@ def stabilize(
             f"window and max_rounds must be at least 1, got {window} and {max_rounds}"
         )
     table = RowTable(program)
+    exact = not table.n_matters
     history = []
     rounds = []
-    for n, p in itertools.islice(bound_schedule(), max_rounds):
-        judgement = search(program, target, n, p, table)
+    for n in range(1, max_rounds + 1):
+        judgement = search(program, n, table=table)
         poly = conclusion_poly(judgement, target, table.memo)
-        rounds.append((n, p))
+        rounds.append((n, None))
         history.append(poly)
-        if len(history) >= window + 1 and all(
-            h == history[-1] for h in history[-(window + 1):]
+        if exact or (
+            len(history) > window and all(h == poly for h in history[-(window + 1):])
         ):
-            return StabilizeResult(judgement, poly, True, rounds)
-    return StabilizeResult(judgement, poly, False, rounds)
+            return StabilizeResult(judgement, poly, True, exact, rounds)
+    return StabilizeResult(judgement, poly, False, False, rounds)

@@ -165,3 +165,84 @@ def _well_typed(term) -> bool:
     except TypeCheckError:
         return False
     return True
+
+
+# Fix-free programs, with a target and its answer, that a bound on multiset
+# sizes cut short: each reaches its target only through a binder that takes
+# several types.
+WIDE_MULTISETS = [
+    (r"params 1; (\f. f (f (f (f 0)))) (\x. x +[X1] succ x)", 4, "~X1^4"),
+    (r"params 1; (\c. c (\y. succ y) 0) (\s. \z. s (s (s z)))", 3, "1"),
+    (r"params 1; (\f. f (succ (f (pred (pred 0))))) (\v. ifz v then 0 else v)", 1, "1"),
+]
+
+
+# Church numerals 1-3 and twice at type (N -> N) -> N -> N, and compose.
+CHURCH = {1: r"(\s. \z. s z)", 2: r"(\s. \z. s (s z))", 3: r"(\s. \z. s (s (s z)))"}
+TWICE = r"(\f. \x. f (f x))"
+COMPOSE = r"(\f. \g. \x. f (g x))"
+SELECT = (r"(\a. \b. a)", r"(\a. \b. b)")
+
+
+def random_higher_order_program(rng: random.Random, k: int = 2) -> Program:
+    r"""A random closed fix-free program of order 2 or 3, by the order of its
+    binders.  An iterator (of type (N -> N) -> N -> N) is a Church numeral
+    1-3, `twice`, `compose F`, a numeral applied to a numeral, a choice of
+    two iterators, or a selector applied to two; the program applies one to
+    a step function F : N -> N and a numeral, or passes one to a binder that
+    iterates it twice, as in `(\c. c F (c F' 0)) G`.  Choices sit in the
+    steps, the base numerals and between iterators.
+
+    The reducer passes arguments unevaluated, so a step `ifz y then .. else
+    .. y` doubles the copies of its argument at each application: it is drawn
+    only where the steps apply at most 3 times in all, with no other choice
+    than between iterators.  A step with a choice applies at most 4 times in
+    all.  The runs then stay few and short enough to enumerate.  A numeral
+    applies a numeral at most 4 times: `c2 c3` and `c3 c2` take the typing
+    search seconds to minutes."""
+
+    def param():
+        return rng.randint(1, k)
+
+    def iterator(depth: int):
+        """An iterator and the most times it applies its step."""
+        kind = rng.randrange(6) if depth else 0
+        if kind == 0:
+            j = rng.randint(1, 3)
+            return CHURCH[j], j
+        if kind == 1:
+            return TWICE, 2
+        if kind == 2:
+            return rf"({COMPOSE} (\w. succ w))", 1
+        if kind == 3:
+            m, n = rng.choice([(1, 2), (2, 2), (1, 3)])
+            return f"({CHURCH[m]} {CHURCH[n]})", n**m
+        first, a = iterator(depth - 1)
+        second, b = iterator(depth - 1)
+        if kind == 4:
+            return f"({first} +[X{param()}] {second})", max(a, b)
+        return f"({rng.choice(SELECT)} {first} {second})", max(a, b)
+
+    while True:
+        g, times = iterator(2)
+        nested = rng.random() < 0.5
+        total = 2 * times if nested else times
+        steps = [r"(\y. succ y)", r"(\y. pred y)"]
+        ifz = total <= 3 and rng.random() < 0.3
+        if ifz:
+            steps.append(r"(\y. ifz y then succ y else pred y)")
+        elif total <= 4:
+            steps.append(rf"(\y. y +[X{param()}] succ y)")
+        f, f2 = rng.choice(steps), rng.choice(steps)
+        if ifz or rng.random() < 0.7:
+            base = str(rng.randint(0, 2))
+        else:
+            base = f"({rng.randint(0, 1)} +[X{param()}] {rng.randint(1, 2)})"
+        if nested:
+            source = rf"(\c. c {f} (c {f2} {base})) {g}"
+        else:
+            source = f"{g} {f} {base}"
+        program = parse(f"params {k}; {source}")
+        # A selector leaves the type of the iterator it drops unconstrained.
+        if _well_typed(program.term):
+            return program

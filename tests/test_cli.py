@@ -8,10 +8,11 @@ from click.testing import CliRunner
 
 from tropinf.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, WIDE_MULTISETS
 
 M1 = str(CORPUS / "m1.pcfx")
 M2 = str(CORPUS / "m2.pcfx")
+M3 = str(CORPUS / "m3.pcfx")
 
 
 @pytest.fixture()
@@ -57,13 +58,15 @@ class TestAnalyze:
         assert res.exit_code == 0
         assert "~X1^3 + X1^2" in res.output
         assert "word=111" in res.output and "word=00" in res.output
+        assert "stable: true  exact: true  rounds: [(1, None)]" in res.output
 
     def test_json_output(self, runner):
         res = runner.invoke(main, ["analyze", M1, "--output", "json"])
         assert res.exit_code == 0
         blob = json.loads(res.output)
-        assert blob["schema"] == "tropinf-report/1"
-        assert blob["stable"] is True
+        assert blob["schema"] == "tropinf-report/2"
+        assert blob["stable"] is True and blob["exact"] is True
+        assert blob["rounds"] == [[1, None]]
         assert blob["polynomial_text"] == "~X1^3 + X1^2"
         assert len(blob["selected"]) == 2
 
@@ -78,9 +81,33 @@ class TestAnalyze:
         assert "stable: true" in res.output
 
     def test_max_rounds_cutoff(self, runner):
-        res = runner.invoke(main, ["analyze", M1, "--max-rounds", "1"])
+        # m1 has no fix and is typed in one exact round; m3 loops.
+        res = runner.invoke(main, ["analyze", M3, "--max-rounds", "1"])
         assert res.exit_code == 0
-        assert "stable: false" in res.output
+        assert "stable: false  exact: false  rounds: [(1, None)]" in res.output
+
+
+class TestEnumeratedAnswers:
+    """Programs whose answer the search once cut short give the enumerated
+    answer through `tropinf analyze`."""
+
+    @pytest.mark.parametrize(
+        "source, target, text",
+        WIDE_MULTISETS + [
+            (r"params 1; (\t. t (t (\y. succ y)) 0) (\f. \x. f (f x))", 4, "1"),
+            (r"params 2; (\d. d (d (\z. z +[X2] succ z))) (\h. \x. h (h x)) 0", 2,
+             "X2^2*~X2^2"),
+        ],
+    )
+    def test_analyze(self, runner, tmp_path, source, target, text):
+        path = tmp_path / "program.pcfx"
+        path.write_text(source + "\n")
+        res = runner.invoke(main, ["analyze", str(path), "--target", str(target),
+                                   "--output", "json"])
+        assert res.exit_code == 0, res.output
+        blob = json.loads(res.output)
+        assert blob["stable"] is True
+        assert blob["polynomial_text"] == text
 
 
 class TestI1:

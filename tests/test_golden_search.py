@@ -1,7 +1,7 @@
 """Golden root rows of the bounded typing search.
 
-The file pins every row of `search(program, target, 2, 2)` for the corpus
-programs at targets 0 and 1: context, refinement type, fixpoint count and
+The file pins every row of `search(program, 2)` for the corpus
+programs, keyed by targets 0 and 1: context, refinement type, fixpoint count and
 minimized polynomial.  The report goldens only see the one closed row at the
 target; these pin the rest.
 
@@ -43,7 +43,7 @@ def rows_of(name: str, target: int) -> list:
             "fixes": e.fixes,
             "polynomial": poly_to_json(e.poly),
         }
-        for e in search(load(name), target, 2, 2).entries
+        for e in search(load(name), 2).entries
     ]
 
 

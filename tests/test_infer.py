@@ -37,7 +37,7 @@ def zvec(p):
 class TestAnalyze:
     def test_report_fields(self, m1_report):
         rep = m1_report
-        assert rep.stable and rep.rounds == [(1, 1), (2, 1), (2, 2)]
+        assert rep.stable and rep.exact and rep.rounds == [(1, None)]
         assert poly_to_text(rep.poly) == "~X1^3 + X1^2"
         assert rep.degree_estimate == 3
         assert {s.monomial for s in rep.selected} == {(2, 0), (0, 3)}
@@ -114,7 +114,7 @@ class TestAnalyze:
 
     def test_unstable_is_labelled(self):
         rep = analyze(load("m3"), 1, config=Config(max_rounds=1))
-        assert not rep.stable and rep.rounds == [(1, 1)]
+        assert not rep.stable and not rep.exact and rep.rounds == [(1, None)]
 
 
 class TestI1:
@@ -220,12 +220,14 @@ class TestI2:
 class TestReportJson:
     def test_round_trip(self, m1_report):
         blob = report_to_json(m1_report)
-        assert blob["schema"] == "tropinf-report/1"
+        assert blob["schema"] == "tropinf-report/2"
         assert blob["target"] == 1
         assert len(blob["input_sha256"]) == 64
         back = report_from_json(blob)
         assert back.poly == m1_report.poly
         assert back.stable == m1_report.stable
+        assert back.exact == m1_report.exact
+        assert back.rounds == m1_report.rounds
         assert {s.monomial for s in back.selected} == {
             s.monomial for s in m1_report.selected
         }

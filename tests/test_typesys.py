@@ -16,7 +16,6 @@ from tropinf.typesys import (
     _rule_choice,
     _rule_ifz,
     _rule_lam,
-    bound_schedule,
     conclusion_poly,
     ctx_of,
     ctx_sum,
@@ -27,10 +26,16 @@ from tropinf.typesys import (
     stabilize,
 )
 
-from conftest import load, load_source, random_lambda_argument_program, random_program
+from conftest import (
+    WIDE_MULTISETS,
+    load,
+    load_source,
+    random_higher_order_program,
+    random_lambda_argument_program,
+    random_program,
+)
 from eval_reference import eval_prob, monomial
-
-import itertools
+from hull_reference import winners
 
 
 @contextlib.contextmanager
@@ -98,8 +103,8 @@ class TestApplyRule:
 
 
 class TestBetaRedexFlow:
-    """A β-redex binder is typed at its argument's row types, atoms above p
-    included; the multiset bound p still applies."""
+    """A β-redex binder is typed at its argument's row types, however large
+    the atoms."""
 
     @staticmethod
     def oracle(program, target):
@@ -131,11 +136,14 @@ class TestBetaRedexFlow:
             assert res.poly == self.oracle(program, target), (target, res.poly)
 
     def test_rule_lam_keeps_atoms_above_p(self):
+        # Neither a large atom nor a wide multiset drops a row.
         above = Entry(ctx_of("x", 5), 5, Poly.unit(2), 0)
         twice = Entry(ctx_sum(ctx_of("x", 0), ctx_of("x", 0)), 0, Poly.unit(2), 0)
-        (out,), wide = _rule_lam("x", [above, twice], p=1)
-        assert out.ctx == () and out.itype == iarrow([5], 5)
-        assert wide == 2
+        out = _rule_lam("x", [above, twice])
+        assert [(e.ctx, e.itype) for e in out] == [
+            ((), iarrow([0, 0], 0)),
+            ((), iarrow([5], 5)),
+        ]
 
 
 class TestFlow:
@@ -186,7 +194,7 @@ class TestFlow:
         table = typesys.RowTable(program)
         lam_x = table.tt.children[0].children[0].children[0]
         for n in (1, 2, 3):
-            search(program, 0, n, 2, table)
+            search(program, n, table=table)
             costs = table.reach[id(lam_x)]
             assert sorted(a for a, c in costs.items() if c <= n) == list(
                 range(1, n + 2)
@@ -202,14 +210,14 @@ class TestFlow:
             r"else f (\y. g (succ y)) (pred x)) (\z. z +[X1] 0) 3"
         )
         for target in (0, 3):
-            judgement = search(program, target, 6, 5)
+            judgement = search(program, 6)
             assert conclusion_poly(judgement, target) == self.oracle(program, target)
 
     def test_towers_take_one_type_per_binder(self):
         # Each λ passed along m4_3's tower is called at one type.
         table = typesys.RowTable(load("m4_3"))
-        for n, p in ((1, 1), (2, 1), (2, 2)):
-            search(load("m4_3"), 1, n, p, table)
+        for n in (1, 2):
+            search(load("m4_3"), n, table=table)
         assert len(table.reach) == 2
         assert all(len(costs) == 1 for costs in table.reach.values())
 
@@ -224,11 +232,11 @@ class TestFlow:
         # The λ that fix applies is reached by flow, not by syntax; its binder
         # takes the rows of the fix node itself.
         program = parse(source)
-        judgement = search(program, target, 4, 3)
+        judgement = search(program, 4)
         assert conclusion_poly(judgement, target) == self.oracle(program, target)
 
     def test_m4_4_round_three(self):
-        judgement = search(load("m4_4"), 1, 3, 3)
+        judgement = search(load("m4_4"), 3)
         assert poly_to_text(conclusion_poly(judgement, 1)) == "~X1^4 + X1^4"
 
     def test_lambda_arguments_match_the_best_run(self, rng):
@@ -270,25 +278,64 @@ class TestChargedCalls:
     def test_stabilize_finishes(self, source, target):
         with alarm(20):
             res = stabilize(parse(source), target)
-        # The schedule's p stops the search short of the enumerated answer
-        # (the multiset bound's gap), but the rounds end.
-        assert res.rounds == [(1, 1), (2, 1), (2, 2)]
+        # A charged call makes n matter: the rounds grow n until it changes
+        # nothing.
+        assert res.stable and not res.exact
+        assert res.rounds == [(1, None), (2, None)]
 
     @pytest.mark.parametrize("source, target", SELF_CALLS)
     def test_unbounded_p_matches_enumeration(self, source, target):
+        # No multiset bound stops the search short of the enumerated answer.
         program = parse(source)
         oracle = TestBetaRedexFlow.oracle(program, target)
-        assert not oracle.is_zero()
+        assert poly_to_text(oracle) in ("1", "X2^2*~X2^2")
         with alarm(20):
-            for n in (1, 2, 3):
-                judgement = search(program, target, n, 10**6)
-                assert conclusion_poly(judgement, target) == oracle, n
+            assert stabilize(program, target).poly == oracle
 
     def test_self_call_is_charged(self):
         table = typesys.RowTable(parse(SELF_CALLS[0][0]))
         steps = {step for feeds in table.sources.values() for _, step in feeds}
         assert steps == {0, 1}
         assert table.n_matters
+
+
+class TestNoMultisetBound:
+    """A program with no Fix node and no charged call is typed in one exact
+    round, with multisets as wide as its runs need."""
+
+    @pytest.mark.parametrize("source, target, text", WIDE_MULTISETS)
+    def test_wide_multisets_match_enumeration(self, source, target, text):
+        program = parse(source)
+        with alarm(20):
+            res = stabilize(program, target)
+        assert res.stable and res.exact and res.rounds == [(1, None)]
+        assert res.poly == TestBetaRedexFlow.oracle(program, target)
+        assert poly_to_text(res.poly) == text
+
+    def test_higher_order_programs_are_sound_and_minimally_complete(self, rng):
+        # Support within the enumerated one; an exact result also holds every
+        # enumerated monomial that is the strict minimum for some weight.
+        # Neither equality with the minimized enumeration nor holding all of
+        # it is asked: minimization keeps the pointwise-minimal hull
+        # vertices, which depend on where it runs.  In
+        # (\c. c (\y. y +[X1] succ y) (c (\y. pred y) 0)) ((c2 +[X1] c1) +[X1] twice)
+        # at target 0 the minimized enumeration keeps X1^5*~X1, which lies
+        # above the segment from X1^2*~X1^2 to X1^6 and never wins.
+        failures = []
+        with alarm(60):
+            for _ in range(100):
+                program = random_higher_order_program(rng)
+                trajs = enumerate_trajectories(program, 2000)
+                assert all(t.normal_form is not None for t in trajs), program
+                for target in (0, 1, 2):
+                    res = stabilize(program, target)
+                    support = {t.monomial for t in trajs if t.normal_form == target}
+                    got = set(res.poly.coeffs)
+                    if not (res.stable and got <= support):
+                        failures.append((program, target, res.poly))
+                    elif res.exact and not winners(support) <= got:
+                        failures.append((program, target, res.poly, winners(support)))
+        assert failures == []
 
 
 class TestCtx:
@@ -303,17 +350,17 @@ class TestCtx:
 
 class TestSearchGoldens:
     def test_loop_small_budget(self):
-        judgement = search(parse(load_source("m3")), 1, n=1, p=1)
+        judgement = search(parse(load_source("m3")), n=1)
         assert poly_to_text(conclusion_poly(judgement, 1)) == "~X1"
 
     def test_three_choice_program(self):
-        judgement = search(load("m1"), 1, n=1, p=1)
+        judgement = search(load("m1"), n=1)
         assert poly_to_text(conclusion_poly(judgement, 1)) == "~X1^3 + X1^2"
         assert poly_to_text(conclusion_poly(judgement, 0)) == "X1*~X1"
 
     def test_duplicating_towers(self):
         for height in (2, 3, 4):
-            judgement = search(load(f"m4_{height}"), 1, n=1, p=1)
+            judgement = search(load(f"m4_{height}"), n=1)
             assert conclusion_poly(judgement, 1).support() == [
                 (0, height),
                 (height, 0),
@@ -322,7 +369,7 @@ class TestSearchGoldens:
     def test_conclusion_matches_enumeration(self):
         for name, budget in (("m1", 40), ("m4_2", 40), ("tower2", 60)):
             program = load(name)
-            judgement = search(program, 1, n=2, p=3)
+            judgement = search(program, n=2)
             trajs = [
                 t
                 for t in enumerate_trajectories(program, budget)
@@ -334,20 +381,10 @@ class TestSearchGoldens:
 
     def test_arrow_program_rejected(self):
         with pytest.raises(TypeCheckError):
-            search(parse(r"\x. x +[X1] succ x"), 1, n=1, p=1)
+            search(parse(r"\x. x +[X1] succ x"), n=1)
 
 
 class TestStabilize:
-    def test_schedule(self):
-        assert list(itertools.islice(bound_schedule(), 6)) == [
-            (1, 1),
-            (2, 1),
-            (2, 2),
-            (3, 2),
-            (3, 3),
-            (4, 3),
-        ]
-
     def test_goldens(self):
         expect = {
             ("m1", 1): "~X1^3 + X1^2",
@@ -360,21 +397,24 @@ class TestStabilize:
         for (name, target), text in expect.items():
             res = stabilize(load(name), target)
             assert res.stable, (name, target)
-            assert res.rounds == [(1, 1), (2, 1), (2, 2)]
+            # m3 has fix; every other program here is typed in one exact round.
+            if name == "m3":
+                assert res.rounds == [(1, None), (2, None)] and not res.exact
+            else:
+                assert res.rounds == [(1, None)] and res.exact
             assert poly_to_text(res.poly) == text
 
     def test_recursive_sampler(self):
         res = stabilize(load("m2"), 1)
-        assert res.stable and res.rounds == [(1, 1), (2, 1), (2, 2), (3, 2)]
+        assert res.stable and res.rounds == [(1, None), (2, None), (3, None)]
         assert poly_to_text(res.poly) == (
             "~X1*~X3*~X5 + ~X1*X3*~X4 + ~X1*~X2*X3*X4*~X5"
             " + X1*~X2*~X5 + X1*~X2*X3*~X4*X5 + X1*X2*~X4"
         )
 
     def test_stability_requires_both_bound_increases(self):
-        # The target is only reachable with multisets of size 2, so the first
-        # two rounds (both at p=1) agree on an empty polynomial.  Stability
-        # must not be declared from rounds that never grew p.
+        # The target is only reachable with multisets of size 2, which the
+        # one exact round of this fix-free program types.
         from tropinf.lang import App, Choice, Ifz, Lam, Program, Succ, Var, Zero
 
         prog = Program(
@@ -392,7 +432,7 @@ class TestStabilize:
 
     def test_budget_exhaustion_reported(self):
         res = stabilize(load("m3"), 1, max_rounds=1)
-        assert not res.stable and res.rounds == [(1, 1)]
+        assert not res.stable and res.rounds == [(1, None)]
 
     @pytest.mark.parametrize("bounds", [{"window": 0}, {"max_rounds": 0}, {"window": -3}])
     def test_bounds_below_one_rejected(self, bounds):
@@ -434,17 +474,16 @@ class TestRowTable:
             row.fixes = 1
 
     def test_judgements_are_frozen(self):
-        # A judgement may be handed out again for a later round.
-        judgement = search(load("m1"), 1, 1, 1)
+        judgement = search(load("m1"), 1)
         assert isinstance(judgement.entries, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
             judgement.entries = ()
 
     @staticmethod
-    def rounds(monkeypatch, program, counters=(), window=2):
-        """Run stabilize with this window and return, for each round,
-        (n, p, judgement, counts) where counts holds the calls of each
-        function named in counters during that round."""
+    def rounds(monkeypatch, program, counters=()):
+        """Run stabilize and return, for each round,
+        (n, judgement, counts) where counts holds the calls of each function
+        named in counters during that round."""
         out, counts = [], dict.fromkeys(counters, 0)
         for name in counters:
             def counted(*args, _real=getattr(typesys, name), _name=name):
@@ -453,14 +492,14 @@ class TestRowTable:
             monkeypatch.setattr(typesys, name, counted)
         real_search = search
 
-        def recording(*args):
+        def recording(program, n, table=None):
             counts.update(dict.fromkeys(counters, 0))
-            judgement = real_search(*args)
-            out.append((args[2], args[3], judgement, dict(counts)))
+            judgement = real_search(program, n, table=table)
+            out.append((n, judgement, dict(counts)))
             return judgement
 
         monkeypatch.setattr(typesys, "search", recording)
-        stabilize(program, 1, window=window, max_rounds=6)
+        stabilize(program, 1, max_rounds=6)
         monkeypatch.undo()
         return out
 
@@ -471,9 +510,9 @@ class TestRowTable:
     def assert_rounds_match_fresh_searches(self, monkeypatch, program):
         rounds = self.rounds(monkeypatch, program)
         assert rounds
-        for n, p, judgement, _ in rounds:
-            fresh = search(program, 1, n, p)
-            assert self.rows(judgement) == self.rows(fresh), (program, n, p)
+        for n, judgement, _ in rounds:
+            fresh = search(program, n)
+            assert self.rows(judgement) == self.rows(fresh), (program, n)
         return rounds
 
     @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -491,106 +530,80 @@ class TestRowTable:
 
     def test_subterm_without_the_binder_is_kept_across_n(self, monkeypatch):
         # Neither 0 +[X2] 1 nor 1 mentions y, so their rows are keyed without
-        # y and found again in round (2,1); p prunes no row of this program,
-        # so they are kept across p as well.
+        # y and found again in round 2.
         program = parse(self.REDEX_OVER_FIX)
         built = []
         real = typesys._Search._rule
 
         def recording(self, tt, env):
             if isinstance(tt.term, Choice) and tt.term.param == 2:
-                built.append((self.n, self.p))
+                built.append(self.n)
             return real(self, tt, env)
 
         monkeypatch.setattr(typesys._Search, "_rule", recording)
         rounds = stabilize(program, 1).rounds
-        assert rounds[:3] == [(1, 1), (2, 1), (2, 2)]
-        assert built == [(1, 1)]
+        assert rounds[:2] == [(1, None), (2, None)]
+        assert built == [1]
 
     @pytest.mark.parametrize("kind", ["fix-free", "recursive", "lambda-argument"])
     def test_random_rounds_match_fresh_searches(self, monkeypatch, rng, kind):
-        # A lambda argument called twice, as in ifz (f N) then f N' else M,
-        # takes a multiset of two types, which p = 1 prunes; about one in ten
-        # of these programs does, so they are drawn more often.
-        reused = pruned = 0
-        for _ in range(50 if kind == "lambda-argument" else 20):
+        for _ in range(20):
             if kind == "lambda-argument":
                 program = random_lambda_argument_program(rng)
             else:
                 fix = kind == "recursive"
                 program = random_program(rng, max_nodes=18 if fix else 14, fix=fix)
-            rounds = self.assert_rounds_match_fresh_searches(monkeypatch, program)
-            for (_, _, before, _), (n, p, judgement, _) in zip(rounds, rounds[1:]):
-                reused += judgement is before
-                pruned += judgement is not before and n == p
-        if kind == "lambda-argument":
-            assert reused and pruned, (reused, pruned)
-
-    # p = 1 drops the λ row whose x is used twice: the run through the else
-    # branch, the only one that reaches 1.
-    PRUNED_AT_P1 = r"params 1; (\x. ifz x then x else 0) (0 +[X1] 1)"
-
-    def test_round_after_pruning_rebuilds(self, monkeypatch):
-        program = parse(self.PRUNED_AT_P1)
-        rounds = self.rounds(monkeypatch, program, ["_combine"])
-        polys = {(n, p): poly_to_text(conclusion_poly(j, 1)) for n, p, j, _ in rounds}
-        combine = {(n, p): c["_combine"] for n, p, _, c in rounds}
-        assert polys[1, 1] == polys[2, 1] == "0"
-        assert polys[2, 2] == "X1*~X1"
-        assert combine[2, 2] > 0
-        self.assert_rounds_match_fresh_searches(monkeypatch, program)
-
-    @pytest.mark.parametrize("source", [PRUNED_AT_P1, load_source("m2")])
-    def test_smaller_p_after_larger(self, source):
-        # Rows kept at p = 2 must not reach p = 1 where p = 1 prunes one.
-        program = parse(source)
-        table = typesys.RowTable(program)
-        for n, p in ((2, 2), (2, 1), (2, 2)):
-            judgement = search(program, 1, n, p, table)
-            fresh = search(program, 1, n, p)
-            assert self.rows(judgement) == self.rows(fresh), (n, p)
+            self.assert_rounds_match_fresh_searches(monkeypatch, program)
 
     def test_annotate_once_per_stabilize(self, monkeypatch):
         calls = []
         real = typesys.annotate
         monkeypatch.setattr(typesys, "annotate", lambda t: calls.append(t) or real(t))
-        assert len(stabilize(load("m2"), 1).rounds) == 4
+        assert len(stabilize(load("m2"), 1).rounds) == 3
         assert len(calls) == 1
-        search(load("m2"), 1, 1, 1)
+        search(load("m2"), 1)
         assert len(calls) == 2
 
     def test_fix_free_program_repeats_no_rule(self, monkeypatch):
-        # m4_3 has no fix: round (2,1) finds every row of round (1,1).
-        rounds = self.rounds(monkeypatch, load("m4_3"), ["_combine", "merge"])
-        counts = {(n, p): c for n, p, _, c in rounds}
-        assert counts[1, 1]["_combine"] > 0
-        assert counts[2, 1] == {"_combine": 0, "merge": 0}
+        # m4_3 has no fix: a second search on its table finds every row of
+        # the first.
+        program = load("m4_3")
+        table = typesys.RowTable(program)
+        counts = dict.fromkeys(["_combine", "merge"], 0)
+        for name in counts:
+            def counted(*args, _real=getattr(typesys, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(typesys, name, counted)
+        first = search(program, 1, table=table)
+        assert counts["_combine"] > 0
+        counts.update(dict.fromkeys(counts, 0))
+        again = search(program, 2, table=table)
+        assert counts == {"_combine": 0, "merge": 0}
+        assert self.rows(again) == self.rows(first)
 
     @pytest.mark.parametrize(
-        "source, reused",
+        "source, exact",
         [(load_source("m4_3"), True), (load_source("m3"), False), (SELF_CALLS[0][0], False)],
         ids=["m4_3", "m3", "charged-call"],
     )
-    def test_round_that_n_cannot_change(self, source, reused):
+    def test_round_that_n_cannot_change(self, source, exact):
         # m4_3 has neither fix nor a charged call, so no n changes its rows
-        # and round (2,1) hands out the judgement of round (1,1).  m3 has fix,
-        # and the first self-calling program a charged call.
+        # and stabilize runs one exact round.  m3 has fix, and the first
+        # self-calling program a charged call.
         program = parse(source)
-        table = typesys.RowTable(program)
+        assert typesys.RowTable(program).n_matters is not exact
         with alarm(20):
-            first = search(program, 1, 1, 1, table)
-            assert (search(program, 1, 2, 1, table) is first) is reused
-        assert table.n_matters is not reused
+            res = stabilize(program, 1)
+        assert res.exact is exact
+        assert (res.rounds == [(1, None)]) is exact
 
     def test_recursive_program_rebuilds_only_the_unfolding(self, monkeypatch):
         # m2's λ under fix is reused when n grows; its unfolding is redone.
-        # p prunes no row of m2, so a round that only raises p repeats the
-        # round before it and builds nothing.
-        rounds = self.rounds(monkeypatch, load("m2"), ["_combine"], window=3)
-        combine = {(n, p): c["_combine"] for n, p, _, c in rounds}
-        assert 0 < combine[2, 1] < combine[1, 1]
-        assert combine[2, 2] == combine[3, 3] == 0
-        assert 0 < combine[3, 2] < combine[1, 1]
+        rounds = self.rounds(monkeypatch, load("m2"), ["_combine"])
+        combine = {n: c["_combine"] for n, _, c in rounds}
+        assert 0 < combine[2] < combine[1]
+        assert 0 < combine[3] < combine[1]
 
 
 class TestPolyMemo:
