@@ -138,7 +138,7 @@ def _report_text(report):
     lines.append(f"target: {report.target}")
     lines.append(
         f"stable: {str(report.stable).lower()}  exact: {str(report.exact).lower()}"
-        f"  rounds: {report.rounds}"
+        f"  rounds: {[n for n, _ in report.rounds]}"
     )
     if not report.stable:
         lines.append(
@@ -165,7 +165,11 @@ def _report_text(report):
 @click.argument("path", type=click.Path())
 @_analysis_options
 def analyze(path, target, window, max_rounds, output):
-    """Compute the stabilized minimal weight polynomial and certificates."""
+    """Compute the stabilized minimal weight polynomial and certificates.
+
+    No bound limits the width of a multiset, so the typing search may take
+    time exponential in the program's size, as for Church numerals applied
+    to Church numerals."""
     program, source = _load(path)
     report = _analyze(program, source, target, window, max_rounds)
     if output == "json":

@@ -58,7 +58,9 @@ class AnalysisReport:
     poly: Poly
     stable: bool
     exact: bool  # the polynomial is that of the whole family of typings
-    rounds: list  # of (n, None)
+    # Pairs (n, None), None meaning no multiset bound, until bench/run.py's
+    # corpus rows read a list of n; the JSON report holds the list of n.
+    rounds: list
     selected: list  # of SelectedTrajectory
     degree_estimate: int
 
@@ -95,7 +97,7 @@ def analyze(program: Program, target: int, config: Config | None = None,
         poly=result.poly,
         stable=result.stable,
         exact=result.exact,
-        rounds=result.rounds,
+        rounds=[(n, None) for n in result.rounds],
         selected=selected,
         degree_estimate=result.poly.degree(),
     )
@@ -219,7 +221,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         "target": report.target,
         "stable": report.stable,
         "exact": report.exact,
-        "rounds": [list(r) for r in report.rounds],
+        "rounds": [n for n, _ in report.rounds],
         "degree_estimate": report.degree_estimate,
         "polynomial": algebra.poly_to_json(report.poly),
         "polynomial_text": algebra.poly_to_text(report.poly, names),
@@ -258,7 +260,7 @@ def report_from_json(obj: dict) -> AnalysisReport:
         poly=poly,
         stable=obj["stable"],
         exact=obj["exact"],
-        rounds=[tuple(r) for r in obj["rounds"]],
+        rounds=[(n, None) for n in obj["rounds"]],
         selected=selected,
         degree_estimate=obj["degree_estimate"],
     )

@@ -675,19 +675,23 @@ class StabilizeResult:
     poly: Poly
     stable: bool
     exact: bool  # the judgement is the whole family, not a bounded one
-    rounds: list  # of (n, None) actually run; None: no multiset bound
+    rounds: list  # the bounds n actually run
 
 
 def stabilize(
     program: Program, target: int, window: int = 1, max_rounds: int = 16
 ) -> StabilizeResult:
     """The polynomial of the closed rows at `target`, from one search when n
-    matters to none of the program's rows, else from n = 1, 2, 3, ... until
-    the polynomial stops changing.
+    matters to none of the program's rows, else from growing n until the
+    polynomial stops changing.
 
     A program with no Fix node and no charged call (`RowTable.n_matters` is
-    false) has the same rows at every n, so one search gives its whole
-    family: the result is stable and exact.  Any other program declares
+    false) has the same rows at every n, so one search at n = 1 gives its
+    whole family: the result is stable and exact.  Any other program runs
+    n = 1, 2, 3, ..., or n = 2, 3, 4, ... when it has a Fix node, since
+    n = 1 types each fix at its base case only: in
+    (fix (λf. λx. ifz x then .. else f (pred x))) (0 or 2) the polynomial
+    of n = 1 is that of n = 2, and n = 3 adds the run from 2.  It declares
     stability when the last `window` increments of n all left the
     polynomial unchanged, i.e. the last window + 1 rounds agree; that result
     is not exact.  Gives up (stable=False) after max_rounds rounds.
@@ -699,12 +703,13 @@ def stabilize(
         )
     table = RowTable(program)
     exact = not table.n_matters
+    first = 1 if id(table.tt) in table.fix_free else 2
     history = []
     rounds = []
-    for n in range(1, max_rounds + 1):
+    for n in range(first, first + max_rounds):
         judgement = search(program, n, table=table)
         poly = conclusion_poly(judgement, target, table.memo)
-        rounds.append((n, None))
+        rounds.append(n)
         history.append(poly)
         if exact or (
             len(history) > window and all(h == poly for h in history[-(window + 1):])

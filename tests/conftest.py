@@ -177,6 +177,15 @@ WIDE_MULTISETS = [
 ]
 
 
+# Recursive programs, with a target and its answer, whose polynomial is the
+# same at n = 1 and n = 2 and grows at n = 3.
+LATE_RUNS = [
+    (r"params 2; (fix (\f. \x. ifz x then x +[X1] 0 else f (pred x))) (0 +[X1] 2)", 0,
+     "~X1^4 + X1*~X1 + X1^3"),
+    (r"params 2; fix (\x. (pred x) +[X2] 3)", 1, "X2^2*~X2"),
+]
+
+
 # Church numerals 1-3 and twice at type (N -> N) -> N -> N, and compose.
 CHURCH = {1: r"(\s. \z. s z)", 2: r"(\s. \z. s (s z))", 3: r"(\s. \z. s (s (s z)))"}
 TWICE = r"(\f. \x. f (f x))"

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from tropinf.cli import main
 
-from conftest import CORPUS, WIDE_MULTISETS
+from conftest import CORPUS, LATE_RUNS, WIDE_MULTISETS
 
 M1 = str(CORPUS / "m1.pcfx")
 M2 = str(CORPUS / "m2.pcfx")
@@ -58,7 +58,7 @@ class TestAnalyze:
         assert res.exit_code == 0
         assert "~X1^3 + X1^2" in res.output
         assert "word=111" in res.output and "word=00" in res.output
-        assert "stable: true  exact: true  rounds: [(1, None)]" in res.output
+        assert "stable: true  exact: true  rounds: [1]" in res.output
 
     def test_json_output(self, runner):
         res = runner.invoke(main, ["analyze", M1, "--output", "json"])
@@ -66,7 +66,7 @@ class TestAnalyze:
         blob = json.loads(res.output)
         assert blob["schema"] == "tropinf-report/2"
         assert blob["stable"] is True and blob["exact"] is True
-        assert blob["rounds"] == [[1, None]]
+        assert blob["rounds"] == [1]
         assert blob["polynomial_text"] == "~X1^3 + X1^2"
         assert len(blob["selected"]) == 2
 
@@ -84,7 +84,7 @@ class TestAnalyze:
         # m1 has no fix and is typed in one exact round; m3 loops.
         res = runner.invoke(main, ["analyze", M3, "--max-rounds", "1"])
         assert res.exit_code == 0
-        assert "stable: false  exact: false  rounds: [(1, None)]" in res.output
+        assert "stable: false  exact: false  rounds: [2]" in res.output
 
 
 class TestEnumeratedAnswers:
@@ -93,7 +93,7 @@ class TestEnumeratedAnswers:
 
     @pytest.mark.parametrize(
         "source, target, text",
-        WIDE_MULTISETS + [
+        WIDE_MULTISETS + LATE_RUNS + [
             (r"params 1; (\t. t (t (\y. succ y)) 0) (\f. \x. f (f x))", 4, "1"),
             (r"params 2; (\d. d (d (\z. z +[X2] succ z))) (\h. \x. h (h x)) 0", 2,
              "X2^2*~X2^2"),

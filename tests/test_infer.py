@@ -114,7 +114,7 @@ class TestAnalyze:
 
     def test_unstable_is_labelled(self):
         rep = analyze(load("m3"), 1, config=Config(max_rounds=1))
-        assert not rep.stable and not rep.exact and rep.rounds == [(1, None)]
+        assert not rep.stable and not rep.exact and rep.rounds == [(2, None)]
 
 
 class TestI1:
