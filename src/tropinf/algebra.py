@@ -159,15 +159,6 @@ def dominated(m: Monomial, points: Iterable[Monomial]) -> bool:
     return any(map(all, map(map, repeat(le), points, repeat(m))))
 
 
-def minimal_support(points: Iterable[Monomial]) -> list:
-    """The pointwise-minimal elements of a set of monomials, sorted.
-
-    Pass `s.coeffs` for the minimal part of the support of a polynomial s.
-    """
-    pts = list(points)
-    return sorted(m for m in pts if not dominated(m, filter(m.__ne__, pts)))
-
-
 # -- text and JSON forms ----------------------------------------------------
 
 

@@ -1,39 +1,38 @@
 """Exact lattice-polytope geometry for polynomial supports.
 
-Minimization keeps the pointwise-minimal vertices of a hull
-(`minimal_vertices`).  It visits points by total degree, then
-lexicographically, skips untested every point that a kept vertex dominates,
-and decides vertexhood only for the rest.  Hull vertices are settled by exact
-integer certificates first: the lex-least and lex-greatest point at an extreme
-of a coordinate (vertices of a face, hence of the hull), the unique maximizer
-along the direction from the centroid (a vertex), and the midpoint of two
-other points (not a vertex).  A small linear program decides only the points
-these leave open.  The certificates read coordinate columns built once per
-point set, and they, the dominance test and the all-int test of LP rows loop
-in C.  `vn` returns a product of single monomials as the monomial of their
-sum, with no hull.  Cone row reduction keeps a row without an LP when a unit
-vector satisfies the other rows and violates it.  `normal_fan` reduces the
-cones of all monomials together: a cone with an interior witness keeps exactly
-its facet rows, and two such cones share each facet, so each pair of monomials
-is decided once, by a unit vector, by the point where the two tie on the
-segment between their witnesses, or else by one LP.  The LPs and the cone
-witnesses are solved by a two-phase simplex with Bland's pivoting rule on an
-integer tableau that shares one positive common denominator (fraction-free,
-Bareiss-style pivoting).  Rational input rows are scaled to integers and
-results come back as exact `Fraction`s.  No floating point enters any
-geometric predicate.
+Minimization keeps the vertices of the lower hull NP(s) + R^d_{>=0}, the
+monomials that are the strict tropical minimum for some weight z >= 0, each
+with a witness weight (`lower_hull`).  It is the one minimization: `np_min`,
+every fold of `vn` and `normal_fan` call it.  Dominated points are skipped;
+two points left are each witnessed by a unit vector, and more are settled by
+exact integer certificates where they can be: the indicator of a point's
+column minima and a few clipped perceptron steps from it (each a witness
+once checked), and a dominated midpoint of two other points (not a
+vertex).  A small linear program decides only the points these leave open.
+The dominance test and the certificates loop in C.  A vertex of the lower
+hull of a Minkowski sum is a sum of vertices of the summands' lower hulls, so
+`vn` minimizes every fold of a product, and minimizing early is exact.
+`normal_fan` reuses the witnesses: every kept monomial has a full-dimensional
+cone, so each pair of monomials is decided once, by a unit vector, by the
+point where the two tie on the segment between their witnesses, or else by
+one LP.  The LPs are solved by a two-phase simplex with Bland's pivoting rule
+on an integer tableau that shares one positive common denominator
+(fraction-free, Bareiss-style pivoting).  Rational input rows are scaled to
+integers and results come back as exact `Fraction`s.  No floating point
+enters any geometric predicate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from math import gcd, lcm
-from operator import add, mul, sub
+from functools import reduce
+from itertools import compress, repeat
+from math import lcm
+from operator import add, and_, lt, mul, sub
 from typing import Iterable, Sequence
 
-from .algebra import INF, Monomial, Poly, dominated, minimal_support
+from .algebra import INF, Monomial, Poly, dominated
 
 Sense = str  # "<=", "=", ">="
 
@@ -218,142 +217,132 @@ def lp_solve(prob: LPProblem) -> LPResult:
 # Polytopes
 # ---------------------------------------------------------------------------
 
-
-def _is_vertex(p, others) -> bool:
-    """True iff p is not a convex combination of the other points."""
-    if not others:
-        return True
-    rows = [(col, "=", a) for col, a in zip(zip(*others), p)]
-    rows.append(((1,) * len(others), "=", 1))
-    prob = LPProblem((0,) * len(others), tuple(rows))
-    return lp_solve(prob).status == "infeasible"
+# Clipped perceptron updates tried on a point's witness before its LP.
+_UPDATES = 16
 
 
 def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-class _VertexTest:
-    """Decides which points of one finite lattice point set are vertices of
-    its convex hull; calling it on a point of the set returns the verdict.
+def _violator(p, z, others):
+    """None when z . p < z . q for every q in others, else the q lowest at z."""
+    values = list(map(_dot, others, repeat(z)))
+    if all(map(_dot(p, z).__lt__, values)):
+        return None
+    return others[values.index(min(values))]
 
-    Exact certificates settle a point where they can:
-    - the lex-least and the lex-greatest point at an extreme of a coordinate
-      are vertices: the points at that extreme span a face of the hull, the
-      lex-extreme points of a set are vertices of its hull, and a vertex of a
-      face is a vertex of the hull;
-    - the unique maximizer of c.x, where c points from the centroid to the
-      point, is a vertex;
-    - the midpoint of two other points of the set is not.
-    The LP of `_is_vertex` decides a point these leave open.  Before the first
-    LP every point is certified, so each LP leaves out every point already
-    known not to be a vertex: a non-vertex lies in the hull of the vertices.
+
+def _certify(p, bit, pts, lows, at):
+    """An integer weight z >= 0 at which p is strictly below every other point
+    of the antichain pts, False when p is certainly not a vertex of its lower
+    hull, or None when the certificates settle neither.
+
+    z starts as the indicator of the columns where p attains the minimum
+    `lows`.  Every other point q has z . q >= z . p, with equality iff q
+    attains the minimum in all of these columns too, so z is a witness iff the
+    masks `at` of the points at each of these minima meet in p's bit alone.
+    If z fails and `_above_midpoint` does not rule p out, each of a few
+    perceptron steps adds q - p for the lowest other point q and clips at 0,
+    and every such z is checked exactly.
     """
-
-    def __init__(self, present: set):
-        self.present = present
-        self.pts = pts = sorted(present)
-        cols = list(zip(*pts))
-        self.total = list(map(sum, cols))
-        # pts is sorted, so at an extreme of a column the first point is the
-        # lex-least there and the first of the reversed points the lex-greatest.
-        ext, back = [*map(min, cols), *map(max, cols)], pts[::-1]
-        least = map(pts.__getitem__, map(tuple.index, cols * 2, ext))
-        greatest = map(back.__getitem__, map(tuple.index, list(zip(*back)) * 2, ext))
-        # point -> True, False, or None when left to the LP
-        self.verdict = dict.fromkeys(chain(least, greatest), True)
-
-    def _certify(self, p):
-        """True or False when the centroid or midpoint certificate settles p,
-        else None."""
-        pts = self.pts
-        # c points from the centroid to p, scaled by len(pts) to stay
-        # integral.  p is one of pts, so it is the unique maximizer of c.x iff
-        # c.p is the maximum and no other point attains it.
-        c = list(map(sub, map(mul, p, repeat(len(pts))), self.total))
-        values = list(map(sum, map(map, repeat(mul), repeat(c), pts)))
-        top = _dot(c, p)
-        if max(values) == top and values.count(top) == 1:
-            return True
-        # p is the midpoint of q and 2p - q, two other points of the set.
-        twice = list(map(add, p, p))
-        mirrors = map(tuple, map(map, repeat(sub), repeat(twice), filter(p.__ne__, pts)))
-        return False if any(map(self.present.__contains__, mirrors)) else None
-
-    def __call__(self, p) -> bool:
-        verdict = self.verdict
-        if p not in verdict:
-            verdict[p] = self._certify(p)
-        if verdict[p] is None:
-            for q in self.pts:
-                if q not in verdict:
-                    verdict[q] = self._certify(q)
-            verdict[p] = _is_vertex(p, [q for q in self.pts if q != p and verdict[q] is not False])
-        return verdict[p]
+    z = [int(a == m) for a, m in zip(p, lows)]
+    if reduce(and_, compress(at, z), -1) == bit:
+        return tuple(z)
+    if _above_midpoint(p, pts):
+        return False
+    others = [q for q in pts if q != p]
+    q = _violator(p, z, others)
+    for _ in range(_UPDATES):
+        z = list(map(max, repeat(0), map(sub, map(add, z, q), p)))
+        q = _violator(p, z, others)
+        if q is None:
+            return tuple(z)
+    return None
 
 
-def hull_vertices(points: Iterable[Monomial]) -> tuple:
-    """The vertices of the convex hull of a finite set of lattice points,
-    sorted and deduplicated.
+def _unit(p, q) -> tuple:
+    """e_j for the first column j in which p is below q."""
+    j = list(map(lt, p, q)).index(True)
+    return tuple(int(i == j) for i in range(len(p)))
 
-    Each point is settled by an exact certificate of `_VertexTest` where one
-    exists (the lex-extreme points of a coordinate-extreme face, the centroid
-    direction, midpoints), and an LP decides only the points left open.
+
+def _above_midpoint(p, pts) -> bool:
+    """True when p dominates the midpoint of two other points q and r of the
+    antichain pts: 2p - q >= r.  Then z . p is at least the mean of z . q and
+    z . r for every z >= 0, so p is never the strict minimum.  Neither q nor r
+    can be p, since no point of pts dominates another."""
+    twice = list(map(add, p, p))
+    return any(dominated(tuple(map(sub, twice, q)), pts) for q in pts if q != p)
+
+
+def lower_hull(points: Iterable[Monomial]) -> dict:
+    """The vertices of the lower hull NP + R^d_{>=0} of a finite set of
+    lattice points, sorted, each with an exact witness: {vertex: z}, where
+    z >= 0 makes the vertex strictly smaller than every other point that no
+    point dominates.  These are the points that are the strict minimum of
+    z . p for some weight z >= 0.
+
+    A dominated point is never one, so points are visited by total degree and
+    a point that an earlier one dominates is skipped.  A lone point left has
+    all ones as its witness.  Of two points left, each is below the other in
+    some column j, and e_j witnesses it.  Otherwise `_certify` settles each
+    point where it can, and an LP decides only the points it leaves open: it
+    maximizes t subject to (p - q) . z + t <= 0, sum(z) <= 1 and z >= 0, and
+    p is a vertex iff t > 0.  A point already known not to be a vertex lies
+    in the lower hull of the vertices, so the LP leaves its row out.
     """
-    present = set(map(tuple, points))
-    # Distinct points are always vertices of their own hull.
-    if len(present) <= 2:
-        return tuple(sorted(present))
-    is_vertex = _VertexTest(present)
-    return tuple(p for p in is_vertex.pts if is_vertex(p))
-
-
-def minimal_vertices(points: Iterable[Monomial]) -> list:
-    """The pointwise-minimal vertices of the convex hull of a finite set of
-    lattice points, sorted: `minimal_support(hull_vertices(points))`.
-
-    Points are visited by total degree, then lexicographically.  A point that
-    a kept vertex dominates is skipped untested, and vertexhood is decided
-    only for the rest.  A vertex dominating a point has a smaller total
-    degree, so it is visited first, and if it was skipped, the kept vertex
-    dominating it dominates the point too.  A point dominated only by
-    non-vertices is still tested.
-    """
-    present = set(map(tuple, points))
-    if len(present) <= 2:
-        return minimal_support(present)
-    is_vertex = _VertexTest(present)
-    kept = []
-    # pts is sorted and the sort is stable: the order is (sum(p), p).
-    for p in sorted(is_vertex.pts, key=sum):
-        if not dominated(p, kept) and is_vertex(p):
-            kept.append(p)
-    return sorted(kept)
+    pts = []
+    for p in sorted(set(map(tuple, points)), key=sum):
+        if not dominated(p, pts):
+            pts.append(p)
+    if len(pts) < 2:
+        # Also right with no columns, where `_certify` has nothing to test.
+        return {p: (1,) * len(p) for p in pts}
+    if len(pts) == 2:
+        p, q = sorted(pts)
+        return {p: _unit(p, q), q: _unit(q, p)}
+    cols = list(zip(*pts))
+    lows = list(map(min, cols))
+    # The points at the minimum of each column, as a bit mask.
+    at = [sum(1 << i for i, a in enumerate(col) if a == low) for col, low in zip(cols, lows)]
+    # point -> a witness, False or None
+    verdict = {p: _certify(p, 1 << i, pts, lows, at) for i, p in enumerate(pts)}
+    d = len(lows)
+    for p, witness in verdict.items():
+        if witness is None:
+            rows = [
+                ((*map(sub, p, q), 1), "<=", 0)
+                for q in pts
+                if q != p and verdict[q] is not False
+            ]
+            rows.append(((1,) * d + (0,), "<=", 1))
+            res = lp_solve(LPProblem((0,) * d + (1,), tuple(rows)))
+            verdict[p] = res.x[:d] if res.value > 0 else False
+    return {p: verdict[p] for p in sorted(verdict) if verdict[p] is not False}
 
 
 def np_min(s: Poly) -> Poly:
-    """The minimal polynomial of s: the polynomial on the pointwise-minimal
-    vertices of the Newton polytope of s.
-
-    `minimal_vertices` finds them dominance first: it decides vertexhood only
-    for the monomials that no kept vertex dominates.
+    """The minimal polynomial of s: the polynomial on the vertices of the
+    lower hull of its support (`lower_hull`), the monomials that are the
+    strict tropical minimum for some weight z >= 0.
 
     For non-negative weight assignments, minimizing m . z over the support of
     s and over the support of the minimal polynomial give the same value.
     """
-    return Poly._of(s.dim, frozenset(minimal_vertices(s.coeffs)))
+    return Poly._of(s.dim, frozenset(lower_hull(s.coeffs)))
 
 
 def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
     """Minimal polynomial of a product, without expanding the product.
 
-    Folds pairwise Minkowski vertex sums over the factor supports.  The last
-    sum is not hulled in full: `minimal_vertices` keeps its pointwise-minimal
-    vertices, deciding vertexhood only for the sums that no kept vertex
-    dominates.  A product of single monomials is the monomial of their sum,
-    with no hull, and a single factor keeps the pointwise-minimal points of
-    its support.  The empty product is the unit polynomial (dim must then be
-    given).
+    Folds pairwise Minkowski sums over the factor supports and keeps the lower
+    hull of each partial sum.  A vertex of the lower hull of P + Q is the sum
+    of vertices of the lower hulls of P and Q, so minimizing each fold gives
+    the minimal polynomial of the whole product, and minimized factors give
+    the same result as raw ones.  A product of single monomials is the
+    monomial of their sum, with no hull.  The empty product is the unit
+    polynomial (dim must then be given).
     """
     if not polys:
         if dim is None:
@@ -372,12 +361,11 @@ def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
             total = tuple(map(add, total, m))
         return Poly._of(d, frozenset((total,)))
     if len(supports) == 1:
-        return Poly._of(d, frozenset(minimal_support(supports[0])))
+        return np_min(polys[0])
     points = supports[0]
-    for support in supports[1:-1]:
-        points = hull_vertices({tuple(map(add, p, q)) for p in points for q in support})
-    sums = {tuple(map(add, p, q)) for p in points for q in supports[-1]}
-    return Poly._of(d, frozenset(minimal_vertices(sums)))
+    for support in supports[1:]:
+        points = lower_hull({tuple(map(add, p, q)) for p in points for q in support})
+    return Poly._of(d, frozenset(points))
 
 
 # ---------------------------------------------------------------------------
@@ -422,64 +410,6 @@ class HalfspaceSystem:
         return True
 
 
-def normal_cone(mu: Monomial, s: Poly) -> tuple:
-    """The region of weight vectors where mu attains the tropical minimum.
-
-    Returns (system, witness): the halfspace rows (mu - nu) . x <= 0 for every
-    other support monomial nu, and a rational witness point.  The witness is
-    strictly interior when the cone has one (found by maximizing the minimum
-    slack over the unit simplex); otherwise a non-zero boundary point if any
-    exists, else None.
-    """
-    mu = tuple(mu)
-    if mu not in s.coeffs:
-        raise GeometryError(f"{mu} is not in the support")
-    system = _cone_rows(mu, s)
-    return system, _cone_witness(system)[0]
-
-
-def _cone_rows(mu, s: Poly) -> HalfspaceSystem:
-    rows = sorted({tuple(a - b for a, b in zip(mu, nu)) for nu in s.coeffs if nu != mu})
-    return HalfspaceSystem(s.dim, tuple(rows))
-
-
-def _cone_witness(system: HalfspaceSystem) -> tuple:
-    """(witness, whether it is strictly interior) for `normal_cone`."""
-    d = system.dim
-    if not system.rows:
-        return tuple(Fraction(1) for _ in range(d)), True
-    # Variables: x_1..x_d, t.  Maximize t with row.x + t <= 0, sum x <= 1.
-    lp_rows = [(row + (1,), "<=", 0) for row in system.rows]
-    lp_rows.append(((1,) * d + (0,), "<=", 1))
-    res = lp_solve(LPProblem((0,) * d + (1,), tuple(lp_rows)))
-    if res.status == "optimal" and res.value > 0:
-        return res.x[:d], True
-    # No interior: look for a non-zero boundary point.
-    lp_rows = [(row, "<=", 0) for row in system.rows]
-    lp_rows.append(((1,) * d, "<=", 1))
-    res = lp_solve(LPProblem((1,) * d, tuple(lp_rows)))
-    if res.status == "optimal" and res.value > 0:
-        return res.x, False
-    return None, False
-
-
-def reduce_rows(system: HalfspaceSystem) -> HalfspaceSystem:
-    """Drop rows implied by the remaining rows together with x >= 0.
-
-    A row is kept without an LP when some coordinate j has row[j] > 0 while
-    every other kept row is <= 0 at j: the unit vector e_j satisfies the
-    others and violates the row.
-    """
-    kept = list(system.rows)
-    for row in system.rows:
-        if _unit_facet(row, kept):
-            continue
-        others = [r for r in kept if r != row]
-        if _implied(row, others):
-            kept = others
-    return HalfspaceSystem(system.dim, tuple(kept))
-
-
 def _unit_facet(row, rows) -> bool:
     """True when some e_j satisfies every other row and violates row."""
     return any(
@@ -499,74 +429,61 @@ def _implied(row, others) -> bool:
 
 def normal_fan(s: Poly) -> dict:
     """The normal cone of every monomial of s: {mu: (system, witness)}, where
-    witness is that of `normal_cone(mu, s)` and system is its cone reduced as
-    `reduce_rows` reduces it.
+    system holds the facet rows of { z >= 0 : (mu - nu) . z <= 0 for every
+    other monomial nu } and witness is the weight `lower_hull` gives mu.
 
-    A cone whose witness is interior (every other monomial is strictly larger
-    there) and whose rows are pairwise non-parallel is full-dimensional, so
-    `reduce_rows` keeps exactly its facet rows, whatever their order.  Row
+    Every monomial must be the strict minimum for some weight z >= 0, as those
+    of a minimized polynomial are; otherwise GeometryError is raised.  Each
+    cone then has an interior witness, and no two of its rows are parallel (a
+    monomial between two others is never the strict minimum), so its
+    irredundant rows are exactly its facets, whatever their order.  Row
     mu - nu is a facet of mu's cone iff the two cones meet in a common facet,
-    iff nu - mu is a facet of nu's cone when that cone is such a cone too, so
-    each pair is decided once, by the first of:
+    iff nu - mu is a facet of nu's cone, so each pair is decided once, by the
+    first of:
     - a unit vector e_j that satisfies every other row and violates the row,
       in either cone;
-    - the segment tie: on the segment between the two interior witnesses,
-      the point where mu and nu tie, if every other monomial is strictly
-      larger there (moving from it towards nu's witness keeps every other
-      row of mu's cone and violates mu - nu);
+    - the segment tie: on the segment between the two witnesses, the point
+      where mu and nu tie, if every other monomial is strictly larger there
+      (moving from it towards nu's witness keeps every other row of mu's cone
+      and violates mu - nu);
     - one LP of the row against all other rows.
-    Every other cone is reduced by `reduce_rows`.
     """
-    cones = {}
-    full = set()  # the monomials whose cones are decided pairwise
-    for mu in s.support():
-        system = _cone_rows(mu, s)
-        witness, interior = _cone_witness(system)
-        cones[mu] = system, witness
-        rows = system.rows
-        if interior and (len(rows) < 2 or len({_direction(r) for r in rows}) == len(rows)):
-            full.add(mu)
+    witnesses = lower_hull(s.coeffs)
+    if len(witnesses) < len(s.coeffs):
+        lost = min(s.coeffs - witnesses.keys())
+        raise GeometryError(f"monomial {lost} is never the strict minimum")
+    cones = {
+        mu: tuple(sorted(tuple(map(sub, mu, nu)) for nu in witnesses if nu != mu))
+        for mu in witnesses
+    }
     values = {}  # mu -> every monomial's value at mu's witness scaled to integers
     facet = {}  # (mu, row) -> whether mu's cone keeps the row
-    for mu in full:
-        rows = cones[mu][0].rows
+    for mu, rows in cones.items():
         for row in rows:
             if (mu, row) in facet:
                 continue
-            nu = tuple(a - b for a, b in zip(mu, row))
-            keep = _unit_facet(row, rows)
-            if nu in full:
-                back = tuple(-a for a in row)
-                keep = keep or _unit_facet(back, cones[nu][0].rows) or _segment_tie(
-                    _values(mu, cones, values), _values(nu, cones, values), mu, nu
+            nu = tuple(map(sub, mu, row))
+            back = tuple(-a for a in row)
+            facet[mu, row] = facet[nu, back] = (
+                _unit_facet(row, rows)
+                or _unit_facet(back, cones[nu])
+                or _segment_tie(
+                    _values(mu, witnesses, values), _values(nu, witnesses, values), mu, nu
                 )
-            if not keep:
-                keep = not _implied(row, [r for r in rows if r != row])
-            facet[mu, row] = keep
-            if nu in full:
-                facet[nu, back] = keep
-    fan = {}
-    for mu, (system, witness) in cones.items():
-        if mu in full:
-            system = HalfspaceSystem(system.dim, tuple(r for r in system.rows if facet[mu, r]))
-        else:
-            system = reduce_rows(system)
-        fan[mu] = (system, witness)
-    return fan
+                or not _implied(row, [r for r in rows if r != row])
+            )
+    return {
+        mu: (HalfspaceSystem(s.dim, tuple(r for r in rows if facet[mu, r])), witnesses[mu])
+        for mu, rows in cones.items()
+    }
 
 
-def _direction(row) -> tuple:
-    """The primitive integer vector along a non-zero integer row."""
-    g = gcd(*row)
-    return tuple(a // g for a in row)
-
-
-def _values(mu, cones, values) -> dict:
+def _values(mu, witnesses, values) -> dict:
     """{lam: lam . w} for every monomial lam, with w mu's witness scaled to
     integers; cached in values."""
     if mu not in values:
-        w = _integral(cones[mu][1])[0]
-        values[mu] = {lam: _dot(lam, w) for lam in cones}
+        w = _integral(witnesses[mu])[0]
+        values[mu] = {lam: _dot(lam, w) for lam in witnesses}
     return values[mu]
 
 

@@ -41,7 +41,7 @@ class SelectedTrajectory:
     word is the smallest choice word whose run reaches the target with
     exactly this weight, found by a budgeted search of the reducer;
     cone is the region of weight vectors where the monomial attains the
-    tropical minimum, with a rational witness point when one exists.
+    tropical minimum, and witness a weight at which it is the strict minimum.
     """
 
     monomial: Monomial
@@ -168,17 +168,15 @@ class I2Result:
 
 def solve_i2(report: AnalysisReport, mu: Monomial) -> I2Result:
     """The closed region of weight vectors where mu is tropically minimal:
-    the selected cone, or that of the normal fan when mu is not selected."""
+    its selected cone.  Every monomial of the polynomial is selected."""
     mu = tuple(mu)
     for sel in report.selected:
         if sel.monomial == mu:
             return I2Result(mu, sel.cone, sel.witness)
-    if mu not in report.poly.coeffs:
-        raise InferError(
-            f"{algebra.mono_to_text(mu)} is not a monomial of the stabilized "
-            "polynomial"
-        )
-    return I2Result(mu, *geometry.normal_fan(report.poly)[mu])
+    raise InferError(
+        f"{algebra.mono_to_text(mu)} is not a monomial of the stabilized "
+        "polynomial"
+    )
 
 
 def i2_contains(result: I2Result, p: ProbAssignment) -> bool:

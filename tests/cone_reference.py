@@ -1,9 +1,8 @@
 """Cone row reduction by one exact LP per row, kept as a reference.
 
-This is the `reduce_rows` tropinf used before it kept rows that a unit
-vector proves necessary without an LP.  Tests compare
-`tropinf.geometry.reduce_rows` against it: both drop the same rows in the
-same order, so both must return the same system.
+Tests compare each cone of `tropinf.geometry.normal_fan` against it: the
+irredundant rows of a full-dimensional cone whose rows are pairwise not
+parallel are its facets, so both must keep the same rows.
 """
 
 from tropinf.geometry import HalfspaceSystem, LPProblem, lp_solve

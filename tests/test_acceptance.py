@@ -11,19 +11,15 @@ import random
 import time
 from fractions import Fraction as F
 
-from tropinf.algebra import (
-    Poly,
-    ProbAssignment,
-    minimal_support,
-    poly_to_text,
-)
-from tropinf.geometry import hull_vertices, np_min, vn
+from tropinf.algebra import Poly, ProbAssignment, poly_to_text
+from tropinf.geometry import np_min, vn
 from tropinf.infer import analyze, i2_contains, solve_i1, solve_i2
 from tropinf.lang import enumerate_trajectories
 from tropinf.typesys import stabilize
 
 from conftest import SEED, load, random_program
 from eval_reference import CountPoly, eval_prob, eval_trop, monomial
+from hull_reference import winners
 from replay_reference import replay_word
 
 
@@ -90,12 +86,11 @@ def test_minimized_powers_collapse_to_pure_monomials():
 
 def test_hull_then_dominance_on_six_point_support():
     t = timed()
+    # (4,2,3) is the midpoint of v[3] and v[4]; it and (5,4,3) are dominated.
     v = [(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3), (5, 4, 3), (4, 2, 3)]
-    hull = hull_vertices(v)
-    ok = set(hull) == set(v) - {(4, 2, 3)}  # the midpoint of v[3], v[4]
     mini = np_min(Poly(3, v))
-    ok = ok and set(mini.coeffs) == {(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3)}
-    _report("six-point support: hull drops the midpoint, dominance drops (5,4,3)", ok, t())
+    ok = set(mini.coeffs) == winners(v) == {(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3)}
+    _report("six-point support: the lower hull drops the midpoint and (5,4,3)", ok, t())
 
 
 def test_three_level_tower_reduces_to_two_runs():
@@ -146,8 +141,7 @@ def test_minimized_product_matches_naive_oracle():
         s, u = rand_minimal(), rand_minimal()
         out = vn([s, u])
         naive = CountPoly.of(s) * CountPoly.of(u)
-        oracle = minimal_support(hull_vertices(naive.coeffs))
-        ok = ok and out.support() == oracle
+        ok = ok and set(out.coeffs) == winners(naive.coeffs)
         for _ in range(50):
             z = [F(rng.randint(0, 40), rng.randint(1, 5)) for _ in range(d)]
             ok = ok and eval_trop(out, z)[0] == eval_trop(naive, z)[0]

@@ -8,13 +8,12 @@ from tropinf.algebra import (
     AlgebraError,
     Poly,
     ProbAssignment,
-    minimal_support,
     mono_to_text,
     poly_from_json,
     poly_to_json,
     poly_to_text,
 )
-from tropinf.geometry import hull_vertices, np_min, vn
+from tropinf.geometry import np_min, vn
 
 from conftest import SEED
 from eval_reference import (
@@ -26,6 +25,7 @@ from eval_reference import (
     ext_mul,
     tropicalize,
 )
+from hull_reference import minimal_support, winners
 
 X, XB = (1, 0), (0, 1)  # X1 and ~X1 in dimension 2
 
@@ -147,9 +147,9 @@ class TestSupportsOfCounts:
         sa, sb, sc = map(tropicalize, (a, b, c))
         assert sa + sb == tropicalize(a + b)
         assert sa.shift(m) == tropicalize(a.shift(m))
-        assert np_min(sa).support() == minimal_support(hull_vertices(a.coeffs))
+        assert set(np_min(sa).coeffs) == winners(a.coeffs)
         product = a * b * c
-        assert vn([sa, sb, sc]).support() == minimal_support(hull_vertices(product.coeffs))
+        assert set(vn([sa, sb, sc]).coeffs) == winners(product.coeffs)
 
 
 class TestEvalProb:

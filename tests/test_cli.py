@@ -88,8 +88,9 @@ class TestAnalyze:
 
 
 class TestEnumeratedAnswers:
-    """Programs whose answer the search once cut short give the enumerated
-    answer through `tropinf analyze`."""
+    """Programs whose answer the search once cut short, or whose minimization
+    once kept a monomial that never wins, give the minimized enumerated answer
+    through `tropinf analyze`."""
 
     @pytest.mark.parametrize(
         "source, target, text",
@@ -97,6 +98,10 @@ class TestEnumeratedAnswers:
             (r"params 1; (\t. t (t (\y. succ y)) 0) (\f. \x. f (f x))", 4, "1"),
             (r"params 2; (\d. d (d (\z. z +[X2] succ z))) (\h. \x. h (h x)) 0", 2,
              "X2^2*~X2^2"),
+            # X1^3*~X1^3 is a vertex of the Newton polytope that no weight
+            # makes the strict minimum.
+            (r"params 1; (((1 +[X1] 0) +[X1] 0) +[X1] ((0 +[X1] ((0 +[X1] 1) +[X1] 0))"
+             r" +[X1] 0)) +[X1] (0 +[X1] (0 +[X1] (0 +[X1] 1)))", 1, "~X1^4 + X1^4"),
         ],
     )
     def test_analyze(self, runner, tmp_path, source, target, text):

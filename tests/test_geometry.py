@@ -7,25 +7,22 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from tropinf import geometry, infer
-from tropinf.algebra import INF, Poly, minimal_support
+from tropinf.algebra import INF, Poly, dominated
 from tropinf.geometry import (
     GeometryError,
     HalfspaceSystem,
     LPProblem,
-    hull_vertices,
+    lower_hull,
     lp_solve,
-    minimal_vertices,
-    normal_cone,
     normal_fan,
     np_min,
-    reduce_rows,
     vn,
 )
 
 from cone_reference import reduce_rows as reference_reduce_rows
 from conftest import SEED, load
 from eval_reference import CountPoly, eval_trop, tropicalize
-from hull_reference import hull_vertices as reference_hull_vertices
+from hull_reference import winners
 
 F = Fraction
 
@@ -61,32 +58,45 @@ class TestLP:
         assert res.value == F(1, 21)
 
 
+def assert_witnessed(hull: dict):
+    """Every witness makes its vertex strictly smaller than every other
+    vertex, checked exactly."""
+    for p, z in hull.items():
+        assert all(a >= 0 for a in z)
+        top = sum(map(operator.mul, p, z))
+        assert all(sum(map(operator.mul, q, z)) > top for q in hull if q != p), (p, z)
+
+
 class TestHull:
+    """The vertices of the lower hull NP + R^d_{>=0}."""
+
     def test_freshman_dream_points(self):
         pts = [(i, j, l) for i in range(3) for j in range(3) for l in range(3) if i + j + l == 2]
-        assert set(hull_vertices(pts)) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
+        assert set(lower_hull(pts)) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
 
     def test_six_point_support(self):
-        # (4,2,3) is the midpoint of (3,0,3) and (5,4,3), so it is the only
-        # non-vertex.
+        # (4,2,3), the midpoint of (3,0,3) and (5,4,3), is dominated by
+        # (3,2,2), and (5,4,3) by (2,3,2).
         pts = [(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3), (5, 4, 3), (4, 2, 3)]
-        assert set(hull_vertices(pts)) == set(pts) - {(4, 2, 3)}
+        hull = lower_hull(pts)
+        assert set(hull) == set(pts) - {(4, 2, 3), (5, 4, 3)}
+        assert_witnessed(hull)
 
     def test_six_point_support_variant(self):
-        # Transposing one coordinate of (5,4,3) breaks the midpoint relation
-        # above; all six points are then genuine vertices (cross-checked with
-        # an independent solver).
+        # Transposing one coordinate of (5,4,3) makes all six points vertices
+        # of the full hull, but (5,3,4) and (4,2,3) still lie above (3,2,2).
         pts = [(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3), (5, 3, 4), (4, 2, 3)]
-        assert set(hull_vertices(pts)) == set(pts)
+        assert set(lower_hull(pts)) == set(pts) - {(5, 3, 4), (4, 2, 3)}
 
     def test_single_point(self):
-        assert hull_vertices([(1, 2)]) == ((1, 2),)
+        assert lower_hull([(1, 2)]) == {(1, 2): (1, 1)}
 
     def test_collinear(self):
-        assert set(hull_vertices([(0, 0), (1, 1), (2, 2), (3, 3)])) == {(0, 0), (3, 3)}
+        assert set(lower_hull([(0, 0), (1, 1), (2, 2), (3, 3)])) == {(0, 0)}
+        assert set(lower_hull([(0, 3), (1, 2), (2, 1), (3, 0)])) == {(0, 3), (3, 0)}
 
     def test_empty(self):
-        assert hull_vertices([]) == ()
+        assert lower_hull([]) == {}
 
 
 @st.composite
@@ -107,20 +117,16 @@ def lattice_sets(draw):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Counts the vertex LPs `hull_vertices` and `minimal_vertices` solve."""
+    """Records the LPs that geometry solves."""
     calls = []
-    solve = geometry._is_vertex
-
-    def counted(p, others):
-        calls.append(p)
-        return solve(p, others)
-
-    monkeypatch.setattr(geometry, "_is_vertex", counted)
+    solve = geometry.lp_solve
+    monkeypatch.setattr(geometry, "lp_solve", lambda prob: calls.append(prob) or solve(prob))
     return calls
 
 
 class TestHullCertificates:
-    """Certificates settle most points; the LP-only reference decides all."""
+    """Certificates settle most points; the brute-force definition decides
+    all."""
 
     @seed(SEED)
     @settings(max_examples=300, deadline=None)
@@ -129,41 +135,32 @@ class TestHullCertificates:
     @example([(0, 0), (1, 1), (2, 2), (3, 3)])
     @example([(1, 1, 1), (2, 2, 2), (2, 2, 2)])
     def test_matches_lp_reference(self, pts):
-        assert hull_vertices(pts) == reference_hull_vertices(pts)
+        hull = lower_hull(pts)
+        assert set(hull) == winners(pts)
+        assert list(hull) == sorted(hull)
+        assert_witnessed(hull)
 
     def test_two_points_need_no_lp(self, lp_calls):
-        assert hull_vertices([(1, 2, 3), (3, 2, 1), (1, 2, 3)]) == ((1, 2, 3), (3, 2, 1))
+        # Each of two points is alone at the minimum of some column.
+        assert lower_hull([(1, 2, 3), (3, 2, 1), (1, 2, 3)]) == {
+            (1, 2, 3): (1, 0, 0), (3, 2, 1): (0, 0, 1)
+        }
         assert lp_calls == []
 
     def test_six_point_midpoint_support_needs_no_lp(self, lp_calls):
-        assert set(hull_vertices(SIX_POINTS)) == set(SIX_POINTS) - {(4, 2, 3)}
+        # The indicator of its column minima fails for (3,2,2); the
+        # perceptron steps from it find a witness.
+        hull = lower_hull(SIX_POINTS)
+        assert set(hull) == set(SIX_POINTS) - {(4, 2, 3), (5, 4, 3)}
+        assert hull[(3, 2, 2)] == (0, 1, 3)
         assert lp_calls == []
 
-    def test_centroid_direction_settles_the_grid_corners(self, lp_calls):
-        # Every coordinate extreme of the 3x3 grid is attained by three
-        # points, so only the centroid direction settles the corners; the
-        # other five points are midpoints.
-        grid = list(itertools.product(range(3), repeat=2))
-        assert hull_vertices(grid) == ((0, 0), (0, 2), (2, 0), (2, 2))
-        assert lp_calls == []
-
-    def test_lex_extremes_of_a_face_need_no_lp(self, lp_calls):
-        # The face x3 = 2 holds three points; its lex-least one, (1,2,2), is
-        # a vertex although no other certificate settles it.
-        pts = [(0, 1, 1), (1, 2, 2), (2, 1, 2), (2, 3, 2)]
-        assert hull_vertices(pts) == tuple(pts)
-        assert lp_calls == []
-
-    def test_analyze_m2_solves_few_lps(self, lp_calls, monkeypatch):
-        # Every vertex of m2's minimizations is settled by a certificate or
-        # skipped as dominated, and the fan of its 6 monomials solves one
-        # witness LP per monomial and 4 LPs for the 15 pairs of cones.
-        solved = []
-        solve = geometry.lp_solve
-        monkeypatch.setattr(geometry, "lp_solve", lambda prob: solved.append(prob) or solve(prob))
+    def test_analyze_m2_solves_few_lps(self, lp_calls):
+        # Every point of m2's minimizations is settled by a certificate or
+        # skipped as dominated, and the fan of its 6 monomials reuses their
+        # witnesses and solves 3 LPs for the 15 pairs of cones.
         infer.analyze(load("m2"), 1)
-        assert lp_calls == []
-        assert len(solved) <= 10
+        assert len(lp_calls) <= 3
 
 
 class TestMinimalVertices:
@@ -173,30 +170,28 @@ class TestMinimalVertices:
     @settings(max_examples=300, deadline=None)
     @given(lattice_sets())
     @example(SIX_POINTS)
-    def test_matches_hull_then_dominance(self, pts):
+    def test_matches_winners(self, pts):
         d = len(pts[0])
-        expected = minimal_support(reference_hull_vertices(pts))
-        assert np_min(Poly(d, pts)).support() == expected
+        assert set(np_min(Poly(d, pts)).coeffs) == winners(pts)
 
-    def test_point_dominated_only_by_a_non_vertex_is_kept(self):
-        # (2,2) is the midpoint of (0,4) and (4,0); (2,3) is a vertex that
-        # only (2,2) dominates.
+    def test_point_dominated_only_by_a_non_vertex_is_dropped(self, lp_calls):
+        # (2,2) is the midpoint of (0,4) and (4,0), and (2,3) lies above it:
+        # neither is ever the strict minimum, and no LP is needed to see it.
         pts = [(0, 4), (4, 0), (2, 2), (2, 3)]
-        assert minimal_vertices(pts) == [(0, 4), (2, 3), (4, 0)]
+        assert lower_hull(pts) == {(0, 4): (1, 0), (4, 0): (0, 1)}
+        assert lp_calls == []
 
     def test_centroid_of_a_simplex_needs_one_lp(self, lp_calls):
         pts = [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]
         assert np_min(Poly(3, pts)).support() == [(0, 0, 3), (0, 3, 0), (3, 0, 0)]
-        assert lp_calls == [(1, 1, 1)]
+        assert len(lp_calls) == 1
 
     def test_point_a_kept_vertex_dominates_is_not_tested(self, lp_calls):
         # (2,2,2) is the centroid of the other three non-zero points, which
-        # only an LP decides; (0,0,0) is a vertex dominating all of them.
+        # only an LP would decide; (0,0,0) dominates all of them.
         pts = [(0, 0, 0), (4, 1, 1), (1, 4, 1), (1, 1, 4), (2, 2, 2)]
-        assert minimal_vertices(pts) == [(0, 0, 0)]
+        assert lower_hull(pts) == {(0, 0, 0): (1, 1, 1)}
         assert lp_calls == []
-        assert hull_vertices(pts) == ((0, 0, 0), (1, 1, 4), (1, 4, 1), (4, 1, 1))
-        assert lp_calls == [(2, 2, 2)]
 
 
 class TestNpMin:
@@ -255,72 +250,93 @@ class TestVN:
     )
     def test_equals_minimized_naive_product(self, data):
         # Single-monomial factors are drawn often: their product takes its
-        # own path.  The oracle hulls with one LP per point.
+        # own path.  The oracle is the brute-force definition, one LP per
+        # point.
         d, supports = data
         factors = [np_min(Poly(d, supp)) for supp in supports]
         out = vn(factors)
         naive = functools.reduce(operator.mul, map(CountPoly.of, factors))
-        oracle = minimal_support(reference_hull_vertices(naive.coeffs))
-        assert out.support() == oracle
+        assert set(out.coeffs) == winners(naive.coeffs)
+
+    @seed(SEED)
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(
+                    st.sets(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=5),
+                    min_size=2,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    def test_minimized_factors_give_the_raw_product(self, data):
+        # The typing rules multiply minimized polynomials, and their memo
+        # keys assume that this gives the minimized product of raw ones.
+        d, supports = data
+        raw = [Poly(d, supp) for supp in supports]
+        assert vn(list(map(np_min, raw))) == vn(raw)
+
+    def test_minimizing_a_factor_early_is_exact(self):
+        # (0,0,1) is dominated in a, and the lower hull of a product is the
+        # lower hull of the products of the factors' lower hulls.  Keeping
+        # the pointwise-minimal vertices of the full hull instead keeps
+        # (2,3,2) from the raw factors and (2,3,1) from the minimized ones.
+        a = Poly(3, [(0, 0, 0), (0, 0, 1)])
+        b = Poly(3, [(0, 2, 1), (1, 1, 0)])
+        c = Poly(3, [(0, 3, 0), (2, 1, 0)])
+        assert vn([a, b, c]) == vn([np_min(a), b, c]) == Poly(3, [(0, 5, 1), (1, 4, 0), (3, 2, 0)])
 
     def test_single_monomial_product_is_their_sum(self, monkeypatch):
         def no_hull(*args):
             raise AssertionError("a product of single monomials built a hull")
 
-        for name in ("_VertexTest", "hull_vertices", "minimal_vertices", "minimal_support"):
-            monkeypatch.setattr(geometry, name, no_hull)
+        monkeypatch.setattr(geometry, "lower_hull", no_hull)
         factors = [Poly(3, [(1, 0, 2)]), Poly(3, [(0, 0, 1)]), Poly(3, [(2, 1, 0)])]
         assert vn(factors) == Poly(3, [(3, 1, 3)])
         assert vn(factors[:2]) == Poly(3, [(1, 0, 3)])
         assert vn(factors[:1]) == factors[0]
 
 
+def cone_rows(mu, s: Poly) -> HalfspaceSystem:
+    """The cone of mu in s: (mu - nu) . z <= 0 for every other monomial nu."""
+    rows = sorted(tuple(a - b for a, b in zip(mu, nu)) for nu in s.coeffs if nu != mu)
+    return HalfspaceSystem(s.dim, tuple(rows))
+
+
 class TestNormalCone:
     def test_three_choice_cone(self):
-        s = Poly(2, [(2, 0), (2, 1), (0, 3)])
-        cone, witness = normal_cone((0, 3), s)
-        assert set(cone.rows) == {(F(-2), F(2)), (F(-2), F(3))}
-        assert witness is not None and cone.contains(witness)
-        reduced = reduce_rows(cone)
-        assert reduced.rows == ((F(-2), F(3)),)
-
-    @seed(SEED)
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda d: st.lists(
-                st.tuples(*[st.integers(-3, 3)] * d), min_size=0, max_size=7
-            )
-        )
-    )
-    @example([(-2, 2), (-2, 3)])
-    @example([(1, -1), (1, -1), (-1, 1)])
-    def test_reduce_rows_matches_lp_reference(self, rows):
-        system = HalfspaceSystem(len(rows[0]) if rows else 1, tuple(rows))
-        assert reduce_rows(system) == reference_reduce_rows(system)
+        # (2,1) lies above (2,0), so minimization drops it and its row.
+        s = np_min(Poly(2, [(2, 0), (2, 1), (0, 3)]))
+        cone, witness = normal_fan(s)[(0, 3)]
+        assert cone.rows == ((F(-2), F(3)),)
+        assert cone.contains(witness) and witness == (1, 0)
 
     def test_unit_vector_keeps_a_row_without_lp(self, monkeypatch):
         # e_1 satisfies (-1,1) and violates (1,-1), and e_2 the other way.
         calls = []
         monkeypatch.setattr(geometry, "lp_solve", calls.append)
-        system = HalfspaceSystem(2, ((-1, 1), (1, -1)))
-        assert reduce_rows(system) == system
+        fan = normal_fan(Poly(2, [(1, 0), (0, 1)]))
+        assert fan[(0, 1)][0] == HalfspaceSystem(2, ((-1, 1),))
+        assert fan[(1, 0)][0] == HalfspaceSystem(2, ((1, -1),))
         assert calls == []
 
     def test_not_in_support(self):
-        with pytest.raises(GeometryError):
-            normal_cone((5, 5), Poly(2, [(2, 0)]))
+        # Only monomials of the polynomial get a cone.
+        fan = normal_fan(Poly(2, [(2, 0), (0, 3)]))
+        assert list(fan) == [(0, 3), (2, 0)] and (5, 5) not in fan
 
     def test_single_monomial_cone_is_everything(self):
-        cone, witness = normal_cone((1, 1), Poly(2, [(1, 1)]))
-        assert cone.rows == ()
-        assert witness == (1, 1)
+        fan = normal_fan(Poly(2, [(1, 1)]))
+        assert fan == {(1, 1): (HalfspaceSystem(2, ()), (1, 1))}
 
     def test_empty_cone_of_dominated_vertex(self):
-        # (2,2) never minimizes against (0,0): the cone is only the origin.
-        s = Poly(2, [(0, 0), (2, 2)])
-        cone, witness = normal_cone((2, 2), s)
-        assert witness is None
+        # (2,2) never minimizes against (0,0): its cone is only the origin,
+        # and a polynomial with such a monomial has no normal fan here.
+        with pytest.raises(GeometryError, match="never the strict minimum"):
+            normal_fan(Poly(2, [(0, 0), (2, 2)]))
 
     def test_contains_with_infinity(self):
         cone = HalfspaceSystem(2, ((F(-2), F(3)),))
@@ -330,21 +346,22 @@ class TestNormalCone:
 
     def test_cones_cover_quadrant(self, rng):
         s = Poly(2, [(2, 0), (0, 3)])
-        cones = {m: normal_cone(m, s)[0] for m in s.coeffs}
+        cones = {m: cone for m, (cone, _) in normal_fan(s).items()}
         for _ in range(100):
             z = [F(rng.randint(0, 30), rng.randint(1, 7)) for _ in range(2)]
-            value, winners = eval_trop(s, z)
+            value, winners_at_z = eval_trop(s, z)
             hits = [m for m, cone in cones.items() if cone.contains(z)]
-            assert hits and set(winners) <= set(hits)
+            assert hits and set(winners_at_z) <= set(hits)
 
 
-def reference_fan(s: Poly) -> dict:
-    """Each cone by `normal_cone` and the LP-only row reduction."""
-    fan = {}
-    for mu in s.support():
-        cone, witness = normal_cone(mu, s)
-        fan[mu] = (reference_reduce_rows(cone), witness)
-    return fan
+def assert_matches_reference(s: Poly):
+    """The fan of s keeps the rows the LP-only row reduction keeps, cone by
+    cone, and each witness is strictly inside its cone."""
+    fan = normal_fan(s)
+    assert list(fan) == s.support()
+    for mu, (cone, witness) in fan.items():
+        assert cone == reference_reduce_rows(cone_rows(mu, s)), mu
+    assert_witnessed({mu: witness for mu, (_, witness) in fan.items()})
 
 
 class TestNormalFan:
@@ -358,48 +375,51 @@ class TestNormalFan:
             )
         )
     )
-    # Item 5 of the roadmap: (3,3) is a vertex but never the strict minimum,
-    # so its cone has no interior.
+    # (3,3) is a vertex of the full hull but never the strict minimum.
     @example((2, {(0, 4), (4, 0), (3, 3)}))
-    # (2,2) is dominated by (0,0): its cone is the origin, with no witness.
+    # (2,2) is dominated by (0,0): its cone is the origin.
     @example((2, {(0, 0), (2, 2)}))
-    # Not minimal: (1,2) lies on the segment from (2,1) to (0,4), so two rows
-    # of its cone are parallel and only one of them is kept.
+    # (1,2) lies on the segment from (2,1) to (0,4), so two rows of its cone
+    # are parallel.
     @example((2, {(0, 4), (1, 2), (1, 4), (2, 1), (3, 0), (3, 2), (4, 4)}))
     def test_matches_cone_by_cone_reference(self, data):
+        # A polynomial has a fan exactly when every monomial can win.
         d, support = data
         s = Poly(d, support)
-        for poly in (np_min(s), s):
-            assert normal_fan(poly) == reference_fan(poly)
+        assert_matches_reference(np_min(s))
+        if winners(support) == support:
+            assert_matches_reference(s)
+        else:
+            with pytest.raises(GeometryError):
+                normal_fan(s)
 
     def test_segment_tie_keeps_a_row_without_lp(self, monkeypatch):
         s = Poly(3, [(0, 0, 2), (0, 2, 1), (1, 0, 0)])
         # No unit vector settles the row between (0,0,2) and (1,0,0) in
         # either cone; at their tie point on the segment between the two
         # witnesses, (0,2,1) is strictly larger.
-        assert not geometry._unit_facet((-1, 0, 2), normal_cone((0, 0, 2), s)[0].rows)
-        assert not geometry._unit_facet((1, 0, -2), normal_cone((1, 0, 0), s)[0].rows)
+        assert not geometry._unit_facet((-1, 0, 2), cone_rows((0, 0, 2), s).rows)
+        assert not geometry._unit_facet((1, 0, -2), cone_rows((1, 0, 0), s).rows)
         implied = []
         monkeypatch.setattr(geometry, "_implied", lambda *args: implied.append(args))
         fan = normal_fan(s)
         assert implied == []
-        assert fan == reference_fan(s)
+        monkeypatch.undo()
+        assert_matches_reference(s)
         assert fan[(0, 0, 2)][0].rows == ((-1, 0, 2), (0, -2, 1))
 
-    def test_two_monomials_solve_no_more_lps_than_cone_by_cone(self, monkeypatch):
-        solved = []
-        solve = geometry.lp_solve
-        monkeypatch.setattr(geometry, "lp_solve", lambda prob: solved.append(prob) or solve(prob))
+    def test_two_monomials_solve_no_more_lps_than_cone_by_cone(self, lp_calls):
+        # Two monomials that can both win need no LP at all; otherwise the
+        # dominated one never wins.
         grid = list(itertools.product(range(3), repeat=2))
         for mu, nu in itertools.combinations(grid, 2):
             s = Poly(2, [mu, nu])
-            solved.clear()
-            fan = normal_fan(s)
-            fan_lps = len(solved)
-            solved.clear()
-            for m in s.support():
-                reduce_rows(normal_cone(m, s)[0])
-            assert fan_lps <= len(solved), (mu, nu)
+            if dominated(mu, [nu]) or dominated(nu, [mu]):
+                with pytest.raises(GeometryError):
+                    normal_fan(s)
+            else:
+                assert_matches_reference(s)
+        assert lp_calls == []
 
 
 class TestJson:

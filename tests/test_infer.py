@@ -205,13 +205,6 @@ class TestI2:
             assert i2_contains(res, ProbAssignment([F(1, 2)]))
             assert i2_contains(res, ProbAssignment([F(3, 4)]))
 
-    def test_unselected_monomial_reads_the_fan(self, m1_report):
-        bare = report_from_json(report_to_json(m1_report))
-        bare.selected = []
-        for sel in m1_report.selected:
-            res = solve_i2(bare, sel.monomial)
-            assert (res.cone, res.witness) == (sel.cone, sel.witness)
-
     def test_monomial_not_selected(self, m1_report):
         with pytest.raises(InferError):
             solve_i2(m1_report, (9, 9))

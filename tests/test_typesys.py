@@ -332,14 +332,10 @@ class TestNoMultisetBound:
         assert poly_to_text(res.poly) == text
 
     def test_higher_order_programs_are_sound_and_minimally_complete(self, rng):
-        # Support within the enumerated one; an exact result also holds every
-        # enumerated monomial that is the strict minimum for some weight.
-        # Neither equality with the minimized enumeration nor holding all of
-        # it is asked: minimization keeps the pointwise-minimal hull
-        # vertices, which depend on where it runs.  In
-        # (\c. c (\y. y +[X1] succ y) (c (\y. pred y) 0)) ((c2 +[X1] c1) +[X1] twice)
-        # at target 0 the minimized enumeration keeps X1^5*~X1, which lies
-        # above the segment from X1^2*~X1^2 to X1^6 and never wins.
+        # Support within the enumerated one; an exact result is exactly the
+        # enumerated monomials that are the strict minimum for some weight.
+        # Minimization keeps the lower hull, which does not depend on where
+        # it runs.
         failures = []
         with alarm(60):
             for _ in range(100):
@@ -352,7 +348,7 @@ class TestNoMultisetBound:
                     got = set(res.poly.coeffs)
                     if not (res.stable and got <= support):
                         failures.append((program, target, res.poly))
-                    elif res.exact and not winners(support) <= got:
+                    elif res.exact and winners(support) != got:
                         failures.append((program, target, res.poly, winners(support)))
         assert failures == []
 
