@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from conftest import CORPUS, LATE_RUNS, WIDE_MULTISETS
 M1 = str(CORPUS / "m1.pcfx")
 M2 = str(CORPUS / "m2.pcfx")
 M3 = str(CORPUS / "m3.pcfx")
+GOLDEN_ENUMERATE = Path(__file__).resolve().parent / "golden" / "enumerate.txt"
 
 
 @pytest.fixture()
@@ -50,6 +52,19 @@ class TestEnumerate:
         res = runner.invoke(main, ["enumerate", M1, "--target", "0"])
         words = [l.split()[0] for l in res.output.splitlines() if l.strip()]
         assert words == ["01", "101", "110"]
+
+    def test_corpus_matches_golden(self, runner):
+        # Every run of every corpus program, with its word, weight, outcome
+        # and step count.  m2 branches at every unfolding, so its runs within
+        # the default budget of 200 steps are too many to list.
+        golden = GOLDEN_ENUMERATE.read_text()
+        out = []
+        for path in sorted(CORPUS.glob("*.pcfx")):
+            budget = "60" if path.stem == "m2" else "200"
+            res = runner.invoke(main, ["enumerate", str(path), "--budget", budget])
+            assert res.exit_code == 0, res.output
+            out.append(f"# {path.name} --budget {budget}\n" + res.output)
+        assert "".join(out) == golden
 
 
 class TestAnalyze:

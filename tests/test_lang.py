@@ -1,20 +1,29 @@
 import dataclasses
+import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import annotate_reference
 from conftest import (
     CORPUS,
+    SEED,
     load,
+    random_higher_order_program,
     random_lambda_argument_program,
     random_program,
     term_depth,
     term_size,
 )
 from eval_reference import eval_prob, monomial
-from replay_reference import find_word, replay_word
+from replay_reference import (
+    enumerate_by_substitution,
+    find_word,
+    find_words_by_substitution,
+    replay_word,
+)
 from tropinf import lang
 from tropinf.algebra import ProbAssignment, Poly
 from tropinf.lang import (
@@ -26,6 +35,7 @@ from tropinf.lang import (
     Fix,
     Ifz,
     Lam,
+    LangError,
     NAT,
     ParseError,
     Succ,
@@ -380,6 +390,14 @@ class TestReduce:
         assert enumerate_trajectories(parse("pred 3"), 10)[0].normal_form == 2
         assert enumerate_trajectories(parse("pred 0"), 10)[0].normal_form == 0
 
+    def test_stuck_lambda_raises(self):
+        # A λ is a normal form but no numeral: the run is stuck.
+        with pytest.raises(LangError, match=r"stuck non-numeral normal form: \\x\. x"):
+            enumerate_trajectories(parse(r"\x. x"), 10)
+
+    def test_stuck_lambda_has_no_word(self):
+        assert find_words(parse(r"\x. x"), 0, [()], 10) == {}
+
     def test_mass_conservation_with_prefixes(self, rng):
         # Terminated weights plus unfinished prefix weights always sum to 1.
         for _ in range(30):
@@ -433,3 +451,48 @@ class TestReplay:
                 assert words == {m: w for m, w in single.items() if w is not None}, program
                 found += len(words)
         assert found > 40
+
+
+def _assert_runs_match_substitution(program, budget, extra=()):
+    """The machine's runs of program within budget steps are the substitution
+    reducer's, field for field, and so are its words at targets 0-2 for the
+    weights of those runs and extra, at budgets 0, 1 and 10000 and on both
+    sides of every run's step count.  Returns the runs."""
+    runs = enumerate_trajectories(program, budget)
+    assert runs == enumerate_by_substitution(program, budget), term_to_text(program.term)
+    monomials = {t.monomial for t in runs} | set(extra)
+    budgets = {0, 1, 10000} | {t.steps for t in runs} | {t.steps + 1 for t in runs}
+    for target in (0, 1, 2):
+        for max_steps in sorted(budgets):
+            assert find_words(program, target, monomials, max_steps) == (
+                find_words_by_substitution(program, target, monomials, max_steps)
+            ), (term_to_text(program.term), target, max_steps)
+    return runs
+
+
+class TestMachine:
+    """The environment machine takes the steps of the substitution reducer:
+    the same runs, with the same step counts and budgets."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.pcfx")))
+    def test_corpus_matches_substitution(self, name):
+        # m2 branches at every unfolding; at 60 steps it has 187 runs.
+        runs = _assert_runs_match_substitution(load(name), 60 if name == "m2" else 200)
+        assert any(t.normal_form is not None for t in runs)
+
+    @seed(SEED)
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["ground", "fix", "lambda-argument", "higher-order"]),
+           st.integers(0, 2**32 - 1))
+    def test_random_programs_match_substitution(self, draw, draw_seed):
+        rng = random.Random(draw_seed)
+        if draw == "lambda-argument":
+            program = random_lambda_argument_program(rng)
+        elif draw == "higher-order":
+            program = random_higher_order_program(rng)
+        else:
+            program = random_program(rng, max_nodes=20, fix=draw == "fix")
+        extra = tuple(rng.randint(0, 2) for _ in range(2 * program.params))
+        # A fixpoint may branch at each unfolding: its runs double every few
+        # steps.
+        _assert_runs_match_substitution(program, 24 if draw == "fix" else 40, [extra])
