@@ -3,8 +3,13 @@
 Programs are closed terms of a ground type; choices ``M +[Xi] N`` take the
 left branch with weight Xi and the right branch with weight ~Xi.  Reduction is
 weak-head call-by-name, with reduction allowed under succ/pred and in the
-scrutinee of ifz.  `find_words` finds the smallest run to a target for each
-of several weights in one depth-first search of the choice tree.
+scrutinee of ifz.  It runs on an environment machine (`_explore`): a β step
+binds the argument, unevaluated, in an environment instead of copying the body
+with the argument substituted, so every state shares the program's term.  A
+step is a β step, a fix unfolding, `pred` of `succ M` or of 0, an ifz that
+selects a branch, or a choice.  `enumerate_trajectories` lists the runs of a
+program; `find_words` finds the smallest run to a target for each of several
+weights in one depth-first search of the choice tree.
 
 The front end reads a program once.  `parse` is one recursive descent that
 checks the depth, parameter indices and scope of each node as it builds it;
@@ -158,8 +163,8 @@ _KEYWORDS = {"succ", "pred", "fix", "ifz", "then", "else", "params"}
 
 # Deepest nesting a program may have, both in its source (parentheses,
 # binders, choices, succ/pred/fix, ifz) and in its syntax tree.  The parser,
-# type checker, search and reducer recurse once or a few times per level, so
-# this keeps every pass well inside Python's default recursion limit.
+# type checker and search recurse once or a few times per level, so this
+# keeps every pass well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
 # Most choice parameters a program may declare or use.  A monomial has two
@@ -696,107 +701,7 @@ def type_check(term: Term) -> SimpleType:
 
 
 # ---------------------------------------------------------------------------
-# Reduction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    """The term does not reduce (for programs: a numeral)."""
-
-
-@dataclass(frozen=True)
-class Deterministic:
-    """One weight-free reduction step."""
-
-    term: Term
-
-
-@dataclass(frozen=True)
-class BranchStep:
-    """A choice: the left branch carries weight Xi, the right one ~Xi."""
-
-    param: int
-    left: Term
-    right: Term
-
-
-def substitute(t: Term, name: str, value: Term) -> Term:
-    if isinstance(t, Var):
-        return value if t.name == name else t
-    if isinstance(t, Lam):
-        if t.name == name:
-            return t
-        return Lam(t.name, substitute(t.body, name, value))
-    if isinstance(t, Succ):
-        return Succ(substitute(t.body, name, value))
-    if isinstance(t, Pred):
-        return Pred(substitute(t.body, name, value))
-    if isinstance(t, Fix):
-        return Fix(substitute(t.body, name, value))
-    if isinstance(t, App):
-        return App(substitute(t.fun, name, value), substitute(t.arg, name, value))
-    if isinstance(t, Ifz):
-        return Ifz(
-            substitute(t.scrutinee, name, value),
-            substitute(t.then, name, value),
-            substitute(t.orelse, name, value),
-        )
-    if isinstance(t, Choice):
-        return Choice(
-            t.param, substitute(t.left, name, value), substitute(t.right, name, value)
-        )
-    return t
-
-
-def reduce_once(t: Term):
-    """One weak-head step: NormalForm, Deterministic, or BranchStep."""
-    if isinstance(t, (Zero, Lam, Var)):
-        return NormalForm()
-    if isinstance(t, Choice):
-        return BranchStep(t.param, t.left, t.right)
-    if isinstance(t, Succ):
-        step = reduce_once(t.body)
-        if isinstance(step, NormalForm):
-            return NormalForm()
-        return _under(step, Succ)
-    if isinstance(t, Pred):
-        if isinstance(t.body, Succ):
-            return Deterministic(t.body.body)
-        if isinstance(t.body, Zero):
-            return Deterministic(Zero())
-        step = reduce_once(t.body)
-        if isinstance(step, NormalForm):
-            return NormalForm()
-        return _under(step, Pred)
-    if isinstance(t, Fix):
-        return Deterministic(App(t.body, t))
-    if isinstance(t, App):
-        if isinstance(t.fun, Lam):
-            return Deterministic(substitute(t.fun.body, t.fun.name, t.arg))
-        step = reduce_once(t.fun)
-        if isinstance(step, NormalForm):
-            return NormalForm()
-        return _under(step, lambda f: App(f, t.arg))
-    if isinstance(t, Ifz):
-        n = numeral_value(t.scrutinee)
-        if n is not None:
-            return Deterministic(t.then if n == 0 else t.orelse)
-        step = reduce_once(t.scrutinee)
-        if isinstance(step, NormalForm):
-            return NormalForm()
-        return _under(step, lambda s: Ifz(s, t.then, t.orelse))
-    return NormalForm()
-
-
-def _under(step, wrap):
-    if isinstance(step, Deterministic):
-        return Deterministic(wrap(step.term))
-    return BranchStep(step.param, wrap(step.left), wrap(step.right))
-
-
-# ---------------------------------------------------------------------------
-# Trajectories
+# Runs
 # ---------------------------------------------------------------------------
 
 ChoiceWord = tuple  # of (param, bit) pairs; bit 0 = left (Xi), 1 = right (~Xi)
@@ -827,43 +732,136 @@ class Trajectory:
     steps: int
 
 
+# The frames of the machine's stack.  Each is a tuple of its kind, its fields
+# and the rest of the stack: an argument (_ARG, term, env, rest), a succ or
+# pred around the focus (_SUCC, rest) or (_PRED, rest), and the branches of
+# an ifz whose scrutinee is the focus (_IFZ, then, orelse, env, rest).
+_ARG, _SUCC, _PRED, _IFZ = range(4)
+
+
+def _explore(term: Term, max_steps: int, data, branch, finish) -> None:
+    """Run every path of a closed term within max_steps steps on a
+    call-by-name environment machine, left branch first.
+
+    A state is a focus, the environment of its free variables and a stack of
+    frames.  An environment binds names to closures as linked tuples (name,
+    term, env, rest); environments and stacks are persistent, so a choice
+    forks a state without copying anything.  These are the steps: a β step, a
+    fix unfolding, `pred` of a literal `succ M` (which cancels before M is
+    evaluated), `pred 0`, the selection of an ifz branch once the scrutinee
+    is a numeral, and a choice.  Looking up a variable, pushing a frame and
+    returning a numeral through succ frames are free.
+
+    Each path carries data of its caller's: at a choice of parameter i,
+    `branch(data, i)` gives the data of the left and of the right branch, or
+    None for a branch not to take.  A path taken ends in `finish(data, value,
+    steps)`, where value is the numeral reached, the term the machine is
+    stuck at, or None when the budget ran out before a step.  A true result
+    of finish ends the search.
+    """
+    todo = [(term, None, None, 0, data)]
+    while todo:
+        t, env, stack, steps, data = todo.pop()
+        value = None
+        while True:
+            kind = type(t)
+            if kind is Var:
+                name = t.name
+                while env is not None and env[0] != name:
+                    env = env[3]
+                if env is None:
+                    value = t
+                    break
+                t, env = env[1], env[2]
+            elif kind is App:
+                stack = (_ARG, t.arg, env, stack)
+                t = t.fun
+            elif kind is Lam:
+                if stack is None or stack[0] != _ARG:
+                    value = t
+                    break
+                if steps >= max_steps:
+                    break
+                steps += 1
+                env = (t.name, stack[1], stack[2], env)
+                stack = stack[3]
+                t = t.body
+            elif kind is Ifz:
+                stack = (_IFZ, t.then, t.orelse, env, stack)
+                t = t.scrutinee
+            elif kind is Succ:
+                if stack is not None and stack[0] == _PRED:
+                    if steps >= max_steps:
+                        break
+                    steps += 1
+                    stack = stack[1]
+                else:
+                    stack = (_SUCC, stack)
+                t = t.body
+            elif kind is Pred:
+                stack = (_PRED, stack)
+                t = t.body
+            elif kind is Zero:
+                n = 0
+                while stack is not None and stack[0] == _SUCC:
+                    n += 1
+                    stack = stack[1]
+                if stack is None:
+                    value = n
+                    break
+                if stack[0] == _ARG:
+                    value = numeral(n)
+                    break
+                if steps >= max_steps:
+                    break
+                steps += 1
+                if stack[0] == _PRED:  # no succ frame sits on a pred frame, so n is 0
+                    stack = stack[1]
+                else:
+                    t, env = stack[1] if n == 0 else stack[2], stack[3]
+                    stack = stack[4]
+            elif kind is Choice:
+                if steps >= max_steps:
+                    break
+                steps += 1
+                data, right = branch(data, t.param)
+                if right is not None:
+                    todo.append((t.right, env, stack, steps, right))
+                if data is None:
+                    break
+                t = t.left
+            else:  # Fix
+                if steps >= max_steps:
+                    break
+                steps += 1
+                stack = (_ARG, t, env, stack)
+                t = t.body
+        if data is not None and finish(data, value, steps):
+            return
+
+
+def _both(word: ChoiceWord, i: int):
+    return word + ((i, 0),), word + ((i, 1),)
+
+
 def enumerate_trajectories(program: Program, max_steps: int) -> list:
     """All reduction paths of a program, each within max_steps total steps.
 
     Every returned trajectory either ends in a numeral or is marked
-    unfinished; the list is ordered by choice word.
+    unfinished; the list is ordered by choice word.  A path whose budget runs
+    out on a numeral ends in it.
     """
     k = program.params
     out = []
-    stack = [(program.term, 0, ())]
-    while stack:
-        term, steps, word = stack.pop()
-        finished = False
-        while steps < max_steps:
-            step = reduce_once(term)
-            if isinstance(step, NormalForm):
-                n = numeral_value(term)
-                if n is None:
-                    raise LangError(
-                        f"stuck non-numeral normal form: {term_to_text(term)}"
-                    )
-                out.append(Trajectory(word, word_monomial(word, k), n, steps))
-                finished = True
-                break
-            if isinstance(step, Deterministic):
-                term = step.term
-                steps += 1
-                continue
-            stack.append((step.right, steps + 1, word + ((step.param, 1),)))
-            term = step.left
-            steps += 1
-            word = word + ((step.param, 0),)
-        if not finished and steps >= max_steps:
-            n = numeral_value(term)
-            if n is not None:
-                out.append(Trajectory(word, word_monomial(word, k), n, steps))
-            else:
-                out.append(Trajectory(word, word_monomial(word, k), None, steps))
+
+    def finish(word, value, steps):
+        if isinstance(value, Term):
+            if steps < max_steps:
+                raise LangError(f"stuck non-numeral normal form: {term_to_text(value)}")
+            value = None
+        out.append(Trajectory(word, word_monomial(word, k), value, steps))
+
+    _explore(program.term, max_steps, (), _both, finish)
     out.sort(key=lambda tr: tr.word)
     return out
 
@@ -873,7 +871,8 @@ def find_words(
 ) -> dict:
     """The smallest choice word of a run to `target` for each weight in
     `monomials`: {monomial: word}, without the monomials that have no such
-    run within the step budget of each path.
+    run within the step budget of each path.  A run counts only if it reaches
+    its numeral in fewer than max_steps steps.
 
     One depth-first search over the choice tree, left branch first, so
     complete words come in lexicographic order and the first run found with a
@@ -885,34 +884,30 @@ def find_words(
     found = {}
     if not wanted:
         return found
-    stack = [(program.term, 0, (), [0] * (2 * program.params), list(wanted))]
-    while stack:
-        term, steps, word, used, open_ = stack.pop()
-        while steps < max_steps:
-            step = reduce_once(term)
-            if isinstance(step, NormalForm):
-                weight = tuple(used)
-                if numeral_value(term) == target and weight in wanted and weight not in found:
-                    found[weight] = word
-                    if len(found) == len(wanted):
-                        return found
-                break
-            if isinstance(step, Deterministic):
-                term = step.term
-                steps += 1
-                continue
-            i = step.param
-            left = 2 * (i - 1)
-            right = [m for m in open_ if m[left + 1] > used[left + 1] and m not in found]
-            if right:
-                rused = list(used)
-                rused[left + 1] += 1
-                stack.append((step.right, steps + 1, word + ((i, 1),), rused, right))
-            open_ = [m for m in open_ if m[left] > used[left] and m not in found]
-            if not open_:
-                break
-            used[left] += 1
-            term = step.left
-            word = word + ((i, 0),)
-            steps += 1
+
+    def branch(data, i):
+        word, used, open_ = data
+        left = 2 * (i - 1)
+        right = [m for m in open_ if m[left + 1] > used[left + 1] and m not in found]
+        if right:
+            rused = list(used)
+            rused[left + 1] += 1
+            right = (word + ((i, 1),), rused, right)
+        else:
+            right = None
+        open_ = [m for m in open_ if m[left] > used[left] and m not in found]
+        if not open_:
+            return None, right
+        used[left] += 1
+        return (word + ((i, 0),), used, open_), right
+
+    def finish(data, value, steps):
+        word, used, _ = data
+        weight = tuple(used)
+        if value == target and steps < max_steps and weight in wanted and weight not in found:
+            found[weight] = word
+            return len(found) == len(wanted)
+
+    _explore(program.term, max_steps, ((), [0] * (2 * program.params), list(wanted)),
+             branch, finish)
     return found

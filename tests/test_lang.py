@@ -470,9 +470,31 @@ def _assert_runs_match_substitution(program, budget, extra=()):
     return runs
 
 
+# Small programs with each kind of step next to a choice, so that a budget
+# that runs out between two steps tells their order.
+STEP_ORDER = [
+    r"pred (succ (0 +[X1] 1))",
+    r"pred ((\y. succ y) (0 +[X1] 2))",
+    r"pred (pred (0 +[X1] 2))",
+    r"ifz (pred (succ (1 +[X1] 0))) then 2 else (0 +[X1] 1)",
+    r"succ (pred 0) +[X1] pred (succ (succ 0))",
+    r"(fix (\f. \x. ifz x then 0 +[X1] 1 else f (pred x))) (2 +[X1] 3)",
+    r"(\f. f (f (0 +[X1] 1))) (\x. pred (succ (succ x)))",
+]
+
+
 class TestMachine:
     """The environment machine takes the steps of the substitution reducer:
     the same runs, with the same step counts and budgets."""
+
+    @pytest.mark.parametrize("source", STEP_ORDER)
+    def test_step_order_matches_substitution(self, source):
+        program = parse(source)
+        for budget in range(20):
+            assert enumerate_trajectories(program, budget) == (
+                enumerate_by_substitution(program, budget)
+            ), budget
+        _assert_runs_match_substitution(program, 200)
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.pcfx")))
     def test_corpus_matches_substitution(self, name):
