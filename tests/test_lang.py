@@ -496,6 +496,18 @@ class TestMachine:
             ), budget
         _assert_runs_match_substitution(program, 200)
 
+    @pytest.mark.parametrize("source", ["2 1", r"succ (\x. x)", r"ifz (\x. x) then 0 else 1",
+                                        r"0 +[X1] (\x. x)"])
+    def test_stuck_inside_a_frame(self, source):
+        # Ill-typed programs whose numeral or λ meets a frame it does not fit.
+        program = parse(source)
+        for enumerate_runs in (enumerate_trajectories, enumerate_by_substitution):
+            with pytest.raises(LangError, match="stuck non-numeral normal form"):
+                enumerate_runs(program, 10)
+        monomials = [tuple([1, 0] * program.params)]
+        assert find_words(program, 0, monomials, 10) == (
+            find_words_by_substitution(program, 0, monomials, 10))
+
     @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.pcfx")))
     def test_corpus_matches_substitution(self, name):
         # m2 branches at every unfolding; at 60 steps it has 187 runs.

@@ -137,7 +137,7 @@ class TestBetaRedexFlow:
             assert res.stable
             assert res.poly == self.oracle(program, target), (target, res.poly)
 
-    def test_rule_lam_keeps_atoms_above_p(self):
+    def test_rule_lam_drops_no_row(self):
         # Neither a large atom nor a wide multiset drops a row.
         above = Entry(ctx_of("x", 5), 5, Poly.unit(2), 0)
         twice = Entry(ctx_sum(ctx_of("x", 0), ctx_of("x", 0)), 0, Poly.unit(2), 0)
@@ -427,7 +427,7 @@ class TestStabilize:
             " + X1*~X2*~X5 + X1*~X2*X3*~X4*X5 + X1*X2*~X4"
         )
 
-    def test_stability_requires_both_bound_increases(self):
+    def test_wide_multiset_typed_in_one_exact_round(self):
         # The target is only reachable with multisets of size 2, which the
         # one exact round of this fix-free program types.
         from tropinf.lang import App, Choice, Ifz, Lam, Program, Succ, Var, Zero
