@@ -510,7 +510,7 @@ class TestMachine:
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.pcfx")))
     def test_corpus_matches_substitution(self, name):
-        # m2 branches at every unfolding; at 60 steps it has 187 runs.
+        # m2 branches at every unfolding; at 60 steps it has 188 runs.
         runs = _assert_runs_match_substitution(load(name), 60 if name == "m2" else 200)
         assert any(t.normal_form is not None for t in runs)
 
