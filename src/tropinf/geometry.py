@@ -6,15 +6,17 @@ with a witness weight (`lower_hull`).  It is the one minimization: `np_min`,
 every fold of `vn` and `normal_fan` call it.  Dominated points are skipped;
 two points left are each witnessed by a unit vector, and more are settled by
 exact integer certificates where they can be: the indicator of a point's
-column minima and a few clipped perceptron steps from it (each a witness
-once checked), and a dominated midpoint of two other points (not a
-vertex).  A small linear program decides only the points these leave open.
-The dominance test and the certificates loop in C.  A vertex of the lower
-hull of a Minkowski sum is a sum of vertices of the summands' lower hulls, so
-`vn` minimizes every fold of a product, and minimizing early is exact.
-`normal_fan` reuses the witnesses: every kept monomial has a full-dimensional
-cone, so each pair of monomials is decided once, by a unit vector, by the
-point where the two tie on the segment between their witnesses, or else by
+column minima, a dominated midpoint of two other points (not a vertex), the
+gap weight that sums how far the other points lie above it in each column,
+and a few clipped perceptron steps from the indicator (each weight a witness
+once checked).  A small linear program decides only the points these leave
+open.  The dominance test and the certificates loop in C.  A vertex of the
+lower hull of a Minkowski sum is a sum of vertices of the summands' lower
+hulls, so `vn` minimizes every fold of a product, and minimizing early is
+exact.  `normal_fan` reuses the witnesses: every kept monomial has a
+full-dimensional cone, so each pair of monomials is decided once, by a unit
+vector, by the point where the two tie on the segment between their
+witnesses, by two other monomials whose sum lies below the pair's, or else by
 one LP.  The LPs are solved by a two-phase simplex with Bland's pivoting rule
 on an integer tableau that shares one positive common denominator
 (fraction-free, Bareiss-style pivoting).  Rational input rows are scaled to
@@ -233,7 +235,7 @@ def _violator(p, z, others):
     return others[values.index(min(values))]
 
 
-def _certify(p, bit, pts, lows, at):
+def _certify(p, bit, pts, cols, lows, at):
     """An integer weight z >= 0 at which p is strictly below every other point
     of the antichain pts, False when p is certainly not a vertex of its lower
     hull, or None when the certificates settle neither.
@@ -242,9 +244,12 @@ def _certify(p, bit, pts, lows, at):
     `lows`.  Every other point q has z . q >= z . p, with equality iff q
     attains the minimum in all of these columns too, so z is a witness iff the
     masks `at` of the points at each of these minima meet in p's bit alone.
-    If z fails and `_above_midpoint` does not rule p out, each of a few
-    perceptron steps adds q - p for the lowest other point q and clips at 0,
-    and every such z is checked exactly.
+    If z fails and `_above_midpoint` does not rule p out, the gap weight is
+    tried next: z_j = sum over the points q of max(0, q_j - p_j), read off the
+    columns `cols`, which weighs each column by how far the others lie above
+    p in it.  If that fails too, each of a few perceptron steps from the
+    indicator adds q - p for the lowest other point q and clips at 0.  Every
+    weight but the indicator is checked exactly by `_violator`.
     """
     z = [int(a == m) for a, m in zip(p, lows)]
     if reduce(and_, compress(at, z), -1) == bit:
@@ -252,6 +257,9 @@ def _certify(p, bit, pts, lows, at):
     if _above_midpoint(p, pts):
         return False
     others = [q for q in pts if q != p]
+    gap = [sum(map(max, repeat(0), map(sub, col, repeat(a)))) for col, a in zip(cols, p)]
+    if _violator(p, gap, others) is None:
+        return tuple(gap)
     q = _violator(p, z, others)
     for _ in range(_UPDATES):
         z = list(map(max, repeat(0), map(sub, map(add, z, q), p)))
@@ -307,7 +315,7 @@ def lower_hull(points: Iterable[Monomial]) -> dict:
     # The points at the minimum of each column, as a bit mask.
     at = [sum(1 << i for i, a in enumerate(col) if a == low) for col, low in zip(cols, lows)]
     # point -> a witness, False or None
-    verdict = {p: _certify(p, 1 << i, pts, lows, at) for i, p in enumerate(pts)}
+    verdict = {p: _certify(p, 1 << i, pts, cols, lows, at) for i, p in enumerate(pts)}
     d = len(lows)
     for p, witness in verdict.items():
         if witness is None:
@@ -417,6 +425,21 @@ def _unit_facet(row, rows) -> bool:
     )
 
 
+def _pair_below(mu, nu, monomials) -> bool:
+    """True when two monomials lam and kappa other than mu and nu (possibly
+    equal) have lam + kappa <= mu + nu, which makes the row mu - nu redundant
+    in mu's cone, and nu - mu in nu's.
+
+    A z >= 0 that keeps every other row of mu's cone has lam . z >= mu . z and
+    kappa . z >= mu . z; if it also had nu . z < mu . z, then
+    (lam + kappa) . z >= 2 mu . z > (mu + nu) . z, against
+    (lam + kappa) . z <= (mu + nu) . z.
+    """
+    total = list(map(add, mu, nu))
+    rest = [lam for lam in monomials if lam != mu and lam != nu]
+    return any(dominated(tuple(map(sub, total, lam)), rest) for lam in rest)
+
+
 def _implied(row, others) -> bool:
     """True when row . x <= 0 follows from the other rows and x >= 0: the
     maximum of row . x over them (bounded by the unit simplex, by
@@ -446,6 +469,8 @@ def normal_fan(s: Poly) -> dict:
       where mu and nu tie, if every other monomial is strictly larger there
       (moving from it towards nu's witness keeps every other row of mu's cone
       and violates mu - nu);
+    - the pair below: two other monomials whose sum is <= mu + nu in every
+      column make the row redundant in both cones (`_pair_below`);
     - one LP of the row against all other rows.
     """
     witnesses = lower_hull(s.coeffs)
@@ -470,7 +495,10 @@ def normal_fan(s: Poly) -> dict:
                 or _segment_tie(
                     _values(mu, witnesses, values), _values(nu, witnesses, values), mu, nu
                 )
-                or not _implied(row, [r for r in rows if r != row])
+                or not (
+                    _pair_below(mu, nu, witnesses)
+                    or _implied(row, [r for r in rows if r != row])
+                )
             )
     return {
         mu: (HalfspaceSystem(s.dim, tuple(r for r in rows if facet[mu, r])), witnesses[mu])

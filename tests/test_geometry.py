@@ -28,6 +28,16 @@ F = Fraction
 
 SIX_POINTS = [(2, 3, 2), (3, 2, 2), (1, 1, 3), (3, 0, 3), (5, 4, 3), (4, 2, 3)]
 
+# The six monomials of corpus m2 at target 1.
+M2_MONOMIALS = [
+    (0, 1, 0, 0, 0, 1, 0, 0, 0, 1),
+    (0, 1, 0, 0, 1, 0, 0, 1, 0, 0),
+    (0, 1, 0, 1, 1, 0, 1, 0, 0, 1),
+    (1, 0, 0, 1, 0, 0, 0, 0, 0, 1),
+    (1, 0, 0, 1, 1, 0, 0, 1, 1, 0),
+    (1, 0, 1, 0, 0, 0, 0, 1, 0, 0),
+]
+
 
 class TestLP:
     def test_simple_max(self):
@@ -155,15 +165,35 @@ class TestHullCertificates:
         assert hull[(3, 2, 2)] == (0, 1, 3)
         assert lp_calls == []
 
+    def test_m2_union_needs_no_perceptron(self, monkeypatch, lp_calls):
+        # The union of m2's rows in round n = 3.  The indicator fails for
+        # two of its vertices and no midpoint lies below them; the gap
+        # weight witnesses both, with no perceptron step and no LP.
+        pts = [
+            (0, 1, 0, 0, 0, 3, 0, 0, 2, 1), (0, 1, 0, 0, 1, 2, 0, 1, 2, 0),
+            (0, 1, 0, 1, 1, 1, 1, 0, 1, 1), (0, 1, 0, 1, 2, 0, 1, 1, 1, 0),
+            (0, 1, 1, 0, 1, 1, 1, 1, 1, 0), (0, 1, 1, 1, 1, 0, 2, 0, 0, 1),
+            (0, 1, 2, 0, 1, 0, 2, 1, 0, 0), (1, 0, 0, 1, 0, 2, 0, 0, 2, 1),
+            (1, 0, 0, 1, 1, 1, 0, 1, 2, 0), (1, 0, 0, 2, 1, 0, 1, 0, 1, 1),
+            (1, 0, 1, 1, 0, 1, 1, 0, 1, 1), (1, 0, 1, 1, 1, 0, 1, 1, 1, 0),
+            (1, 0, 2, 1, 0, 0, 2, 0, 0, 1), (1, 0, 3, 0, 0, 0, 2, 1, 0, 0),
+        ]
+        monkeypatch.setattr(geometry, "_UPDATES", 0)
+        hull = lower_hull(pts)
+        assert set(hull) == winners(pts) and len(hull) == 12
+        assert_witnessed(hull)
+        assert lp_calls == []
+
     def test_analyze_m2_solves_few_lps(self, lp_calls):
         # Every point of m2's minimizations is settled by a certificate or
         # skipped as dominated, and the fan of its 6 monomials reuses their
-        # witnesses and solves 3 LPs for the 15 pairs of cones.
+        # witnesses and settles the 15 pairs of cones by unit vectors,
+        # segment ties and pairs below, with no LP.
         infer.analyze(load("m2"), 1)
-        assert len(lp_calls) <= 3
+        assert lp_calls == []
 
 
-class TestMinimalVertices:
+class TestLowerHullDominance:
     """Dominance first: vertexhood is decided only for undominated points."""
 
     @seed(SEED)
@@ -306,7 +336,7 @@ def cone_rows(mu, s: Poly) -> HalfspaceSystem:
     return HalfspaceSystem(s.dim, tuple(rows))
 
 
-class TestNormalCone:
+class TestNormalFanCones:
     def test_three_choice_cone(self):
         # (2,1) lies above (2,0), so minimization drops it and its row.
         s = np_min(Poly(2, [(2, 0), (2, 1), (0, 3)]))
@@ -364,17 +394,18 @@ def assert_matches_reference(s: Poly):
     assert_witnessed({mu: witness for mu, (_, witness) in fan.items()})
 
 
+# (dimension, support) pairs of dimension 2-6.
+supports = st.integers(2, 6).flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.sets(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=8)
+    )
+)
+
+
 class TestNormalFan:
     @seed(SEED)
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(2, 6).flatmap(
-            lambda d: st.tuples(
-                st.just(d),
-                st.sets(st.tuples(*[st.integers(0, 4)] * d), min_size=1, max_size=8),
-            )
-        )
-    )
+    @given(supports)
     # (3,3) is a vertex of the full hull but never the strict minimum.
     @example((2, {(0, 4), (4, 0), (3, 3)}))
     # (2,2) is dominated by (0,0): its cone is the origin.
@@ -382,6 +413,9 @@ class TestNormalFan:
     # (1,2) lies on the segment from (2,1) to (0,4), so two rows of its cone
     # are parallel.
     @example((2, {(0, 4), (1, 2), (1, 4), (2, 1), (3, 0), (3, 2), (4, 4)}))
+    # m2's monomials: pairs below settle every pair that no unit vector or
+    # segment tie settles.
+    @example((10, set(M2_MONOMIALS)))
     def test_matches_cone_by_cone_reference(self, data):
         # A polynomial has a fan exactly when every monomial can win.
         d, support = data
@@ -407,6 +441,32 @@ class TestNormalFan:
         monkeypatch.undo()
         assert_matches_reference(s)
         assert fan[(0, 0, 2)][0].rows == ((-1, 0, 2), (0, -2, 1))
+
+    @seed(SEED)
+    @settings(max_examples=150, deadline=None)
+    @given(supports)
+    @example((10, set(M2_MONOMIALS)))
+    def test_pair_below_drops_only_redundant_rows(self, data):
+        d, support = data
+        s = np_min(Poly(d, support))
+        for mu in s.coeffs:
+            below = [nu for nu in s.coeffs if nu != mu and geometry._pair_below(mu, nu, s.coeffs)]
+            if below:
+                kept = reference_reduce_rows(cone_rows(mu, s)).rows
+                assert not {tuple(map(operator.sub, mu, nu)) for nu in below} & set(kept)
+
+    def test_m2_fan_solves_no_lp(self, monkeypatch):
+        # Unit vectors and segment ties leave 3 pairs of cones open, and the
+        # pair (0,1,0,0,1,0,0,1,0,0) + (1,0,0,1,0,0,0,0,0,1) lies below
+        # each of them.
+        def implied(row, others):
+            raise AssertionError(f"LP for row {row}")
+
+        s = Poly(10, M2_MONOMIALS)
+        monkeypatch.setattr(geometry, "_implied", implied)
+        fan = normal_fan(s)
+        for mu, (cone, _) in fan.items():
+            assert cone == reference_reduce_rows(cone_rows(mu, s)), mu
 
     def test_two_monomials_solve_no_more_lps_than_cone_by_cone(self, lp_calls):
         # Two monomials that can both win need no LP at all; otherwise the

@@ -3,9 +3,10 @@
 The file pins the whole `report_to_json` of each program, cone witnesses
 included.  A witness is the weight that settled its monomial in
 `geometry.lower_hull`: a certificate's (a unit vector, the indicator of the
-monomial's column minima, or a perceptron step from it), or else the vertex
-an LP solve ends at.  So these goldens also pin the order of the
-certificates and the simplex's pivot sequence, not only which weights win.
+monomial's column minima, the gap weight, or a perceptron step from the
+indicator), or else the vertex an LP solve ends at.  So these goldens also
+pin the order of the certificates and the simplex's pivot sequence, not only
+which weights win.
 
 Regenerate (only on purpose, saying why in CHANGES.md) with
 `PYTHONPATH=src python tests/test_golden_reports.py`.
