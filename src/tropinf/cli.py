@@ -114,23 +114,24 @@ def check(path):
 @click.argument("path", type=click.Path())
 @click.option("--budget", type=click.IntRange(min=0), default=200, show_default=True,
               help="Total step budget per path.")
-@click.option("--target", type=int, default=None, help="Only show paths reaching this numeral.")
+@click.option("--target", type=click.IntRange(min=0), default=None,
+              help="Only show paths reaching this numeral.")
 def enumerate(path, budget, target):
-    """List reduction paths with their choice words and weights."""
+    """List reduction paths with their choice words and weights, each as it
+    ends, in word order."""
     program, _ = _load(path)
     try:
         lang.type_check(program.term)
-        trajectories = lang.enumerate_trajectories(program, budget)
+        for tr in lang.enumerate_trajectories(program, budget):
+            if target is not None and tr.normal_form != target:
+                continue
+            outcome = "unfinished" if tr.normal_form is None else f"-> {tr.normal_form}"
+            word = lang.word_to_text(tr.word) or "(empty)"
+            click.echo(
+                f"{word}  {algebra.mono_to_text(tr.monomial)}  {outcome}  [{tr.steps} steps]"
+            )
     except LangError as exc:
         raise CliError(str(exc))
-    for tr in trajectories:
-        if target is not None and tr.normal_form != target:
-            continue
-        outcome = "unfinished" if tr.normal_form is None else f"-> {tr.normal_form}"
-        word = lang.word_to_text(tr.word) or "(empty)"
-        click.echo(
-            f"{word}  {algebra.mono_to_text(tr.monomial)}  {outcome}  [{tr.steps} steps]"
-        )
 
 
 def _report_text(report):

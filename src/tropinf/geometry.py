@@ -17,9 +17,11 @@ exact.  `normal_fan` reuses the witnesses: every kept monomial has a
 full-dimensional cone, so each pair of monomials is decided once, by a unit
 vector, by the point where the two tie on the segment between their
 witnesses, by two other monomials whose sum lies below the pair's, or else by
-one LP.  The LPs are solved by a two-phase simplex with Bland's pivoting rule
-on an integer tableau that shares one positive common denominator
-(fraction-free, Bareiss-style pivoting).  Rational input rows are scaled to
+one LP.  Every such LP maximizes c . x subject to A x <= b and x >= 0 with
+b >= 0, and is bounded; `lp_solve` solves that one form by Bland's simplex
+from the slack basis on an integer tableau that shares one positive common
+denominator (fraction-free, Bareiss-style pivoting), and refuses a negative
+right-hand side or an unbounded LP.  Rational input rows are scaled to
 integers and results come back as exact `Fraction`s.  No floating point
 enters any geometric predicate.
 """
@@ -36,8 +38,6 @@ from typing import Iterable, Sequence
 
 from .algebra import INF, Monomial, Poly, dominated
 
-Sense = str  # "<=", "=", ">="
-
 
 class GeometryError(ValueError):
     pass
@@ -50,21 +50,22 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class LPProblem:
-    """maximize objective . x  subject to the rows, x >= 0, exact rationals."""
+    """maximize objective . x subject to coeffs . x <= rhs for every row
+    (coeffs, rhs) and x >= 0, over exact rationals, with every rhs >= 0.
+
+    It is the one form the geometry poses: its right-hand sides are 0 or 1,
+    so x = 0 is feasible, and each of its LPs is bounded (see `lower_hull`
+    and `_implied`).
+    """
 
     objective: tuple
-    rows: tuple  # of (coeffs, sense, rhs)
-    maximize: bool = True
+    rows: tuple  # of (coeffs, rhs)
 
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: tuple = ()
-    value: Fraction = Fraction(0)
-
-
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+    x: tuple
+    value: Fraction
 
 
 def _integral(values) -> tuple:
@@ -101,28 +102,40 @@ def _pivot(T, basis, r, c, D) -> int:
     return piv
 
 
-def _simplex(T, basis, c, D, blocked) -> tuple:
-    """Maximize c.x with Bland's rule on the integer tableau T over D > 0.
+def lp_solve(prob: LPProblem) -> LPResult:
+    """Solve prob exactly by Bland's simplex from the slack basis.
 
-    The rational tableau is T / D, so reduced costs have the sign of
-    c[j]*D - sum(cb[i]*T[i][j]) and ratios compare by cross-multiplication.
-    `blocked` columns may never (re)enter the basis.  Returns the status,
-    "optimal" or "unbounded", and the final denominator; T and basis are
-    updated in place.
+    Each row is scaled to integers on its own and gets a slack column of
+    coefficient 1, so x = 0 is the first basic solution.  The tableau is
+    integral over one positive denominator D (the rational tableau is T / D),
+    so reduced costs have the sign of c[j]*D - sum(cb[i]*T[i][j]) and ratios
+    compare by cross-multiplication.  A negative rhs, where x = 0 is not
+    feasible, and an unbounded LP raise GeometryError.
     """
-    ncols = len(T[0]) - 1
+    n = len(prob.objective)
+    m = len(prob.rows)
+    T = []
+    for i, (coeffs, rhs) in enumerate(prob.rows):
+        if len(coeffs) != n:
+            raise GeometryError("row length does not match objective length")
+        ints = _integral((*coeffs, rhs))[0]
+        if ints[-1] < 0:
+            raise GeometryError(f"negative right-hand side {rhs}")
+        T.append(ints[:-1] + [int(j == i) for j in range(m)] + ints[-1:])
+    basis = list(range(n, n + m))
+    objective, scale = _integral(prob.objective)
+    c = objective + [0] * m
+    D = 1
     while True:
         in_basis = set(basis)
         costed = [(c[b], T[i]) for i, b in enumerate(basis) if c[b]]
         enter = -1
-        for j in range(ncols):
-            if j in blocked or j in in_basis:
-                continue
-            if c[j] * D - sum(cb * row[j] for cb, row in costed) > 0:
+        for j in range(n + m):
+            if j not in in_basis and c[j] * D - sum(cb * row[j] for cb, row in costed) > 0:
                 enter = j
                 break  # Bland: smallest improving index
         if enter < 0:
-            return "optimal", D
+            break
         leave = -1
         for i, row in enumerate(T):
             a = row[enter]
@@ -131,88 +144,20 @@ def _simplex(T, basis, c, D, blocked) -> tuple:
                     leave = i
                     continue
                 # row[-1] / a against the best ratio so far, both a > 0.
-                lhs = row[-1] * T[leave][enter]
-                rhs = T[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                mine = row[-1] * T[leave][enter]
+                best = T[leave][-1] * a
+                if mine < best or (mine == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return "unbounded", D
+            raise GeometryError("the LP is unbounded")
         D = _pivot(T, basis, leave, enter, D)
-
-
-def lp_solve(prob: LPProblem) -> LPResult:
-    """Solve prob exactly by a two-phase simplex on an integer tableau.
-
-    Each row is scaled to integers on its own; its slack and artificial
-    columns keep coefficient 1, so phase 1 weighs the artificial of a row
-    scaled by s by 1/s (times a common multiple, to stay integral).
-    """
-    n = len(prob.objective)
-    rows = []
-    for coeffs, sense, rhs in prob.rows:
-        if len(coeffs) != n:
-            raise GeometryError("row length does not match objective length")
-        ints, s = _integral((*coeffs, rhs))
-        if ints[-1] < 0:
-            ints = [-a for a in ints]
-            sense = _FLIP[sense]
-        rows.append((ints, s, sense))
-
-    n_slack = sum(1 for _, _, sense in rows if sense != "=")
-    n_art = sum(1 for _, _, sense in rows if sense != "<=")
-    ncols = n + n_slack + n_art
-
-    T = []
-    basis = []
-    slack_at = n
-    art_at = n + n_slack
-    art_scale = {}  # artificial column -> scale of its row
-    for ints, s, sense in rows:
-        row = ints[:-1] + [0] * (n_slack + n_art) + ints[-1:]
-        if sense == "<=":
-            row[slack_at] = 1
-            basis.append(slack_at)
-            slack_at += 1
-        else:
-            if sense == ">=":
-                row[slack_at] = -1
-                slack_at += 1
-            row[art_at] = 1
-            basis.append(art_at)
-            art_scale[art_at] = s
-            art_at += 1
-        T.append(row)
-
-    D = 1
-    if art_scale:
-        common = lcm(*art_scale.values())
-        phase1 = [0] * ncols
-        for j, s in art_scale.items():
-            phase1[j] = -(common // s)
-        _, D = _simplex(T, basis, phase1, D, blocked=())
-        if sum(phase1[b] * T[i][-1] for i, b in enumerate(basis)) < 0:
-            return LPResult("infeasible")
-        # Pivot any zero-valued artificial out of the basis if possible.
-        for i, b in enumerate(basis):
-            if b in art_scale:
-                for j in range(ncols):
-                    if j not in art_scale and T[i][j] != 0:
-                        D = _pivot(T, basis, i, j, D)
-                        break
-
-    sign = 1 if prob.maximize else -1
-    objective, scale = _integral(prob.objective)
-    c = [sign * a for a in objective] + [0] * (n_slack + n_art)
-    status, D = _simplex(T, basis, c, D, blocked=art_scale)
-    if status == "unbounded":
-        return LPResult("unbounded")
     x = [Fraction(0)] * n
     total = 0
     for i, b in enumerate(basis):
         if b < n:
             x[b] = Fraction(T[i][-1], D)
             total += objective[b] * T[i][-1]
-    return LPResult("optimal", tuple(x), Fraction(total, scale * D))
+    return LPResult(tuple(x), Fraction(total, scale * D))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +243,10 @@ def lower_hull(points: Iterable[Monomial]) -> dict:
     point where it can, and an LP decides only the points it leaves open: it
     maximizes t subject to (p - q) . z + t <= 0, sum(z) <= 1 and z >= 0, and
     p is a vertex iff t > 0.  A point already known not to be a vertex lies
-    in the lower hull of the vertices, so the LP leaves its row out.
+    in the lower hull of the vertices, so the LP leaves its row out.  The
+    row of another vertex q bounds t: an antichain of two or more points has
+    two or more vertices (a lone vertex would be the minimum at every
+    unit weight, so at or below every other point in every column), and only non-vertices are left out.
     """
     pts = []
     for p in sorted(set(map(tuple, points)), key=sum):
@@ -319,12 +267,8 @@ def lower_hull(points: Iterable[Monomial]) -> dict:
     d = len(lows)
     for p, witness in verdict.items():
         if witness is None:
-            rows = [
-                ((*map(sub, p, q), 1), "<=", 0)
-                for q in pts
-                if q != p and verdict[q] is not False
-            ]
-            rows.append(((1,) * d + (0,), "<=", 1))
+            rows = [((*map(sub, p, q), 1), 0) for q in pts if q != p and verdict[q] is not False]
+            rows.append(((1,) * d + (0,), 1))
             res = lp_solve(LPProblem((0,) * d + (1,), tuple(rows)))
             verdict[p] = res.x[:d] if res.value > 0 else False
     return {p: verdict[p] for p in sorted(verdict) if verdict[p] is not False}
@@ -444,10 +388,9 @@ def _implied(row, others) -> bool:
     """True when row . x <= 0 follows from the other rows and x >= 0: the
     maximum of row . x over them (bounded by the unit simplex, by
     homogeneity) is at most 0."""
-    lp_rows = [(r, "<=", 0) for r in others]
-    lp_rows.append(((1,) * len(row), "<=", 1))
-    res = lp_solve(LPProblem(row, tuple(lp_rows)))
-    return res.status == "optimal" and res.value <= 0
+    lp_rows = [(r, 0) for r in others]
+    lp_rows.append(((1,) * len(row), 1))
+    return lp_solve(LPProblem(row, tuple(lp_rows))).value <= 0
 
 
 def normal_fan(s: Poly) -> dict:

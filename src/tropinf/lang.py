@@ -7,9 +7,10 @@ scrutinee of ifz.  It runs on an environment machine (`_explore`): a β step
 binds the argument, unevaluated, in an environment instead of copying the body
 with the argument substituted, so every state shares the program's term.  A
 step is a β step, a fix unfolding, `pred` of `succ M` or of 0, an ifz that
-selects a branch, or a choice.  `enumerate_trajectories` lists the runs of a
-program; `find_words` finds the smallest run to a target for each of several
-weights in one depth-first search of the choice tree.
+selects a branch, or a choice.  `enumerate_trajectories` yields the runs of a
+program in word order as they end; `find_words` finds the smallest run to a
+target for each of several weights in one depth-first search of the choice
+tree.
 
 The front end reads a program once.  `parse` is one recursive descent that
 checks the depth, parameter indices and scope of each node as it builds it;
@@ -739,7 +740,7 @@ class Trajectory:
 _ARG, _SUCC, _PRED, _IFZ = range(4)
 
 
-def _explore(term: Term, max_steps: int, data, branch, finish) -> None:
+def _explore(term: Term, max_steps: int, data, branch):
     """Run every path of a closed term within max_steps steps on a
     call-by-name environment machine, left branch first.
 
@@ -754,10 +755,10 @@ def _explore(term: Term, max_steps: int, data, branch, finish) -> None:
 
     Each path carries data of its caller's: at a choice of parameter i,
     `branch(data, i)` gives the data of the left and of the right branch, or
-    None for a branch not to take.  A path taken ends in `finish(data, value,
-    steps)`, where value is the numeral reached, the term the machine is
-    stuck at, or None when the budget ran out before a step.  A true result
-    of finish ends the search.
+    None for a branch not to take.  Each path taken is yielded as it ends, as
+    (data, value, steps), where value is the numeral reached, the term the
+    machine is stuck at, or None when the budget ran out before a step.
+    Paths end in the order of their choice words.
     """
     todo = [(term, None, None, 0, data)]
     while todo:
@@ -836,34 +837,28 @@ def _explore(term: Term, max_steps: int, data, branch, finish) -> None:
                 steps += 1
                 stack = (_ARG, t, env, stack)
                 t = t.body
-        if data is not None and finish(data, value, steps):
-            return
+        if data is not None:
+            yield data, value, steps
 
 
 def _both(word: ChoiceWord, i: int):
     return word + ((i, 0),), word + ((i, 1),)
 
 
-def enumerate_trajectories(program: Program, max_steps: int) -> list:
-    """All reduction paths of a program, each within max_steps total steps.
+def enumerate_trajectories(program: Program, max_steps: int):
+    """Yield every reduction path of a program, each within max_steps total
+    steps, in the order of their choice words, as each path ends.
 
-    Every returned trajectory either ends in a numeral or is marked
-    unfinished; the list is ordered by choice word.  A path whose budget runs
-    out on a numeral ends in it.
+    Every trajectory either ends in a numeral or is marked unfinished.  A
+    path whose budget runs out on a numeral ends in it.
     """
     k = program.params
-    out = []
-
-    def finish(word, value, steps):
+    for word, value, steps in _explore(program.term, max_steps, (), _both):
         if isinstance(value, Term):
             if steps < max_steps:
                 raise LangError(f"stuck non-numeral normal form: {term_to_text(value)}")
             value = None
-        out.append(Trajectory(word, word_monomial(word, k), value, steps))
-
-    _explore(program.term, max_steps, (), _both, finish)
-    out.sort(key=lambda tr: tr.word)
-    return out
+        yield Trajectory(word, word_monomial(word, k), value, steps)
 
 
 def find_words(
@@ -901,13 +896,11 @@ def find_words(
         used[left] += 1
         return (word + ((i, 0),), used, open_), right
 
-    def finish(data, value, steps):
-        word, used, _ = data
+    start = ((), [0] * (2 * program.params), list(wanted))
+    for (word, used, _), value, steps in _explore(program.term, max_steps, start, branch):
         weight = tuple(used)
         if value == target and steps < max_steps and weight in wanted and weight not in found:
             found[weight] = word
-            return len(found) == len(wanted)
-
-    _explore(program.term, max_steps, ((), [0] * (2 * program.params), list(wanted)),
-             branch, finish)
+            if len(found) == len(wanted):
+                break
     return found

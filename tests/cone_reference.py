@@ -16,9 +16,8 @@ def reduce_rows(system: HalfspaceSystem) -> HalfspaceSystem:
         others = [r for r in kept if r != row]
         # row is redundant iff max row.x over the others (bounded by the
         # unit simplex, by homogeneity) cannot exceed 0.
-        lp_rows = [(r, "<=", 0) for r in others]
-        lp_rows.append(((1,) * len(row), "<=", 1))
-        res = lp_solve(LPProblem(row, tuple(lp_rows)))
-        if res.status == "optimal" and res.value <= 0:
+        lp_rows = [(r, 0) for r in others]
+        lp_rows.append(((1,) * len(row), 1))
+        if lp_solve(LPProblem(row, tuple(lp_rows))).value <= 0:
             kept = others
     return HalfspaceSystem(system.dim, tuple(kept))

@@ -1,8 +1,13 @@
 """The dense two-phase simplex on a `Fraction` tableau, kept as a reference.
 
-This is the LP solver tropinf used before its integer kernel.  Tests compare
-`tropinf.geometry.lp_solve` against it: both use Bland's rule with the same
-tie-breaks, so they must agree exactly on status, point and value.
+This is the LP solver tropinf used before its integer kernel.  It reads the
+kernel's one form, maximize objective . x subject to coeffs . x <= rhs and
+x >= 0, but still solves a row with a negative rhs: it flips the row to >=
+and starts from a phase 1 over artificial columns.  Tests compare
+`tropinf.geometry.lp_solve` against it on rows with rhs >= 0, where phase 1
+is skipped: both use Bland's rule with the same tie-breaks, so they must
+agree exactly on point and value, and both raise GeometryError on an
+unbounded LP.
 """
 
 from fractions import Fraction
@@ -60,40 +65,31 @@ def _simplex(T, basis, c, blocked):
 def lp_solve(prob: LPProblem) -> LPResult:
     n = len(prob.objective)
     rows = []
-    for coeffs, sense, rhs in prob.rows:
+    for coeffs, rhs in prob.rows:
         coeffs = [Fraction(a) for a in coeffs]
         if len(coeffs) != n:
             raise GeometryError("row length does not match objective length")
         rhs = Fraction(rhs)
         if rhs < 0:
-            coeffs = [-a for a in coeffs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        rows.append((coeffs, sense, rhs))
+            rows.append(([-a for a in coeffs], ">=", -rhs))
+        else:
+            rows.append((coeffs, "<=", rhs))
 
-    n_slack = sum(1 for _, sense, _ in rows if sense != "=")
-    n_art = sum(1 for _, sense, _ in rows if sense != "<=")
+    n_slack = len(rows)
+    n_art = sum(1 for _, sense, _ in rows if sense == ">=")
     ncols = n + n_slack + n_art
 
     T = []
     basis = []
-    slack_at = n
     art_at = n + n_slack
     art_cols = set()
-    for coeffs, sense, rhs in rows:
+    for i, (coeffs, sense, rhs) in enumerate(rows):
         row = list(coeffs) + [Fraction(0)] * (n_slack + n_art) + [rhs]
         if sense == "<=":
-            row[slack_at] = Fraction(1)
-            basis.append(slack_at)
-            slack_at += 1
-        elif sense == ">=":
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_cols.add(art_at)
-            art_at += 1
+            row[n + i] = Fraction(1)
+            basis.append(n + i)
         else:
+            row[n + i] = Fraction(-1)
             row[art_at] = Fraction(1)
             basis.append(art_at)
             art_cols.add(art_at)
@@ -108,7 +104,7 @@ def lp_solve(prob: LPProblem) -> LPResult:
         _simplex(T, basis, phase1, blocked=set())
         value = sum(phase1[b] * T[i][-1] for i, b in enumerate(basis))
         if value < 0:
-            return LPResult("infeasible")
+            raise GeometryError("the LP is infeasible")
         # Pivot any zero-valued artificial out of the basis if possible.
         for i, b in enumerate(basis):
             if b in art_cols:
@@ -117,14 +113,11 @@ def lp_solve(prob: LPProblem) -> LPResult:
                         _pivot(T, basis, i, j)
                         break
 
-    sign = 1 if prob.maximize else -1
-    c = [sign * Fraction(a) for a in prob.objective] + [zero] * (n_slack + n_art)
-    status = _simplex(T, basis, c, blocked=art_cols)
-    if status == "unbounded":
-        return LPResult("unbounded")
+    c = [Fraction(a) for a in prob.objective] + [zero] * (n_slack + n_art)
+    if _simplex(T, basis, c, blocked=art_cols) == "unbounded":
+        raise GeometryError("the LP is unbounded")
     x = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] = T[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c[:n], x))
-    return LPResult("optimal", tuple(x), sign * value)
+    return LPResult(tuple(x), sum(ci * xi for ci, xi in zip(c[:n], x)))

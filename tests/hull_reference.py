@@ -28,11 +28,9 @@ def winners(points: Iterable[Monomial]) -> set:
     pts = set(map(tuple, points))
     out = set()
     for p in pts:
-        rows = [
-            ((*(a - b for a, b in zip(p, q)), 1), "<=", 0) for q in pts if q != p
-        ]
-        rows.append(((1,) * len(p) + (0,), "<=", 1))
-        rows.append(((0,) * len(p) + (1,), "<=", 1))
+        rows = [((*(a - b for a, b in zip(p, q)), 1), 0) for q in pts if q != p]
+        rows.append(((1,) * len(p) + (0,), 1))
+        rows.append(((0,) * len(p) + (1,), 1))
         objective = (0,) * len(p) + (1,)
         if lp_solve(LPProblem(objective, tuple(rows))).value > 0:
             out.add(p)

@@ -35,7 +35,7 @@ def timed():
 
 def test_three_choice_enumeration_and_total_mass():
     t = timed()
-    trajs = enumerate_trajectories(load("m1"), 50)
+    trajs = list(enumerate_trajectories(load("m1"), 50))
     by_outcome = {}
     for traj in trajs:
         by_outcome.setdefault(traj.normal_form, []).append(traj.monomial)
@@ -96,7 +96,7 @@ def test_hull_then_dominance_on_six_point_support():
 def test_three_level_tower_reduces_to_two_runs():
     t = timed()
     program = load("m4_3")
-    trajs = enumerate_trajectories(program, 60)
+    trajs = list(enumerate_trajectories(program, 60))
     ok = len(trajs) == 8
     rep = analyze(program, 1)
     ok = ok and rep.stable and poly_to_text(rep.poly) == "~X1^3 + X1^3"
@@ -158,7 +158,7 @@ def test_typing_agrees_with_enumeration_on_random_programs():
     checked = 0
     while checked < 100:
         program = random_program(rng, max_nodes=12)
-        trajs = enumerate_trajectories(program, 80)
+        trajs = list(enumerate_trajectories(program, 80))
         if any(tr.normal_form is None for tr in trajs):
             continue
         checked += 1

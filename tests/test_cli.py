@@ -255,8 +255,9 @@ class TestBadArguments:
             ["analyze", M1, "--target", "-1"],
             ["i1", M1, "--probs", "1/2", "--target", "-1"],
             ["i2", M1, "--monomial", "0,3", "--target", "-1"],
+            ["enumerate", M1, "--target", "-1"],
         ],
-        ids=["analyze", "i1", "i2"],
+        ids=["analyze", "i1", "i2", "enumerate"],
     )
     def test_negative_target(self, args):
         proc = self._run(*args)

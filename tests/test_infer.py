@@ -89,7 +89,7 @@ class TestAnalyze:
         programs += [random_program(rng, max_nodes=30, k=1) for _ in range(200)]
         checked = ties = 0
         for program in programs:
-            trajs = enumerate_trajectories(program, 400)
+            trajs = list(enumerate_trajectories(program, 400))
             if any(t.normal_form is None for t in trajs):
                 continue
             for target in (0, 1):

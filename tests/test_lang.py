@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -370,7 +371,7 @@ class TestReduce:
         ]
 
     def test_mass_conservation(self):
-        trs = enumerate_trajectories(load("m1"), 100)
+        trs = list(enumerate_trajectories(load("m1"), 100))
         for p in (Fraction(1, 2), Fraction(2, 5)):
             total = sum(
                 eval_prob(monomial(t.monomial), ProbAssignment([p])) for t in trs
@@ -378,7 +379,7 @@ class TestReduce:
             assert total == 1
 
     def test_loop_hits_budget(self):
-        trs = enumerate_trajectories(load("m3"), 50)
+        trs = list(enumerate_trajectories(load("m3"), 50))
         finished = [t for t in trs if t.normal_form is not None]
         unfinished = [t for t in trs if t.normal_form is None]
         assert finished and unfinished
@@ -387,13 +388,25 @@ class TestReduce:
         assert {t.monomial[1] for t in finished} == {1}
 
     def test_pred_succ(self):
-        assert enumerate_trajectories(parse("pred 3"), 10)[0].normal_form == 2
-        assert enumerate_trajectories(parse("pred 0"), 10)[0].normal_form == 0
+        assert next(enumerate_trajectories(parse("pred 3"), 10)).normal_form == 2
+        assert next(enumerate_trajectories(parse("pred 0"), 10)).normal_form == 0
+
+    def test_runs_stream_in_word_order(self):
+        # m2 has about 3 million runs within 200 steps; the first few come
+        # without the rest being found.
+        program = load("m2")
+        runs = list(itertools.islice(enumerate_trajectories(program, 200), 5))
+        assert len(runs) == 5
+        assert [t.word for t in runs] == sorted({t.word for t in runs})
+        assert runs[0].normal_form is None and runs[0].steps == 200
+        for t in runs:
+            if t.normal_form is not None:
+                assert replay_word(program, t.word, 200) == (t.normal_form, t.monomial, t.steps)
 
     def test_stuck_lambda_raises(self):
         # A λ is a normal form but no numeral: the run is stuck.
         with pytest.raises(LangError, match=r"stuck non-numeral normal form: \\x\. x"):
-            enumerate_trajectories(parse(r"\x. x"), 10)
+            list(enumerate_trajectories(parse(r"\x. x"), 10))
 
     def test_stuck_lambda_has_no_word(self):
         assert find_words(parse(r"\x. x"), 0, [()], 10) == {}
@@ -458,7 +471,7 @@ def _assert_runs_match_substitution(program, budget, extra=()):
     reducer's, field for field, and so are its words at targets 0-2 for the
     weights of those runs and extra, at budgets 0, 1 and 10000 and on both
     sides of every run's step count.  Returns the runs."""
-    runs = enumerate_trajectories(program, budget)
+    runs = list(enumerate_trajectories(program, budget))
     assert runs == enumerate_by_substitution(program, budget), term_to_text(program.term)
     monomials = {t.monomial for t in runs} | set(extra)
     budgets = {0, 1, 10000} | {t.steps for t in runs} | {t.steps + 1 for t in runs}
@@ -491,7 +504,7 @@ class TestMachine:
     def test_step_order_matches_substitution(self, source):
         program = parse(source)
         for budget in range(20):
-            assert enumerate_trajectories(program, budget) == (
+            assert list(enumerate_trajectories(program, budget)) == (
                 enumerate_by_substitution(program, budget)
             ), budget
         _assert_runs_match_substitution(program, 200)
@@ -503,7 +516,7 @@ class TestMachine:
         program = parse(source)
         for enumerate_runs in (enumerate_trajectories, enumerate_by_substitution):
             with pytest.raises(LangError, match="stuck non-numeral normal form"):
-                enumerate_runs(program, 10)
+                list(enumerate_runs(program, 10))
         monomials = [tuple([1, 0] * program.params)]
         assert find_words(program, 0, monomials, 10) == (
             find_words_by_substitution(program, 0, monomials, 10))

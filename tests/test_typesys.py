@@ -245,7 +245,7 @@ class TestFlow:
         failures = []
         for _ in range(40):
             program = random_lambda_argument_program(rng)
-            trajs = enumerate_trajectories(program, 400)
+            trajs = list(enumerate_trajectories(program, 400))
             assert all(t.normal_form is not None for t in trajs)
             for target in (0, 1):
                 report = analyze(program, target)
@@ -340,7 +340,7 @@ class TestNoMultisetBound:
         with alarm(60):
             for _ in range(100):
                 program = random_higher_order_program(rng)
-                trajs = enumerate_trajectories(program, 2000)
+                trajs = list(enumerate_trajectories(program, 2000))
                 assert all(t.normal_form is not None for t in trajs), program
                 for target in (0, 1, 2):
                     res = stabilize(program, target)
@@ -471,7 +471,7 @@ class TestStabilize:
     def test_random_programs_match_enumeration(self, rng):
         for _ in range(15):
             program = random_program(rng, max_nodes=10)
-            trajs = enumerate_trajectories(program, 60)
+            trajs = list(enumerate_trajectories(program, 60))
             if any(t.normal_form is None for t in trajs):
                 continue
             res = stabilize(program, 1)
