@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 INF = math.inf
 
 Monomial = tuple  # tuple[int, ...] exponent vector
-ParamIndex = int  # 1-based choice-parameter index
 
 
 class AlgebraError(ValueError):
@@ -39,9 +38,8 @@ class Poly:
     monomials, each with coefficient 1.
 
     `Poly(dim, monomials)` checks every exponent; polynomials built from
-    valid ones (`zero`, `unit`, `+`, `shift`, and minimization in
-    `geometry`) go through `_of`, which checks nothing.  Instances are
-    immutable.
+    valid ones (`zero`, `unit`, `shift`, and minimization in `geometry`)
+    go through `_of`, which checks nothing.  Instances are immutable.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -104,12 +102,6 @@ class Poly:
         return f"Poly({poly_to_text(self)!r})"
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        """The tropical sum: the union of the supports."""
-        if self.dim != other.dim:
-            raise AlgebraError("dimension mismatch in addition")
-        return Poly._of(self.dim, self.coeffs | other.coeffs)
 
     def shift(self, m: Monomial) -> "Poly":
         """Multiply by a single monomial (translation of the support)."""

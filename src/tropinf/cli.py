@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 user error (parse, type, bad arguments), 2 internal
-error.
+error.  A closed output pipe ends a command by SIGPIPE where the platform has
+it, as it ends any Unix filter (status 141 in a shell).
 """
 
 from __future__ import annotations
 
 import json
+import signal
 import sys
 from fractions import Fraction
 
@@ -14,7 +16,6 @@ import click
 
 from . import algebra, geometry, infer, lang
 from .algebra import ProbAssignment
-from .infer import Config
 from .lang import LangError
 
 
@@ -66,10 +67,7 @@ def _parse_monomial(text: str, k: int) -> tuple:
 def _analyze(program, source, target, window, max_rounds):
     try:
         return infer.analyze(
-            program,
-            target,
-            Config(window=window, max_rounds=max_rounds),
-            source=source,
+            program, target, window=window, max_rounds=max_rounds, source=source
         )
     except (LangError, infer.InferError) as exc:
         raise CliError(str(exc))
@@ -254,6 +252,8 @@ def i2(path, monomial, probs, target, window, max_rounds, output):
 
 
 def run():
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     try:
         main(standalone_mode=False)
     except click.ClickException as exc:  # a user error, bad arguments included

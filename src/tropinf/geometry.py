@@ -285,7 +285,7 @@ def np_min(s: Poly) -> Poly:
     return Poly._of(s.dim, frozenset(lower_hull(s.coeffs)))
 
 
-def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
+def vn(polys: Sequence[Poly]) -> Poly:
     """Minimal polynomial of a product, without expanding the product.
 
     Folds pairwise Minkowski sums over the factor supports and keeps the lower
@@ -293,13 +293,8 @@ def vn(polys: Sequence[Poly], dim: int | None = None) -> Poly:
     of vertices of the lower hulls of P and Q, so minimizing each fold gives
     the minimal polynomial of the whole product, and minimized factors give
     the same result as raw ones.  A product of single monomials is the
-    monomial of their sum, with no hull.  The empty product is the unit
-    polynomial (dim must then be given).
+    monomial of their sum, with no hull.  polys must not be empty.
     """
-    if not polys:
-        if dim is None:
-            raise GeometryError("empty product with unspecified dimension")
-        return Poly.unit(dim)
     d = polys[0].dim
     for s in polys:
         if s.dim != d:

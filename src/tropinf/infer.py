@@ -29,12 +29,6 @@ class InferError(Exception):
 
 
 @dataclass
-class Config:
-    window: int = 1
-    max_rounds: int = 16
-
-
-@dataclass
 class SelectedTrajectory:
     """One monomial of the stabilized polynomial with its certificate.
 
@@ -65,8 +59,8 @@ class AnalysisReport:
     degree_estimate: int
 
 
-def analyze(program: Program, target: int, config: Config | None = None,
-            source: str = "") -> AnalysisReport:
+def analyze(program: Program, target: int, *, window: int = 1,
+            max_rounds: int = 16, source: str = "") -> AnalysisReport:
     """Stabilize the bounded typing search and certify every monomial: its
     smallest word, from one search for all monomials, and its reduced cone
     and witness, from the normal fan of the polynomial.
@@ -76,10 +70,7 @@ def analyze(program: Program, target: int, config: Config | None = None,
     trajectory space (stable=False).  A program with no Fix node and no
     charged call is typed in one round of the whole family (exact=True).
     """
-    config = config or Config()
-    result = typesys.stabilize(
-        program, target, window=config.window, max_rounds=config.max_rounds
-    )
+    result = typesys.stabilize(program, target, window, max_rounds)
     support = result.poly.support()
     words = find_words(program, target, support, ORACLE_BUDGET)
     for mu in support:
@@ -159,27 +150,21 @@ def solve_i1(report: AnalysisReport, p: ProbAssignment) -> I1Result:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class I2Result:
-    monomial: Monomial
-    cone: HalfspaceSystem  # irredundant rows in weight (z) space
-    witness: tuple | None
-
-
-def solve_i2(report: AnalysisReport, mu: Monomial) -> I2Result:
-    """The closed region of weight vectors where mu is tropically minimal:
-    its selected cone.  Every monomial of the polynomial is selected."""
+def solve_i2(report: AnalysisReport, mu: Monomial) -> SelectedTrajectory:
+    """The selected trajectory of mu, whose cone is the closed region of
+    weight vectors where mu is tropically minimal.  Every monomial of the
+    polynomial is selected."""
     mu = tuple(mu)
     for sel in report.selected:
         if sel.monomial == mu:
-            return I2Result(mu, sel.cone, sel.witness)
+            return sel
     raise InferError(
         f"{algebra.mono_to_text(mu)} is not a monomial of the stabilized "
         "polynomial"
     )
 
 
-def i2_contains(result: I2Result, p: ProbAssignment) -> bool:
+def i2_contains(result: SelectedTrajectory, p: ProbAssignment) -> bool:
     """Does a probability assignment fall in the region (boundary included)?
 
     Exact rational probabilities are tested exactly: the halfspace test

@@ -632,8 +632,9 @@ class _Inference:
             if len(keep) == len(pending):
                 break
             pending = keep
-        # Remaining constraints are Bool <= var, var <= Nat, or var <= var;
-        # the least solution sends every such variable to Bool.
+        # The last pass dropped and unified nothing, so every remaining
+        # constraint is Bool <= var, var <= Nat, or var <= var; the least
+        # solution sends every such variable to Bool, which satisfies them all.
         for lower, upper in pending:
             for side in (lower, upper):
                 side = _resolve(side)
@@ -641,14 +642,9 @@ class _Inference:
                     side.ref = BOOL
 
     def finish(self):
-        """Re-check every constraint with the defaults in place, then give
-        every node its type without variables.
-
-        Closed types are interned, so two are equal exactly when they are
-        the same object, and each type is closed once.
-        """
+        """Give every node its type without variables, closing each type
+        once.  `solve` satisfied every constraint, so none is checked again."""
         closed: dict = {}  # id of an Arrow -> its closed type, or None
-        interned: dict = {}  # (id of arg, id of res) -> the closed Arrow
 
         def close(t):
             """t without variables, or None if it has one left."""
@@ -658,27 +654,10 @@ class _Inference:
             out = closed.get(id(t), False)
             if out is False:
                 arg, res = close(t.arg), close(t.res)
-                if arg is None or res is None:
-                    out = None
-                else:
-                    key = (id(arg), id(res))
-                    out = interned.get(key)
-                    if out is None:
-                        out = t if arg is t.arg and res is t.res else Arrow(arg, res)
-                        interned[key] = out
+                out = None if arg is None or res is None else Arrow(arg, res)
                 closed[id(t)] = out
             return out
 
-        for lower, upper in self.subs:
-            lower, upper = _resolve(lower), _resolve(upper)
-            if lower is upper or (lower is BOOL and upper is NAT):
-                continue
-            lower, upper = close(lower), close(upper)
-            if lower is None or upper is None or lower is upper:
-                continue
-            raise TypeCheckError(
-                f"type mismatch: {_partial_text(lower)} vs {_partial_text(upper)}"
-            )
         for node in self.open:
             ty = close(node.ty)
             if ty is None:

@@ -199,14 +199,14 @@ def merge(entries, memo: dict | None = None) -> list:
     return out
 
 
-def _combine(entries, itype, fixes: int, dim: int, memo: dict) -> Entry:
+def _combine(entries, itype, fixes: int, memo: dict) -> Entry:
     """Multiply a list of rows into a row of type itype: contexts add,
     polynomials multiply minimized."""
     ctx = ctx_sum(*(e.ctx for e in entries))
     key = ("*", tuple(e.poly for e in entries))
     poly = memo.get(key)
     if poly is None:
-        poly = memo[key] = vn(key[1], dim)
+        poly = memo[key] = vn(key[1])
     return Entry(ctx, itype, poly, fixes)
 
 
@@ -240,9 +240,7 @@ def _rule_choice(param, left_entries, right_entries, dim, memo: dict):
     return merge(out, memo)
 
 
-def _rule_ifz(
-    scrutinee_entries, then_entries, else_entries, dim, max_fixes, memo: dict
-):
+def _rule_ifz(scrutinee_entries, then_entries, else_entries, max_fixes, memo: dict):
     out = []
     for e_s in scrutinee_entries:
         if not isinstance(e_s.itype, int):
@@ -251,7 +249,7 @@ def _rule_ifz(
         for e_b in branch:
             fixes = e_s.fixes + e_b.fixes
             if fixes <= max_fixes:
-                out.append(_combine([e_s, e_b], e_b.itype, fixes, dim, memo))
+                out.append(_combine([e_s, e_b], e_b.itype, fixes, memo))
     return merge(out, memo)
 
 
@@ -294,19 +292,17 @@ def _pool(entries) -> dict:
     return pool
 
 
-def _rule_app(fun_entries, arg_entries, dim, max_fixes, memo: dict, fix=0):
+def _rule_app(fun_entries, arg_entries, max_fixes, memo: dict, fix=0):
     """Arrow rows of the function against one argument row per member of the
     argument multiset.  A fixpoint unfolding is the same rule with the current
     fixpoint rows as arguments and fix=1 more fixpoint use."""
     out = []
     pool = _pool(arg_entries)
     for e_f in fun_entries:
-        if not isinstance(e_f.itype, IArrow):
-            continue
         for picked in _assignments(e_f.itype.args, pool):
             fixes = e_f.fixes + sum(e.fixes for e in picked) + fix
             if fixes <= max_fixes:
-                out.append(_combine([e_f] + picked, e_f.itype.res, fixes, dim, memo))
+                out.append(_combine([e_f] + picked, e_f.itype.res, fixes, memo))
     return merge(out, memo)
 
 
@@ -569,7 +565,6 @@ class _Search:
 
     def _rule(self, tt: TypedTerm, env: dict) -> list:
         term = tt.term
-        dim = self.dim
         memo = self.memo
         value = numeral_value(term)
         if value is not None:
@@ -592,7 +587,7 @@ class _Search:
                 fun = _rule_lam(name, body)
             else:
                 fun = self.build(tt.children[0], env)
-            return _rule_app(fun, arg, dim, self.n, memo)
+            return _rule_app(fun, arg, self.n, memo)
         if kind is Lam:
             self.read.add(id(tt))
             env = {**env, term.name: self.bound(id(tt))}
@@ -601,9 +596,9 @@ class _Search:
             return self._fix(tt, env)
         subs = [self.build(c, env) for c in tt.children]
         if kind is Choice:
-            return _rule_choice(term.param, subs[0], subs[1], dim, memo)
+            return _rule_choice(term.param, subs[0], subs[1], self.dim, memo)
         if kind is Ifz:
-            return _rule_ifz(subs[0], subs[1], subs[2], dim, self.n, memo)
+            return _rule_ifz(subs[0], subs[1], subs[2], self.n, memo)
         if kind is Succ:
             return _rule_atom("succ", lambda n: n + 1, subs[0], memo)
         if kind is Pred:
@@ -622,7 +617,7 @@ class _Search:
             self.read.difference_update(inner)
             self.stale.difference_update(inner)
             fun = self.build(tt.children[0], env)
-            unfolded = _rule_app(fun, entries, self.dim, self.n, self.memo, fix=1)
+            unfolded = _rule_app(fun, entries, self.n, self.memo, fix=1)
             if feeds:
                 self._feed(unfolded, env, feeds)
             fingerprint = [(e.key(), e.poly) for e in unfolded]

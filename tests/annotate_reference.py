@@ -7,6 +7,8 @@ term again to build a finished tree; `free_vars` walks a term for its free
 variables.  Tests compare `tropinf.lang.annotate` against them: both must give
 every node the same simple type and free variables, and raise the same
 exception with the same message up to the numbering of type variables.
+`tropinf.lang` checks no constraint after solving, since its solver leaves
+none unsatisfied; the re-check here is what would catch one that it did.
 """
 
 import itertools

@@ -21,6 +21,7 @@ from tropinf.lang import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_NAMES = ["m1", "m2", "m3", "m4_2", "m4_3", "m4_4", "tower2"]
 
 SEED = int(os.environ.get("TROPINF_SEED", "20240817"))
 

@@ -88,10 +88,6 @@ class TestPoly:
         assert s.shift(X).coeffs == {(2, 0): 1, (1, 1): 2}
         assert tropicalize(s).shift(X) == P((2, 0), (1, 1))
 
-    def test_sum_is_union(self):
-        assert P(X) + P(X, XB) == P(X, XB)
-        assert P(X) + Poly.zero(2) == P(X)
-
     def test_degree(self):
         assert Poly.zero(2).degree() == 0
         assert P((2, 1), (0, 3)).degree() == 3
@@ -145,7 +141,7 @@ class TestSupportsOfCounts:
     def test_same_supports(self, polys):
         a, b, c, m = polys
         sa, sb, sc = map(tropicalize, (a, b, c))
-        assert sa + sb == tropicalize(a + b)
+        assert sa.coeffs | sb.coeffs == tropicalize(a + b).coeffs
         assert sa.shift(m) == tropicalize(a.shift(m))
         assert set(np_min(sa).coeffs) == winners(a.coeffs)
         product = a * b * c

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -310,3 +311,18 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_pipe_ends_like_a_filter(self):
+        # m2 has millions of runs within the default budget; the reader closes
+        # the pipe after the first line, as `head -n 1` would.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tropinf.cli", "enumerate", M2],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == -signal.SIGPIPE
+        assert stderr == b""

@@ -20,7 +20,7 @@ from tropinf.geometry import (
 )
 
 from cone_reference import reduce_rows as reference_reduce_rows
-from conftest import SEED, load
+from conftest import CORPUS_NAMES, SEED, load
 from eval_reference import CountPoly, eval_trop, tropicalize
 from hull_reference import winners
 
@@ -181,13 +181,19 @@ class TestHullCertificates:
         assert_witnessed(hull)
         assert lp_calls == []
 
-    def test_analyze_m2_solves_no_lp(self, lp_calls):
-        # Every point of m2's minimizations is settled by a certificate or
-        # skipped as dominated, and the fan of its 6 monomials reuses their
-        # witnesses and settles the 15 pairs of cones by unit vectors,
-        # segment ties and pairs below, with no LP.
-        infer.analyze(load("m2"), 1)
-        assert lp_calls == []
+    def test_analyze_corpus_lp_counts(self, lp_calls):
+        # Every point of a corpus program's minimizations is settled by a
+        # certificate or skipped as dominated, except two points of m4_4
+        # that the midpoint, the gap weight and the perceptron steps leave
+        # open; their LPs find that neither is a vertex.  The fan of m2's 6
+        # monomials reuses their witnesses and settles its 15 pairs of cones
+        # by 12 segment ties and 3 pairs below, with no LP.
+        counts = {}
+        for name in CORPUS_NAMES:
+            lp_calls.clear()
+            infer.analyze(load(name), 1)
+            counts[name] = len(lp_calls)
+        assert counts == {name: 2 if name == "m4_4" else 0 for name in CORPUS_NAMES}
 
 
 class TestLowerHullDominance:
@@ -251,9 +257,6 @@ class TestVN:
             assert out.support() == [
                 (0, 0, k), (0, k, 0), (k, 0, 0)
             ]
-
-    def test_empty_product_is_unit(self):
-        assert vn([], dim=2) == Poly.unit(2)
 
     def test_zero_factor(self):
         assert vn([Poly.zero(2), Poly.unit(2)]) == Poly.zero(2)

@@ -7,9 +7,8 @@ from tropinf import infer
 from tropinf.algebra import ProbAssignment, poly_to_text
 from tropinf.geometry import HalfspaceSystem
 from tropinf.infer import (
-    Config,
-    I2Result,
     InferError,
+    SelectedTrajectory,
     analyze,
     i2_contains,
     report_from_json,
@@ -113,7 +112,7 @@ class TestAnalyze:
         assert str(err.value) == "no reduction with weight ~X1*~X2*X3*X4*~X5 found within 20 steps"
 
     def test_unstable_is_labelled(self):
-        rep = analyze(load("m3"), 1, config=Config(max_rounds=1))
+        rep = analyze(load("m3"), 1, max_rounds=1)
         assert not rep.stable and not rep.exact and rep.rounds == [(2, None)]
 
 
@@ -200,7 +199,7 @@ class TestI2:
     def test_rational_rows_are_scaled_not_truncated(self):
         # (1/2, -1/2) and (1, -1) both say p >= 1/2.
         for row in ((F(1, 2), F(-1, 2)), (1, -1)):
-            res = I2Result((1, 0), HalfspaceSystem(2, (row,)), None)
+            res = SelectedTrajectory((1, 0), ((1, 0),), HalfspaceSystem(2, (row,)), None)
             assert not i2_contains(res, ProbAssignment([F(1, 4)]))
             assert i2_contains(res, ProbAssignment([F(1, 2)]))
             assert i2_contains(res, ProbAssignment([F(3, 4)]))

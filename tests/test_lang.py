@@ -349,8 +349,15 @@ class TestAnnotate:
             else:
                 program = random_program(rng, max_nodes=20, fix=draw == "fix")
             assert self._check(program.term) is None
-            for _ in range(3):
-                error = self._check(_mutant(rng, program.term))
+            mutants = [_mutant(rng, program.term) for _ in range(3)]
+            # A chain of up to 4 mutations, each link checked, reaches
+            # ill-typed shapes that one replacement does not.
+            term = program.term
+            for _ in range(4):
+                term = _mutant(rng, term)
+                mutants.append(term)
+            for mutant in mutants:
+                error = self._check(mutant)
                 if error is not None:
                     errors.add(re.match("[a-z ]*[a-z]", error[1]).group())
         # The mutants reach the inference's errors, not only its successes.

@@ -44,9 +44,15 @@ def lps(draw, rational: bool):
     rhs = st.one_of(st.just(0), numbers(0))
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 5))
-    rows = tuple((tuple(draw(coeff) for _ in range(n)), draw(rhs)) for _ in range(m))
-    objective = tuple(draw(coeff) for _ in range(n))
-    return LPProblem(objective, rows)
+    rows = [(tuple(draw(coeff) for _ in range(n)), draw(rhs)) for _ in range(m)]
+    # One positive objective coefficient gives the simplex a column to enter
+    # at x = 0, and in most draws the row (1, ..., 1) . x <= b bounds the LP;
+    # without it many LPs are unbounded.
+    objective = [draw(coeff) for _ in range(n)]
+    objective[draw(st.integers(0, n - 1))] = draw(numbers(1))
+    if draw(st.integers(0, 3)):
+        rows.append(((1,) * n, draw(numbers(1))))
+    return LPProblem(tuple(objective), tuple(rows))
 
 
 def outcome(solve, prob):

@@ -28,6 +28,7 @@ from tropinf.typesys import (
 
 from conftest import (
     CHURCH,
+    CORPUS_NAMES,
     LATE_RUNS,
     WIDE_MULTISETS,
     load,
@@ -99,7 +100,7 @@ class TestApplyRule:
         nz = Entry((), 2, monomial((0, 1)), 0)
         then = Entry((), 1, Poly.unit(2), 0)
         orelse = Entry((), 0, Poly.unit(2), 0)
-        out = _rule_ifz([z, nz], [then], [orelse], dim=2, max_fixes=0, memo={})
+        out = _rule_ifz([z, nz], [then], [orelse], max_fixes=0, memo={})
         got = {(e.itype, e.poly.support()[0]) for e in out}
         assert got == {(1, (1, 0)), (0, (0, 1))}
 
@@ -486,9 +487,6 @@ class TestStabilize:
             assert res.poly == oracle, program
 
 
-CORPUS_NAMES = ["m1", "m2", "m3", "m4_2", "m4_3", "m4_4", "tower2"]
-
-
 class TestRowTable:
     """The rounds of one stabilize share one annotation and the rows of every
     Fix-free subterm; the rows they give equal those of fresh searches."""
@@ -657,10 +655,10 @@ class TestPolyMemo:
         dim = 2 * program.params
         for key, result in table.memo.items():
             if key[0] == "*":
-                assert result == geometry.vn(list(key[1]), dim), (key, program)
+                assert result == geometry.vn(list(key[1])), (key, program)
             elif key[0] == "+":
-                first, *rest = key[1]
-                assert result == geometry.np_min(sum(rest, first)), (key, program)
+                union = frozenset().union(*(s.coeffs for s in key[1]))
+                assert result == geometry.np_min(Poly(dim, union)), (key, program)
             else:
                 poly, param, bit = key
                 shift = [0] * dim
