@@ -35,9 +35,10 @@ never changes, so its rows are kept for the table's whole life, keyed by the
 types of the binders free in it or bound by a flow λ inside it.  A program
 with no Fix node and no charged call has only rows of fixpoint count 0 and
 types of cost 0, so n changes none of its rows: one search gives its whole
-family, and `stabilize` runs no other round.  A subterm holding a Fix, and
-every Fix unfolding, is rebuilt in every round.  Polynomials do not depend on
-n, and the table maps the inputs of every product, sum and choice shift to
+family, and `stabilize` runs no other round; any other stops at the first
+round whose dominance certificate holds.  A subterm holding a Fix, and every
+Fix unfolding, is rebuilt in every round.  Polynomials do not depend on n,
+and the table maps the inputs of every product, sum and choice shift to
 its result, so one `stabilize` minimizes each distinct product, sum and shift
 once, whichever subterm, unfolding or round asks for it.
 """
@@ -48,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import Poly
+from .algebra import Poly, dominated
 from .geometry import np_min, vn
 from .lang import (
     App,
@@ -151,6 +152,7 @@ class TropJudgement:
 
     entries: tuple
     dim: int
+    exact: bool = False  # a larger n adds no monomial at any target
 
 
 # A memo maps the inputs of a minimization to its result: ("*", polys) to the
@@ -240,7 +242,8 @@ def _rule_choice(param, left_entries, right_entries, dim, memo: dict):
     return merge(out, memo)
 
 
-def _rule_ifz(scrutinee_entries, then_entries, else_entries, max_fixes, memo: dict):
+def _rule_ifz(scrutinee_entries, then_entries, else_entries, max_fixes, memo: dict,
+              over=None):
     out = []
     for e_s in scrutinee_entries:
         if not isinstance(e_s.itype, int):
@@ -250,6 +253,8 @@ def _rule_ifz(scrutinee_entries, then_entries, else_entries, max_fixes, memo: di
             fixes = e_s.fixes + e_b.fixes
             if fixes <= max_fixes:
                 out.append(_combine([e_s, e_b], e_b.itype, fixes, memo))
+            elif over is not None:
+                over.append(([e_s, e_b], e_b.itype))
     return merge(out, memo)
 
 
@@ -269,15 +274,12 @@ def _assignments(args, pool):
     candidate entries with that type.  Yields lists of entries aligned with
     args (used both by application and by fixpoint unfolding).
     """
-    by_type = []
-    for itype, group in itertools.groupby(args):
-        count = len(list(group))
-        candidates = pool.get(itype, [])
-        by_type.append((count, candidates))
     choices_per_type = []
-    for count, candidates in by_type:
-        if len(candidates) < (1 if count else 0):
+    for itype, group in itertools.groupby(args):
+        candidates = pool.get(itype)
+        if not candidates:
             return
+        count = len(list(group))
         choices_per_type.append(
             list(itertools.combinations_with_replacement(candidates, count))
         )
@@ -285,24 +287,20 @@ def _assignments(args, pool):
         yield [e for pick in picks for e in pick]
 
 
-def _pool(entries) -> dict:
-    pool: dict = {}
-    for e in entries:
-        pool.setdefault(e.itype, []).append(e)
-    return pool
-
-
-def _rule_app(fun_entries, arg_entries, max_fixes, memo: dict, fix=0):
+def _rule_app(fun_entries, arg_entries, max_fixes, memo: dict, fix=0, over=None):
     """Arrow rows of the function against one argument row per member of the
-    argument multiset.  A fixpoint unfolding is the same rule with the current
-    fixpoint rows as arguments and fix=1 more fixpoint use."""
-    out = []
-    pool = _pool(arg_entries)
+    argument multiset; a fixpoint unfolding passes the fixpoint rows and fix=1.
+    Like `_rule_ifz`, it puts what it drops over max_fixes in `over`, if set."""
+    out, pool = [], {}
+    for e in arg_entries:
+        pool.setdefault(e.itype, []).append(e)
     for e_f in fun_entries:
         for picked in _assignments(e_f.itype.args, pool):
             fixes = e_f.fixes + sum(e.fixes for e in picked) + fix
             if fixes <= max_fixes:
                 out.append(_combine([e_f] + picked, e_f.itype.res, fixes, memo))
+            elif over is not None:
+                over.append(([e_f] + picked, e_f.itype.res))
     return merge(out, memo)
 
 
@@ -501,6 +499,7 @@ class _Search:
         self.bounds: dict = {}  # flow λ id -> its pairs of cost at most n
         self.read: set = set()  # flow λs whose pairs this pass has used
         self.stale: set = set()  # ... and that have grown since
+        self.over = None  # what the last rule dropped, while the pass certifies
 
     def bound(self, lam: int) -> tuple:
         """The (type, cost) pairs of a flow λ's binder that cost at most n."""
@@ -563,6 +562,21 @@ class _Search:
                         if lam in self.read:
                             self.stale.add(lam)
 
+    def _certify(self, rows: list) -> list:
+        """Pass on a rule's rows.  `over` holds what the rule dropped, or is
+        None once a drop had a monomial above no monomial of the rows with
+        its context and type; products are computed only until then."""
+        for picked, itype in self.over or ():
+            drop = _combine(picked, itype, 0, self.memo)
+            below = [m for e in rows if e.ctx == drop.ctx and e.itype == itype
+                     for m in e.poly.coeffs]
+            if not all(dominated(m, below) for m in drop.poly.coeffs):
+                self.over = None
+                return rows
+        if self.over:
+            self.over.clear()
+        return rows
+
     def _rule(self, tt: TypedTerm, env: dict) -> list:
         term = tt.term
         memo = self.memo
@@ -587,7 +601,7 @@ class _Search:
                 fun = _rule_lam(name, body)
             else:
                 fun = self.build(tt.children[0], env)
-            return _rule_app(fun, arg, self.n, memo)
+            return self._certify(_rule_app(fun, arg, self.n, memo, 0, self.over))
         if kind is Lam:
             self.read.add(id(tt))
             env = {**env, term.name: self.bound(id(tt))}
@@ -598,7 +612,7 @@ class _Search:
         if kind is Choice:
             return _rule_choice(term.param, subs[0], subs[1], self.dim, memo)
         if kind is Ifz:
-            return _rule_ifz(subs[0], subs[1], subs[2], self.n, memo)
+            return self._certify(_rule_ifz(*subs, self.n, memo, self.over))
         if kind is Succ:
             return _rule_atom("succ", lambda n: n + 1, subs[0], memo)
         if kind is Pred:
@@ -617,7 +631,8 @@ class _Search:
             self.read.difference_update(inner)
             self.stale.difference_update(inner)
             fun = self.build(tt.children[0], env)
-            unfolded = _rule_app(fun, entries, self.n, self.memo, fix=1)
+            unfolded = _rule_app(fun, entries, self.n, self.memo, 1, self.over)
+            unfolded = self._certify(unfolded)
             if feeds:
                 self._feed(unfolded, env, feeds)
             fingerprint = [(e.key(), e.poly) for e in unfolded]
@@ -641,9 +656,13 @@ def search(program: Program, n: int, table: RowTable | None = None) -> TropJudge
     bounded = _Search(program.params, n, table)
     # Pass again while a pass grew the types of a flow λ it had used.
     while True:
+        bounded.over = [] if table.n_matters else None
         rows = bounded.build(table.tt, {})
         if not bounded.stale:
-            return TropJudgement(tuple(rows), bounded.dim)
+            exact = not table.n_matters or bounded.over is not None and all(
+                c <= n for costs in table.reach.values() for c in costs.values()
+            )
+            return TropJudgement(tuple(rows), bounded.dim, exact)
         bounded.read, bounded.stale = set(), set()
 
 
@@ -669,7 +688,7 @@ class StabilizeResult:
     judgement: TropJudgement
     poly: Poly
     stable: bool
-    exact: bool  # the judgement is the whole family, not a bounded one
+    exact: bool  # the polynomial is the whole family's, not a bounded one's
     rounds: list  # the bounds n actually run
 
 
@@ -677,8 +696,8 @@ def stabilize(
     program: Program, target: int, window: int = 1, max_rounds: int = 16
 ) -> StabilizeResult:
     """The polynomial of the closed rows at `target`, from one search when n
-    matters to none of the program's rows, else from growing n until the
-    polynomial stops changing.
+    matters to none of the program's rows, else from growing n until a
+    round is certified or the polynomial stops changing.
 
     A program with no Fix node and no charged call (`RowTable.n_matters` is
     false) has the same rows at every n, so one search at n = 1 gives its
@@ -686,18 +705,28 @@ def stabilize(
     n = 1, 2, 3, ..., or n = 2, 3, 4, ... when it has a Fix node, since
     n = 1 types each fix at its base case only: in
     (fix (λf. λx. ifz x then .. else f (pred x))) (0 or 2) the polynomial
-    of n = 1 is that of n = 2, and n = 3 adds the run from 2.  It declares
-    stability when the last `window` increments of n all left the
-    polynomial unchanged, i.e. the last window + 1 rounds agree; that result
-    is not exact.  Gives up (stable=False) after max_rounds rounds.
-    Raises ValueError unless window and max_rounds are at least 1.
+    of n = 1 is that of n = 2, and n = 3 adds the run from 2.  Round n is
+    exact when its dominance certificate holds: each monomial of every
+    combination `_rule_app` (unfoldings too) or `_rule_ifz` dropped for its
+    more than n fixpoint uses lies pointwise above one of a kept row of that
+    rule output with its context and type, and no type that reached a
+    binder costs more than n.  Any other round is stable, but not exact,
+    when the last `window` increments of n all left the polynomial
+    unchanged.  Gives up (stable=False) after max_rounds rounds.  Raises
+    ValueError unless window and max_rounds are at least 1.
+
+    Soundness: order polynomials by region R(P) = conv(support) + R^d_{≥0};
+    minimizing keeps R, and products and sums are monotone in R.  Induct on
+    the derivations at any bound N > n: replace each premise by round n's
+    rows with its context and type, and a combination round n dropped by the
+    kept rows that dominate it; neither shrinks a region.  Binders take only
+    round-n types: each is a row's type, and none costs more than n.
     """
     if window < 1 or max_rounds < 1:
         raise ValueError(
             f"window and max_rounds must be at least 1, got {window} and {max_rounds}"
         )
     table = RowTable(program)
-    exact = not table.n_matters
     first = 1 if id(table.tt) in table.fix_free else 2
     history = []
     rounds = []
@@ -706,8 +735,8 @@ def stabilize(
         poly = conclusion_poly(judgement, target, table.memo)
         rounds.append(n)
         history.append(poly)
-        if exact or (
+        if judgement.exact or (
             len(history) > window and all(h == poly for h in history[-(window + 1):])
         ):
-            return StabilizeResult(judgement, poly, True, exact, rounds)
+            return StabilizeResult(judgement, poly, True, judgement.exact, rounds)
     return StabilizeResult(judgement, poly, False, False, rounds)

@@ -96,9 +96,12 @@ class TestAnalyze:
         assert res.exit_code == 0
         assert "stable: true" in res.output
 
-    def test_max_rounds_cutoff(self, runner):
-        # m1 has no fix and is typed in one exact round; m3 loops.
-        res = runner.invoke(main, ["analyze", M3, "--max-rounds", "1"])
+    def test_max_rounds_cutoff(self, runner, tmp_path):
+        # This loop needs rounds n = 2, 3 and 4 before the dominance
+        # certificate settles it.
+        path = tmp_path / "loop.pcfx"
+        path.write_text(LATE_RUNS[1][0] + "\n")
+        res = runner.invoke(main, ["analyze", str(path), "--max-rounds", "1"])
         assert res.exit_code == 0
         assert "stable: false  exact: false  rounds: [2]" in res.output
 

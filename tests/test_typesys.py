@@ -412,17 +412,17 @@ class TestStabilize:
         }
         for (name, target), text in expect.items():
             res = stabilize(load(name), target)
-            assert res.stable, (name, target)
-            # m3 has fix; every other program here is typed in one exact round.
-            if name == "m3":
-                assert res.rounds == [2, 3] and not res.exact
-            else:
-                assert res.rounds == [1] and res.exact
+            assert res.stable and res.exact, (name, target)
+            # m3 has fix, and the dominance certificate settles its first
+            # round; every other program here is typed in one exact round.
+            assert res.rounds == ([2] if name == "m3" else [1])
             assert poly_to_text(res.poly) == text
 
     def test_recursive_sampler(self):
+        # Every row that n = 2 drops is dominated by a kept one, so the
+        # certificate ends the search without a confirming round n = 3.
         res = stabilize(load("m2"), 1)
-        assert res.stable and res.rounds == [2, 3]
+        assert res.stable and res.exact and res.rounds == [2]
         assert poly_to_text(res.poly) == (
             "~X1*~X3*~X5 + ~X1*X3*~X4 + ~X1*~X2*X3*X4*~X5"
             " + X1*~X2*~X5 + X1*~X2*X3*~X4*X5 + X1*X2*~X4"
@@ -448,16 +448,19 @@ class TestStabilize:
 
     @pytest.mark.parametrize("source, target, text", LATE_RUNS)
     def test_run_that_needs_n_3(self, source, target, text):
-        # n = 1 and n = 2 agree; a program with fix starts at n = 2, so the
-        # window compares n = 2 with n = 3, which adds the run.
+        # n = 1 and n = 2 agree; a program with fix starts at n = 2, and
+        # n = 3 adds the run.  The dominance certificate settles the first
+        # program at n = 3 and the second at n = 4.
+        rounds = {LATE_RUNS[0][0]: [2, 3], LATE_RUNS[1][0]: [2, 3, 4]}[source]
         program = parse(source)
         res = stabilize(program, target)
-        assert res.stable and not res.exact and res.rounds == [2, 3, 4]
+        assert res.stable and res.exact and res.rounds == rounds
         assert res.poly == TestBetaRedexFlow.oracle(program, target)
         assert poly_to_text(res.poly) == text
 
     def test_budget_exhaustion_reported(self):
-        res = stabilize(load("m3"), 1, max_rounds=1)
+        # The certificate first settles this loop at n = 4.
+        res = stabilize(parse(LATE_RUNS[1][0]), 1, max_rounds=1)
         assert not res.stable and res.rounds == [2]
 
     @pytest.mark.parametrize("bounds", [{"window": 0}, {"max_rounds": 0}, {"window": -3}])
@@ -485,6 +488,102 @@ class TestStabilize:
             else:
                 oracle = Poly.zero(dim)
             assert res.poly == oracle, program
+
+
+# Recursive programs, with a target, the window's answer and rounds, that the
+# dominance certificate settles at no round: a countdown from 3, the
+# window-fooling loop, whose polynomial holds still from n = 3 to n = 6, and
+# the two self-calling programs.  The first two answers are short of the
+# enumerated ones; they are pinned so that a change to them is made on
+# purpose.
+UNCERTIFIED = [
+    (r"params 1; (fix (\f. \x. ifz x then succ x else f (pred x))) 3", 1, "0", [2, 3]),
+    (r"params 2; fix (\x. (pred (x +[X1] 1)) +[X2] (succ (ifz x then 2 else x)))", 2,
+     "X1*~X1*X2^2*~X2", [2, 3, 4]),
+    (SELF_CALLS[0][0], 4, "1", [1, 2]),
+    (SELF_CALLS[1][0], 2, "X2^2*~X2^2", [1, 2]),
+]
+
+
+class TestDominanceCertificate:
+    """A round whose every dropped combination is dominated by a kept row
+    with its context and type, and whose binders take no type costing more
+    than n, has the polynomial of the whole family at every target."""
+
+    @staticmethod
+    def certify(over, rows):
+        bounded = typesys._Search(1, 1, typesys.RowTable(load("m3")))
+        bounded.over = over
+        bounded._certify(rows)
+        return bounded.over
+
+    def test_dominated_drop_keeps_the_pass_certified(self):
+        # At n = 1 the scrutinee's fixpoint use and the second branch row's
+        # make two; the dropped product X1*~X1^2 lies above the kept X1*~X1.
+        s = Entry((), 0, monomial((1, 0)), 1)
+        kept = Entry((), 1, monomial((0, 1)), 0)
+        drop = Entry((), 1, monomial((0, 2)), 1)
+        over = []
+        rows = _rule_ifz([s], [kept, drop], [], max_fixes=1, memo={}, over=over)
+        assert [e.poly.support() for e in rows] == [[(1, 1)]]
+        assert over == [([s, drop], 1)]
+        assert self.certify(over, rows) == []
+
+    def test_undominated_drop_ends_the_certificate(self):
+        # The dropped product X1 lies below the kept X1*~X1.
+        s = Entry((), 0, monomial((1, 0)), 1)
+        kept = Entry((), 1, monomial((0, 1)), 0)
+        drop = Entry((), 1, Poly.unit(2), 1)
+        over = []
+        rows = _rule_ifz([s], [kept, drop], [], max_fixes=1, memo={}, over=over)
+        assert over == [([s, drop], 1)]
+        assert self.certify(over, rows) is None
+
+    def test_drop_of_another_type_ends_the_certificate(self):
+        s = Entry((), 0, monomial((1, 0)), 1)
+        kept = Entry((), 1, monomial((0, 1)), 0)
+        drop = Entry((), 2, monomial((0, 2)), 1)
+        over = []
+        rows = _rule_ifz([s], [kept, drop], [], max_fixes=1, memo={}, over=over)
+        assert self.certify(over, rows) is None
+
+    @pytest.mark.parametrize("source, target, text, rounds", UNCERTIFIED)
+    def test_uncertified_programs_keep_the_window(self, source, target, text, rounds):
+        with alarm(20):
+            res = stabilize(parse(source), target)
+        assert res.stable and not res.exact and res.rounds == rounds
+        assert poly_to_text(res.poly) == text
+
+    def test_certified_round_is_the_whole_family(self, rng):
+        # Whenever a round n > 1 is certified, the next three rounds give the
+        # same polynomial, and so does enumeration wherever every run ends
+        # within its budget.
+        certified = enumerated = 0
+        with alarm(120):
+            for i in range(80):
+                if i % 2:
+                    program = random_higher_order_program(rng)
+                else:
+                    program = random_program(rng, max_nodes=18, fix=True)
+                trajs = list(enumerate_trajectories(program, 40))
+                ended = all(t.normal_form is not None for t in trajs)
+                dim = 2 * program.params
+                for target in (0, 1, 2):
+                    res = stabilize(program, target)
+                    n = res.rounds[-1]
+                    if not (res.exact and n > 1):
+                        continue
+                    certified += 1
+                    for later in range(n + 1, n + 4):
+                        judgement = search(program, later)
+                        assert conclusion_poly(judgement, target) == res.poly, (
+                            program, target, later)
+                    if ended:
+                        enumerated += 1
+                        support = [t.monomial for t in trajs if t.normal_form == target]
+                        oracle = np_min(Poly(dim, support)) if support else Poly.zero(dim)
+                        assert res.poly == oracle, (program, target)
+        assert certified >= 60 and enumerated >= 30
 
 
 class TestRowTable:
@@ -582,9 +681,10 @@ class TestRowTable:
         calls = []
         real = typesys.annotate
         monkeypatch.setattr(typesys, "annotate", lambda t: calls.append(t) or real(t))
-        assert len(stabilize(load("m2"), 1).rounds) == 2
+        program = parse(LATE_RUNS[1][0])
+        assert len(stabilize(program, 1).rounds) == 3
         assert len(calls) == 1
-        search(load("m2"), 1)
+        search(program, 1)
         assert len(calls) == 2
 
     def test_fix_free_program_repeats_no_rule(self, monkeypatch):
@@ -606,24 +706,30 @@ class TestRowTable:
         assert self.rows(again) == self.rows(first)
 
     @pytest.mark.parametrize(
-        "source, exact",
-        [(load_source("m4_3"), True), (load_source("m3"), False), (SELF_CALLS[0][0], False)],
+        "source, n_matters, exact, rounds",
+        [
+            (load_source("m4_3"), False, True, [1]),
+            (load_source("m3"), True, True, [2]),
+            (SELF_CALLS[0][0], True, False, [1, 2]),
+        ],
         ids=["m4_3", "m3", "charged-call"],
     )
-    def test_round_that_n_cannot_change(self, source, exact):
+    def test_round_that_n_cannot_change(self, source, n_matters, exact, rounds):
         # m4_3 has neither fix nor a charged call, so no n changes its rows
-        # and stabilize runs one exact round.  m3 has fix, and the first
-        # self-calling program a charged call.
+        # and stabilize runs one exact round.  m3 has fix, and the dominance
+        # certificate settles its first round; the first self-calling
+        # program has a charged call, and the certificate settles no round.
         program = parse(source)
-        assert typesys.RowTable(program).n_matters is not exact
+        assert typesys.RowTable(program).n_matters is n_matters
         with alarm(20):
             res = stabilize(program, 1)
         assert res.exact is exact
-        assert (res.rounds == [1]) is exact
+        assert res.rounds == rounds
 
     def test_recursive_program_rebuilds_only_the_unfolding(self, monkeypatch):
-        # m2's λ under fix is reused when n grows; its unfolding is redone.
-        rounds = self.rounds(monkeypatch, load("m2"), ["_combine"])
+        # The λ under fix is reused when n grows; its unfolding is redone.
+        # The certificate settles this program at n = 3, not at n = 2.
+        rounds = self.rounds(monkeypatch, parse(LATE_RUNS[0][0]), ["_combine"])
         combine = {n: c["_combine"] for n, _, c in rounds}
         assert 0 < combine[3] < combine[2]
 
