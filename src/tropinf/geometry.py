@@ -82,8 +82,8 @@ def _pivot(T, basis, r, c, D) -> int:
     """Pivot the integer tableau T over denominator D on (r, c).
 
     Every row but r becomes (T[i][j]*piv - T[i][c]*T[r][j]) / D, which divides
-    exactly (Bareiss); row r is kept.  Returns the new denominator piv, made
-    positive by negating the tableau after a negative pivot.
+    exactly (Bareiss); row r is kept.  Returns the new denominator piv,
+    positive because the ratio test picks only a row with T[r][c] > 0.
     """
     top = T[r]
     piv = top[c]
@@ -96,9 +96,6 @@ def _pivot(T, basis, r, c, D) -> int:
         elif piv != D:
             T[i] = [a * piv // D for a in row]
     basis[r] = c
-    if piv < 0:
-        T[:] = [[-a for a in row] for row in T]
-        return -piv
     return piv
 
 

@@ -286,7 +286,7 @@ class _Parser:
 
     def parse_program(self) -> Program:
         declared = None
-        while self.peek()[0] == "kw" and self.peek()[1] == "params":
+        if self.peek()[0] == "kw" and self.peek()[1] == "params":
             self.next()
             tok = self.expect("int", "parameter count")
             declared = _count(tok[1], "parameter count", tok[2], MAX_PARAMS)

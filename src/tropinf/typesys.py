@@ -29,18 +29,19 @@ called by `infer.analyze`).
 
 `stabilize` annotates the program once and shares one `RowTable` between its
 rounds.  The annotation gives every subterm its free variables, and one walk
-of the annotated tree finds the subterms without Fix and the flow of types
-to binders.  A subterm without Fix has only rows of fixpoint count 0, which n
-never changes, so its rows are kept for the table's whole life, keyed by the
-types of the binders free in it or bound by a flow λ inside it.  A program
-with no Fix node and no charged call has only rows of fixpoint count 0 and
-types of cost 0, so n changes none of its rows: one search gives its whole
-family, and `stabilize` runs no other round; any other stops at the first
-round whose dominance certificate holds.  A subterm holding a Fix, and every
-Fix unfolding, is rebuilt in every round.  Polynomials do not depend on n,
-and the table maps the inputs of every product, sum and choice shift to
-its result, so one `stabilize` minimizes each distinct product, sum and shift
-once, whichever subterm, unfolding or round asks for it.
+of the annotated tree finds the plain subterms, those holding neither a Fix
+node nor a flow λ, and the flow of types to binders.  A plain subterm has
+only rows of fixpoint count 0, which n never changes, so its rows are kept
+for the table's whole life, keyed by the types of the binders free in it.
+Every other subterm, and every Fix unfolding, is rebuilt each time a search
+reaches it.  A program with no Fix node and no charged call has only rows
+of fixpoint count 0 and types of cost 0, so n changes none of its rows: one
+search gives its whole family, and `stabilize` runs no other round; any
+other stops at the first round whose dominance certificate holds.
+Polynomials do not depend on n, and the table maps the inputs of every
+product, sum and choice shift to its result, so one `stabilize` minimizes
+each distinct product, sum and shift once, whichever subterm, unfolding or
+round asks for it.
 """
 
 from __future__ import annotations
@@ -335,8 +336,8 @@ _NONE = frozenset()
 
 
 def _flow(root: TypedTerm) -> tuple:
-    """The subterms without Fix, and which subterms feed the binder of each
-    flow λ, from one walk of the annotated tree.
+    """The plain subterms, and which subterms feed the binder of each flow
+    λ, from one walk of the annotated tree.
 
     The binder of a β-redex (λx. M) N is typed at N's rows; the binder of
     every other λ, a flow λ, is typed at the rows of the arguments it is
@@ -347,13 +348,13 @@ def _flow(root: TypedTerm) -> tuple:
     inside that λ's own body is charged like a call through a fixpoint
     binder: 0-CFA merges the closures that such a λ builds, so without the
     charge a binder could take its own results forever.
-    Returns (fix_free, sources, inner): fix_free maps the id of every subterm
-    that holds no Fix node to the ids of the flow λs inside it; sources maps
-    the id of an argument (or Fix) subterm to the (λ id, step) pairs of the
-    flow λs it feeds, where step is 1 when the call goes through a fixpoint
-    binder, is a charged call, or calls a λ that such a call passed or
-    returned; inner maps the id of a Fix node to the ids of the flow λs
-    inside it.
+    Returns (plain, has_fix, sources, inner): plain is the set of ids of the
+    subterms that hold neither a Fix node nor a flow λ; has_fix is true when
+    the program holds a Fix node; sources maps the id of an argument (or Fix)
+    subterm to the (λ id, step) pairs of the flow λs it feeds, where step is
+    1 when the call goes through a fixpoint binder, is a charged call, or
+    calls a λ that such a call passed or returned; inner maps the id of a Fix
+    node to the ids of the flow λs inside it.
     """
     # The values of a subterm: a set of (λ id, through a fixpoint binder).
     # A variable shares the set of its binder, and values only grow.  Types
@@ -368,7 +369,7 @@ def _flow(root: TypedTerm) -> tuple:
 
     lams: set = set()  # the flow λs
     fixes: list = []  # the Fix nodes walked so far
-    fix_free: dict = {}
+    plain: set = set()
     inner: dict = {}
 
     def walk(tt, scope, around, applied) -> frozenset:
@@ -408,13 +409,13 @@ def _flow(root: TypedTerm) -> tuple:
             else:
                 out = vals[node] = set()
                 joins.append((out, [vals[id(c)] for c in tt.children[-2:]]))
-        if len(fixes) == seen:
-            fix_free[node] = tuple(sorted(below)) if below else ()
+        if len(fixes) == seen and not below:
+            plain.add(node)
         return below
 
     walk(root, {}, _NONE, False)
     if not lams:
-        return fix_free, {}, inner
+        return plain, bool(fixes), {}, inner
     changed = True
     while changed:
         changed = False
@@ -450,34 +451,37 @@ def _flow(root: TypedTerm) -> tuple:
             if lam in lams:
                 step = int(through or lam in around)
                 sources.setdefault(id(arg), set()).add((lam, step))
-    return fix_free, {node: tuple(sorted(f)) for node, f in sources.items()}, inner
+    sources = {node: tuple(sorted(f)) for node, f in sources.items()}
+    return plain, bool(fixes), sources, inner
 
 
 class RowTable:
     """A program annotated once, with the free variables of every subterm,
-    the flow of types to its binders, the rows of its Fix-free subterms, and
-    a memo of minimized polynomials.
+    the flow of types to its binders, the rows of its plain subterms, and a
+    memo of minimized polynomials.
 
-    Every row of a subterm without Fix has fixpoint count 0, so n never
-    changes its rows: they depend only on the subterm and the types of the
-    binders free in it or bound by a flow λ inside it.  One table serves the
-    rounds of one `stabilize`; it keeps rows under (subterm, those types) for
-    its whole life.  Subterms are keyed by id, which stays valid because the
-    table holds the annotated tree.  The types that reached each flow λ
-    (`reach`), and the memo of minimized sums, products and shifts, are kept
-    too: a larger n only adds types and lowers costs, and a polynomial does
-    not depend on n.  `n_matters` is false when the program has no Fix node
-    and no charged call, so that n changes none of its rows.
+    A plain subterm holds neither a Fix node nor a flow λ, whose binder takes
+    types that grow as a search goes on.  Every row of it has fixpoint count
+    0, so n never changes its rows: they depend only on the subterm and the
+    types of the binders free in it.  One table serves the rounds of one
+    `stabilize`; it keeps the rows of plain subterms under (subterm, those
+    types) for its whole life.  Subterms are keyed by id, which stays valid
+    because the table holds the annotated tree.  The types that reached each
+    flow λ (`reach`), and the memo of minimized sums, products and shifts,
+    are kept too: a larger n only adds types and lowers costs, and a
+    polynomial does not depend on n.  `has_fix` is true when the program has a Fix node;
+    `n_matters` is false when it has no Fix node and no charged call, so
+    that n changes none of its rows.
     """
 
     def __init__(self, program: Program):
         self.tt = annotate(program.term)
         if isinstance(self.tt.ty, Arrow):
             raise TypeCheckError("program has an arrow type; a ground type is required")
-        self.fix_free, self.sources, self.inner = _flow(self.tt)
+        self.plain, self.has_fix, self.sources, self.inner = _flow(self.tt)
         # With no Fix node and no charged call every row has fixpoint count
         # 0 and every type costs 0, so n changes nothing.
-        self.n_matters = id(self.tt) not in self.fix_free or any(
+        self.n_matters = self.has_fix or any(
             step for feeds in self.sources.values() for _, step in feeds
         )
         self.reach: dict = {}  # flow λ id -> {type: least cost}
@@ -489,58 +493,36 @@ class _Search:
     def __init__(self, k: int, n: int, table: RowTable):
         self.dim = 2 * k
         self.n = n
-        self.fix_free = table.fix_free
+        self.plain = table.plain
         self.sources = table.sources
         self.inner = table.inner
         self.reach = table.reach
         self.rows = table.rows
         self.memo = table.memo
         self.unit = Poly.unit(self.dim)
-        self.bounds: dict = {}  # flow λ id -> its pairs of cost at most n
         self.read: set = set()  # flow λs whose pairs this pass has used
         self.stale: set = set()  # ... and that have grown since
         self.over = None  # what the last rule dropped, while the pass certifies
-
-    def bound(self, lam: int) -> tuple:
-        """The (type, cost) pairs of a flow λ's binder that cost at most n."""
-        pairs = self.bounds.get(lam)
-        if pairs is None:
-            n = self.n
-            costs = self.reach.get(lam, {})
-            pairs = self.bounds[lam] = tuple(
-                sorted((a, c) for a, c in costs.items() if c <= n)
-            )
-        return pairs
 
     def build(self, tt: TypedTerm, env: dict) -> list:
         """The rows of the bounded family of typings of tt.
 
         env maps every variable in scope to the (type, cost) pairs of the
-        types that reach its binder.  The rows of a Fix-free subterm are
-        built once per types of its free variables (`tt.free`) and flow λs;
-        a subterm that feeds flow λs passes its row types on.
+        types that reach its binder.  The rows of a plain subterm are built
+        once per types of its free variables (`tt.free`); every other subterm
+        is built again.  A subterm that feeds flow λs passes its row types on.
         """
         node = id(tt)
-        inner = self.fix_free.get(node)
-        if inner is None:
-            rows = self._rule(tt, env)
-        else:
+        if node in self.plain:
             if env:
                 # A binder not free in tt never reaches its rows.
                 env = {x: pairs for x, pairs in env.items() if x in tt.free}
             key = (node, frozenset(env.items()))
-            if inner:
-                key += tuple(map(self.bound, inner))
             rows = self.rows.get(key)
             if rows is None:
-                rows = self._rule(tt, env)
-                if not inner:
-                    self.rows[key] = rows
-                elif self.stale.isdisjoint(inner):
-                    # Keyed by the types its flow λs took, unless one grew after.
-                    self.rows[key[:2] + tuple(map(self.bound, inner))] = rows
-            elif inner:
-                self.read.update(inner)
+                rows = self.rows[key] = self._rule(tt, env)
+        else:
+            rows = self._rule(tt, env)
         if self.sources:
             feeds = self.sources.get(node)
             if feeds:
@@ -557,10 +539,8 @@ class _Search:
                 cost = c + step
                 if cost < costs.get(a, cost + 1):
                     costs[a] = cost
-                    if cost <= n:
-                        self.bounds.pop(lam, None)
-                        if lam in self.read:
-                            self.stale.add(lam)
+                    if cost <= n and lam in self.read:
+                        self.stale.add(lam)
 
     def _certify(self, rows: list) -> list:
         """Pass on a rule's rows.  `over` holds what the rule dropped, or is
@@ -603,8 +583,10 @@ class _Search:
                 fun = self.build(tt.children[0], env)
             return self._certify(_rule_app(fun, arg, self.n, memo, 0, self.over))
         if kind is Lam:
+            # The binder takes the types that reached it at cost at most n.
             self.read.add(id(tt))
-            env = {**env, term.name: self.bound(id(tt))}
+            costs = self.reach.get(id(tt), {}).items()
+            env = {**env, term.name: tuple(sorted(p for p in costs if p[1] <= self.n))}
             return _rule_lam(term.name, self.build(tt.children[0], env))
         if kind is Fix:
             return self._fix(tt, env)
@@ -647,7 +629,7 @@ def search(program: Program, n: int, table: RowTable | None = None) -> TropJudge
     Returns the judgement for the whole program; use conclusion_poly to
     extract the polynomial of the closed rows at a ground target atom.
     `table` must come from the same program; rounds that share one reuse the
-    rows of its Fix-free subterms, the types that reached its binders, its
+    rows of its plain subterms, the types that reached its binders, its
     minimized polynomials and its annotation.  Without a table the search
     starts from a fresh one; the rows are the same either way.
     """
@@ -727,7 +709,7 @@ def stabilize(
             f"window and max_rounds must be at least 1, got {window} and {max_rounds}"
         )
     table = RowTable(program)
-    first = 1 if id(table.tt) in table.fix_free else 2
+    first = 2 if table.has_fix else 1
     history = []
     rounds = []
     for n in range(first, first + max_rounds):

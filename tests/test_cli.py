@@ -39,6 +39,13 @@ class TestCheck:
         res = runner.invoke(main, ["check", str(bad)])
         assert res.exit_code == 1
 
+    def test_second_params_declaration(self, runner, tmp_path):
+        bad = tmp_path / "twice.pcfx"
+        bad.write_text("params 1; params 3; 0 +[X1] 1\n")
+        res = runner.invoke(main, ["check", str(bad)])
+        assert res.exit_code == 1
+        assert "unexpected 'params' at line 1, column 11" in res.output
+
 
 class TestEnumerate:
     def test_trajectory_table(self, runner):

@@ -84,6 +84,11 @@ ERRORS = {
     "end-of-input": ("(1", ParseError, "expected ), found end of input"),
     "semicolon": ("params 1\n(0 +[X1] 1) 2\n", ParseError,
                   "expected ; at line 2, column 1, found '('"),
+    # One declaration at most: neither the first nor the last one wins.
+    "second-params": ("params 1; params 3; 0 +[X1] 1", ParseError,
+                      "unexpected 'params' at line 1, column 11"),
+    "second-params-fewer": ("params 3;\nparams 1; 0 +[X3] 1", ParseError,
+                            "unexpected 'params' at line 2, column 1"),
     "mismatch": (r"(\m. ifz m 2 then fix m else 0) (\f. 0)", TypeCheckError,
                  "type mismatch: Bool vs Nat"),
     "recursive": (r"(\x. x x) (\y. y)", TypeCheckError,

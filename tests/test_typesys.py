@@ -9,7 +9,15 @@ from tropinf import geometry, typesys
 from tropinf.algebra import Poly, ProbAssignment, poly_to_text
 from tropinf.geometry import np_min
 from tropinf.infer import analyze, solve_i1
-from tropinf.lang import Choice, TypeCheckError, enumerate_trajectories, parse
+from tropinf.lang import (
+    App,
+    Choice,
+    Fix,
+    Lam,
+    TypeCheckError,
+    enumerate_trajectories,
+    parse,
+)
 from tropinf.typesys import (
     Entry,
     TropJudgement,
@@ -588,7 +596,8 @@ class TestDominanceCertificate:
 
 class TestRowTable:
     """The rounds of one stabilize share one annotation and the rows of every
-    Fix-free subterm; the rows they give equal those of fresh searches."""
+    plain subterm, one holding neither a Fix node nor a flow λ; the rows they
+    give equal those of fresh searches."""
 
     def test_rows_are_frozen(self):
         row = Entry((), 1, Poly.unit(2), 0)
@@ -687,10 +696,30 @@ class TestRowTable:
         search(program, 1)
         assert len(calls) == 2
 
-    def test_fix_free_program_repeats_no_rule(self, monkeypatch):
-        # m4_3 has no fix: a second search on its table finds every row of
-        # the first.
-        program = load("m4_3")
+    @pytest.mark.parametrize("name, has_fix", [("m2", True), ("m4_3", False)])
+    def test_plain_subterms(self, name, has_fix):
+        # A subterm is plain unless it holds a Fix node or a flow λ: a λ
+        # that is not the function of an application.
+        table = typesys.RowTable(load(name))
+        plain, other = set(), set()
+
+        def walk(tt, applied):
+            term = tt.term
+            held = isinstance(term, Fix) or isinstance(term, Lam) and not applied
+            for i, child in enumerate(tt.children):
+                held = walk(child, isinstance(term, App) and i == 0) or held
+            (other if held else plain).add(id(tt))
+            return held
+
+        walk(table.tt, False)
+        assert plain and other
+        assert table.plain == plain
+        assert table.has_fix is has_fix
+
+    def test_plain_program_repeats_no_rule(self, monkeypatch):
+        # Every subterm of tower2 is plain: a second search on its table
+        # finds every row of the first.
+        program = load("tower2")
         table = typesys.RowTable(program)
         counts = dict.fromkeys(["_combine", "merge"], 0)
         for name in counts:
@@ -727,7 +756,8 @@ class TestRowTable:
         assert res.rounds == rounds
 
     def test_recursive_program_rebuilds_only_the_unfolding(self, monkeypatch):
-        # The λ under fix is reused when n grows; its unfolding is redone.
+        # The plain subterms under fix are reused when n grows; the
+        # unfolding is redone.
         # The certificate settles this program at n = 3, not at n = 2.
         rounds = self.rounds(monkeypatch, parse(LATE_RUNS[0][0]), ["_combine"])
         combine = {n: c["_combine"] for n, _, c in rounds}
