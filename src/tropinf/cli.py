@@ -108,13 +108,13 @@ def check(path):
     click.echo(f"ok: {lang.type_to_text(ty)} with {program.params} parameter(s)")
 
 
-@main.command()
+@main.command("enumerate")
 @click.argument("path", type=click.Path())
 @click.option("--budget", type=click.IntRange(min=0), default=200, show_default=True,
               help="Total step budget per path.")
 @click.option("--target", type=click.IntRange(min=0), default=None,
               help="Only show paths reaching this numeral.")
-def enumerate(path, budget, target):
+def enumerate_runs(path, budget, target):
     """List reduction paths with their choice words and weights, each as it
     ends, in word order."""
     program, _ = _load(path)

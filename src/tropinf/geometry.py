@@ -14,9 +14,9 @@ open.  The dominance test and the certificates loop in C.  A vertex of the
 lower hull of a Minkowski sum is a sum of vertices of the summands' lower
 hulls, so `vn` minimizes every fold of a product, and minimizing early is
 exact.  `normal_fan` reuses the witnesses: every kept monomial has a
-full-dimensional cone, so each pair of monomials is decided once, by a unit
-vector, by the point where the two tie on the segment between their
-witnesses, by two other monomials whose sum lies below the pair's, or else by
+full-dimensional cone, so each pair of monomials is decided once, by the
+point where the two tie on the segment between their witnesses, by a unit
+vector, by two other monomials whose sum lies below the pair's, or else by
 one LP.  Every such LP maximizes c . x subject to A x <= b and x >= 0 with
 b >= 0, and is bounded; `lp_solve` solves that one form by Bland's simplex
 from the slack basis on an integer tableau that shares one positive common
@@ -213,8 +213,9 @@ def _certify(p, bit, pts, cols, lows, at):
 
 def _unit(p, q) -> tuple:
     """e_j for the first column j in which p is below q."""
-    j = list(map(lt, p, q)).index(True)
-    return tuple(int(i == j) for i in range(len(p)))
+    e = [0] * len(p)
+    e[list(map(lt, p, q)).index(True)] = 1
+    return tuple(e)
 
 
 def _above_midpoint(p, pts) -> bool:
@@ -398,15 +399,17 @@ def normal_fan(s: Poly) -> dict:
     mu - nu is a facet of mu's cone iff the two cones meet in a common facet,
     iff nu - mu is a facet of nu's cone, so each pair is decided once, by the
     first of:
-    - a unit vector e_j that satisfies every other row and violates the row,
-      in either cone;
     - the segment tie: on the segment between the two witnesses, the point
       where mu and nu tie, if every other monomial is strictly larger there
       (moving from it towards nu's witness keeps every other row of mu's cone
       and violates mu - nu);
+    - a unit vector e_j that satisfies every other row and violates the row,
+      in either cone;
     - the pair below: two other monomials whose sum is <= mu + nu in every
       column make the row redundant in both cones (`_pair_below`);
     - one LP of the row against all other rows.
+    Each of the first three only ever proves what the LP would find, so their
+    order changes no cone; the tie, which settles most pairs, goes first.
     """
     witnesses = lower_hull(s.coeffs)
     if len(witnesses) < len(s.coeffs):
@@ -425,11 +428,11 @@ def normal_fan(s: Poly) -> dict:
             nu = tuple(map(sub, mu, row))
             back = tuple(-a for a in row)
             facet[mu, row] = facet[nu, back] = (
-                _unit_facet(row, rows)
-                or _unit_facet(back, cones[nu])
-                or _segment_tie(
+                _segment_tie(
                     _values(mu, witnesses, values), _values(nu, witnesses, values), mu, nu
                 )
+                or _unit_facet(row, rows)
+                or _unit_facet(back, cones[nu])
                 or not (
                     _pair_below(mu, nu, witnesses)
                     or _implied(row, [r for r in rows if r != row])
@@ -481,11 +484,17 @@ def _frac_from_json(text: str):
     return INF if text == "inf" else Fraction(text)
 
 
+def _values_to_json(values) -> list:
+    if {*map(type, values)} <= {int}:
+        return list(map(str, values))
+    return [_frac_to_json(a) for a in values]
+
+
 def cone_to_json(system: HalfspaceSystem, witness=None) -> dict:
     return {
         "dim": system.dim,
-        "rows": [{"normal": [_frac_to_json(a) for a in row], "rhs": "0"} for row in system.rows],
-        "witness": None if witness is None else [_frac_to_json(a) for a in witness],
+        "rows": [{"normal": _values_to_json(row), "rhs": "0"} for row in system.rows],
+        "witness": None if witness is None else _values_to_json(witness),
     }
 
 

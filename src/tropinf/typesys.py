@@ -111,6 +111,10 @@ def ctx_of(name: str, itype) -> ITypeContext:
 
 
 def ctx_sum(*ctxs: ITypeContext) -> ITypeContext:
+    ctxs = [ctx for ctx in ctxs if ctx]
+    if len(ctxs) < 2:
+        # Contexts are canonical, so a lone one is its own sum.
+        return ctxs[0] if ctxs else ()
     bags: dict = {}
     for ctx in ctxs:
         for name, ms in ctx:
@@ -130,11 +134,10 @@ def ctx_split(ctx: ITypeContext, name: str) -> tuple:
     return ms, tuple(rest)
 
 
-@dataclass(frozen=True)
-class Entry:
-    """One row of a judgement: context |-^poly itype.
+class Entry(NamedTuple):
+    """One row of a judgement: context |-^poly itype, an immutable `NamedTuple`.
 
-    poly is minimized; fixes counts fixpoint rule uses.  Rows are frozen
+    poly is minimized; fixes counts fixpoint rule uses.  Rows are immutable
     because the rounds of one `stabilize` share them (see `RowTable`).
     """
 
@@ -149,7 +152,7 @@ class Entry:
 
 @dataclass(frozen=True)
 class TropJudgement:
-    """The rows of a whole program, frozen like the rows themselves."""
+    """The rows of a whole program, immutable like the rows themselves."""
 
     entries: tuple
     dim: int
@@ -186,6 +189,8 @@ def merge(entries, memo: dict | None = None) -> list:
     Rows are kept apart by their fixpoint-use count so budget accounting stays
     exact.  A row alone in its group is kept as it is.
     """
+    if len(entries) < 2:
+        return list(entries)
     if memo is None:
         memo = {}
     groups: dict = {}
@@ -508,12 +513,18 @@ class _Search:
         """The rows of the bounded family of typings of tt.
 
         env maps every variable in scope to the (type, cost) pairs of the
-        types that reach its binder.  The rows of a plain subterm are built
-        once per types of its free variables (`tt.free`); every other subterm
-        is built again.  A subterm that feeds flow λs passes its row types on.
+        types that reach its binder.  A numeral or a variable is built in
+        place; the rows of any other plain subterm are built once per types
+        of its free variables (`tt.free`), and every other subterm is built
+        again.  A subterm that feeds flow λs passes its row types on.
         """
         node = id(tt)
-        if node in self.plain:
+        term = tt.term
+        if type(term) is Var:
+            rows = [Entry(ctx_of(term.name, a), a, self.unit, 0) for a, _ in env[term.name]]
+        elif (value := numeral_value(term)) is not None:
+            rows = [Entry((), value, self.unit, 0)]
+        elif node in self.plain:
             if env:
                 # A binder not free in tt never reaches its rows.
                 env = {x: pairs for x, pairs in env.items() if x in tt.free}
@@ -560,13 +571,7 @@ class _Search:
     def _rule(self, tt: TypedTerm, env: dict) -> list:
         term = tt.term
         memo = self.memo
-        value = numeral_value(term)
-        if value is not None:
-            return [Entry((), value, self.unit, 0)]
         kind = type(term)
-        if kind is Var:
-            name = term.name
-            return [Entry(ctx_of(name, a), a, self.unit, 0) for a, _ in env[name]]
         if kind is App:
             # The argument first: it feeds the flow λs the function calls.
             arg = self.build(tt.children[1], env)

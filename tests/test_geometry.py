@@ -468,6 +468,23 @@ class TestNormalFan:
         for mu, (cone, _) in fan.items():
             assert cone == reference_reduce_rows(cone_rows(mu, s)), mu
 
+    def test_m2_fan_tries_the_segment_tie_first(self, monkeypatch):
+        # The tie settles 12 of m2's 15 pairs, so unit vectors are tried only
+        # on the 3 pairs left, twice each, and the pair below settles those.
+        calls = {"_unit_facet": 0, "_implied": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(geometry, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(geometry, name, counted)
+        s = Poly(10, M2_MONOMIALS)
+        fan = normal_fan(s)
+        assert calls == {"_unit_facet": 6, "_implied": 0}
+        monkeypatch.undo()
+        assert sum(len(cone.rows) for cone, _ in fan.values()) == 24
+        assert fan == normal_fan(s)
+        assert_matches_reference(s)
+
     def test_two_monomials_solve_no_more_lps_than_cone_by_cone(self, lp_calls):
         # Two monomials that can both win need no LP at all; otherwise the
         # dominated one never wins.
