@@ -179,14 +179,9 @@ def i2_contains(result: SelectedTrajectory, p: ProbAssignment) -> bool:
     nums, dens = p.nums, p.dens
     for row in result.cone.rows:
         # row . z <= 0 at z = -ln q means q^(positive part) >= q^(negative part).
-        pos_num = pos_den = neg_num = neg_den = 1
-        for e, a, b in zip(geometry._integral(row)[0], nums, dens):
-            if e > 0:
-                pos_num *= a**e
-                pos_den *= b**e
-            elif e < 0:
-                neg_num *= a**-e
-                neg_den *= b**-e
+        ints = geometry._integral(row)[0]
+        pos_num, pos_den = _power(ints, nums, dens)
+        neg_num, neg_den = _power([-a for a in ints], nums, dens)
         if pos_num * neg_den < neg_num * pos_den:
             return False
     return True
