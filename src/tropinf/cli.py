@@ -102,7 +102,7 @@ def check(path):
     """Parse and type-check a program."""
     program, _ = _load(path)
     try:
-        ty = lang.type_check(program.term)
+        ty = lang.require_ground(lang.type_check(program.term))
     except LangError as exc:
         raise CliError(str(exc))
     click.echo(f"ok: {lang.type_to_text(ty)} with {program.params} parameter(s)")
@@ -119,7 +119,7 @@ def enumerate_runs(path, budget, target):
     ends, in word order."""
     program, _ = _load(path)
     try:
-        lang.type_check(program.term)
+        lang.require_ground(lang.type_check(program.term))
         for tr in lang.enumerate_trajectories(program, budget):
             if target is not None and tr.normal_form != target:
                 continue
@@ -130,6 +130,14 @@ def enumerate_runs(path, budget, target):
             )
     except LangError as exc:
         raise CliError(str(exc))
+
+
+def _cone_lines(cone, indent: str):
+    """The rows of a cone as inequalities a*X1 + ... <= 0."""
+    names = algebra.var_names(cone.dim)
+    for row in cone.rows:
+        terms = " + ".join(f"{a}*{n}" for a, n in zip(row, names) if a != 0)
+        yield f"{indent}{terms or '0'} <= 0"
 
 
 def _report_text(report):
@@ -150,13 +158,7 @@ def _report_text(report):
         lines.append(
             f"  {algebra.mono_to_text(sel.monomial)}  word={lang.word_to_text(sel.word) or '(empty)'}"
         )
-        for row in sel.cone.rows:
-            terms = " + ".join(
-                f"{a}*{name}"
-                for a, name in zip(row, algebra.var_names(sel.cone.dim))
-                if a != 0
-            )
-            lines.append(f"    {terms or '0'} <= 0")
+        lines.extend(_cone_lines(sel.cone, "    "))
     return "\n".join(lines)
 
 
@@ -241,10 +243,8 @@ def i2(path, monomial, probs, target, window, max_rounds, output):
         click.echo(json.dumps(obj, indent=2))
     else:
         click.echo(f"monomial: {algebra.mono_to_text(res.monomial)}")
-        names = algebra.var_names(res.cone.dim)
-        for row in res.cone.rows:
-            terms = " + ".join(f"{a}*{n}" for a, n in zip(row, names) if a != 0)
-            click.echo(f"  {terms or '0'} <= 0")
+        for line in _cone_lines(res.cone, "  "):
+            click.echo(line)
         if res.witness is not None:
             click.echo(f"witness: {[str(w) for w in res.witness]}")
         if member is not None:

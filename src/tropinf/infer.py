@@ -68,8 +68,7 @@ def analyze(program: Program, target: int, *, window: int = 1,
     When stabilization fails within the round budget the report still carries
     the last polynomial; it is then only valid relative to the explored
     trajectory space (stable=False).  exact=True when the polynomial is the
-    whole family's: after one round of a program with no Fix node and no
-    charged call, or at a round whose dominance certificate holds.
+    whole family's: at a round whose dominance certificate holds.
     """
     result = typesys.stabilize(program, target, window, max_rounds)
     support = result.poly.support()

@@ -680,6 +680,13 @@ def type_check(term: Term) -> SimpleType:
     return annotate(term).ty
 
 
+def require_ground(ty: SimpleType) -> SimpleType:
+    """ty, the type of a whole program, which may not be an arrow."""
+    if isinstance(ty, Arrow):
+        raise TypeCheckError("program has an arrow type; a ground type is required")
+    return ty
+
+
 # ---------------------------------------------------------------------------
 # Runs
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ node nor a flow λ, and the flow of types to binders.  A plain subterm has
 only rows of fixpoint count 0, which n never changes, so its rows are kept
 for the table's whole life, keyed by the types of the binders free in it.
 Every other subterm, and every Fix unfolding, is rebuilt each time a search
-reaches it.  A program with no Fix node and no charged call has only rows
-of fixpoint count 0 and types of cost 0, so n changes none of its rows: one
-search gives its whole family, and `stabilize` runs no other round; any
-other stops at the first round whose dominance certificate holds.
+reaches it.  Application, unfolding and ifz share one product rule
+(`_Search._products`), which checks the dominance certificate on what it
+drops; `stabilize` stops at the first round whose certificate holds, n = 1
+for a program with no Fix node and no charged call.
 Polynomials do not depend on n, and the table maps the inputs of every
 product, sum and choice shift to its result, so one `stabilize` minimizes
 each distinct product, sum and shift once, whichever subterm, unfolding or
@@ -63,10 +63,10 @@ from .lang import (
     Program,
     Succ,
     TypedTerm,
-    TypeCheckError,
     Var,
     annotate,
     numeral_value,
+    require_ground,
 )
 
 
@@ -248,20 +248,14 @@ def _rule_choice(param, left_entries, right_entries, dim, memo: dict):
     return merge(out, memo)
 
 
-def _rule_ifz(scrutinee_entries, then_entries, else_entries, max_fixes, memo: dict,
-              over=None):
-    out = []
+def _rule_ifz(scrutinee_entries, then_entries, else_entries):
+    """The premises of ifz: each scrutinee row with each row of the branch its
+    atom selects."""
     for e_s in scrutinee_entries:
         if not isinstance(e_s.itype, int):
             raise TypesysError("ifz scrutinee with a non-atom refinement")
-        branch = then_entries if e_s.itype == 0 else else_entries
-        for e_b in branch:
-            fixes = e_s.fixes + e_b.fixes
-            if fixes <= max_fixes:
-                out.append(_combine([e_s, e_b], e_b.itype, fixes, memo))
-            elif over is not None:
-                over.append(([e_s, e_b], e_b.itype))
-    return merge(out, memo)
+        for e_b in then_entries if e_s.itype == 0 else else_entries:
+            yield [e_s, e_b], e_b.itype
 
 
 def _rule_lam(name, entries):
@@ -293,21 +287,15 @@ def _assignments(args, pool):
         yield [e for pick in picks for e in pick]
 
 
-def _rule_app(fun_entries, arg_entries, max_fixes, memo: dict, fix=0, over=None):
-    """Arrow rows of the function against one argument row per member of the
-    argument multiset; a fixpoint unfolding passes the fixpoint rows and fix=1.
-    Like `_rule_ifz`, it puts what it drops over max_fixes in `over`, if set."""
-    out, pool = [], {}
+def _rule_app(fun_entries, arg_entries):
+    """The premises of an application: each arrow row of the function with
+    one argument row per member of its argument multiset."""
+    pool = {}
     for e in arg_entries:
         pool.setdefault(e.itype, []).append(e)
     for e_f in fun_entries:
         for picked in _assignments(e_f.itype.args, pool):
-            fixes = e_f.fixes + sum(e.fixes for e in picked) + fix
-            if fixes <= max_fixes:
-                out.append(_combine([e_f] + picked, e_f.itype.res, fixes, memo))
-            elif over is not None:
-                over.append(([e_f] + picked, e_f.itype.res))
-    return merge(out, memo)
+            yield [e_f] + picked, e_f.itype.res
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +462,14 @@ class RowTable:
     because the table holds the annotated tree.  The types that reached each
     flow λ (`reach`), and the memo of minimized sums, products and shifts,
     are kept too: a larger n only adds types and lowers costs, and a
-    polynomial does not depend on n.  `has_fix` is true when the program has a Fix node;
-    `n_matters` is false when it has no Fix node and no charged call, so
-    that n changes none of its rows.
+    polynomial does not depend on n.  `has_fix` is true when the program has
+    a Fix node.
     """
 
     def __init__(self, program: Program):
         self.tt = annotate(program.term)
-        if isinstance(self.tt.ty, Arrow):
-            raise TypeCheckError("program has an arrow type; a ground type is required")
+        require_ground(self.tt.ty)
         self.plain, self.has_fix, self.sources, self.inner = _flow(self.tt)
-        # With no Fix node and no charged call every row has fixpoint count
-        # 0 and every type costs 0, so n changes nothing.
-        self.n_matters = self.has_fix or any(
-            step for feeds in self.sources.values() for _, step in feeds
-        )
         self.reach: dict = {}  # flow λ id -> {type: least cost}
         self.rows: dict = {}
         self.memo: dict = {}
@@ -507,7 +488,7 @@ class _Search:
         self.unit = Poly.unit(self.dim)
         self.read: set = set()  # flow λs whose pairs this pass has used
         self.stale: set = set()  # ... and that have grown since
-        self.over = None  # what the last rule dropped, while the pass certifies
+        self.certified = True  # every product this pass dropped is dominated
 
     def build(self, tt: TypedTerm, env: dict) -> list:
         """The rows of the bounded family of typings of tt.
@@ -553,19 +534,28 @@ class _Search:
                     if cost <= n and lam in self.read:
                         self.stale.add(lam)
 
-    def _certify(self, rows: list) -> list:
-        """Pass on a rule's rows.  `over` holds what the rule dropped, or is
-        None once a drop had a monomial above no monomial of the rows with
-        its context and type; products are computed only until then."""
-        for picked, itype in self.over or ():
-            drop = _combine(picked, itype, 0, self.memo)
+    def _products(self, premises, fix: int = 0) -> list:
+        """The merged products of the premises with at most n fixpoint uses,
+        counting `fix` more for each (1 for an unfolding).  While the pass is
+        certified, every dropped product must lie pointwise above a monomial
+        of the merged rows with its context and type, or the pass is not;
+        dropped products are computed only until then."""
+        memo = self.memo
+        out, dropped = [], []
+        for picked, itype in premises:
+            fixes = fix + sum(e.fixes for e in picked)
+            if fixes <= self.n:
+                out.append(_combine(picked, itype, fixes, memo))
+            elif self.certified:
+                dropped.append((picked, itype))
+        rows = merge(out, memo)
+        for picked, itype in dropped:
+            drop = _combine(picked, itype, 0, memo)
             below = [m for e in rows if e.ctx == drop.ctx and e.itype == itype
                      for m in e.poly.coeffs]
             if not all(dominated(m, below) for m in drop.poly.coeffs):
-                self.over = None
-                return rows
-        if self.over:
-            self.over.clear()
+                self.certified = False
+                break
         return rows
 
     def _rule(self, tt: TypedTerm, env: dict) -> list:
@@ -586,7 +576,7 @@ class _Search:
                 fun = _rule_lam(name, body)
             else:
                 fun = self.build(tt.children[0], env)
-            return self._certify(_rule_app(fun, arg, self.n, memo, 0, self.over))
+            return self._products(_rule_app(fun, arg))
         if kind is Lam:
             # The binder takes the types that reached it at cost at most n.
             self.read.add(id(tt))
@@ -599,7 +589,7 @@ class _Search:
         if kind is Choice:
             return _rule_choice(term.param, subs[0], subs[1], self.dim, memo)
         if kind is Ifz:
-            return self._certify(_rule_ifz(*subs, self.n, memo, self.over))
+            return self._products(_rule_ifz(*subs))
         if kind is Succ:
             return _rule_atom("succ", lambda n: n + 1, subs[0], memo)
         if kind is Pred:
@@ -613,19 +603,17 @@ class _Search:
         the f of fix (λf. B), before the next unfolding."""
         inner = self.inner.get(id(tt), ())
         feeds = self.sources.get(id(tt))
-        entries, seen = [], None
+        entries = []
         while True:
             self.read.difference_update(inner)
             self.stale.difference_update(inner)
             fun = self.build(tt.children[0], env)
-            unfolded = _rule_app(fun, entries, self.n, self.memo, 1, self.over)
-            unfolded = self._certify(unfolded)
+            unfolded = self._products(_rule_app(fun, entries), 1)
             if feeds:
                 self._feed(unfolded, env, feeds)
-            fingerprint = [(e.key(), e.poly) for e in unfolded]
-            if fingerprint == seen and self.stale.isdisjoint(inner):
+            if unfolded == entries and self.stale.isdisjoint(inner):
                 return entries
-            entries, seen = unfolded, fingerprint
+            entries = unfolded
 
 
 def search(program: Program, n: int, table: RowTable | None = None) -> TropJudgement:
@@ -643,10 +631,10 @@ def search(program: Program, n: int, table: RowTable | None = None) -> TropJudge
     bounded = _Search(program.params, n, table)
     # Pass again while a pass grew the types of a flow λ it had used.
     while True:
-        bounded.over = [] if table.n_matters else None
+        bounded.certified = True
         rows = bounded.build(table.tt, {})
         if not bounded.stale:
-            exact = not table.n_matters or bounded.over is not None and all(
+            exact = bounded.certified and all(
                 c <= n for costs in table.reach.values() for c in costs.values()
             )
             return TropJudgement(tuple(rows), bounded.dim, exact)
@@ -672,7 +660,6 @@ def conclusion_poly(
 
 @dataclass
 class StabilizeResult:
-    judgement: TropJudgement
     poly: Poly
     stable: bool
     exact: bool  # the polynomial is the whole family's, not a bounded one's
@@ -682,25 +669,22 @@ class StabilizeResult:
 def stabilize(
     program: Program, target: int, window: int = 1, max_rounds: int = 16
 ) -> StabilizeResult:
-    """The polynomial of the closed rows at `target`, from one search when n
-    matters to none of the program's rows, else from growing n until a
+    """The polynomial of the closed rows at `target`, from growing n until a
     round is certified or the polynomial stops changing.
 
-    A program with no Fix node and no charged call (`RowTable.n_matters` is
-    false) has the same rows at every n, so one search at n = 1 gives its
-    whole family: the result is stable and exact.  Any other program runs
-    n = 1, 2, 3, ..., or n = 2, 3, 4, ... when it has a Fix node, since
-    n = 1 types each fix at its base case only: in
+    The rounds are n = 1, 2, 3, ..., or n = 2, 3, 4, ... for a program with
+    a Fix node, since n = 1 types each fix at its base case only: in
     (fix (λf. λx. ifz x then .. else f (pred x))) (0 or 2) the polynomial
     of n = 1 is that of n = 2, and n = 3 adds the run from 2.  Round n is
     exact when its dominance certificate holds: each monomial of every
-    combination `_rule_app` (unfoldings too) or `_rule_ifz` dropped for its
-    more than n fixpoint uses lies pointwise above one of a kept row of that
-    rule output with its context and type, and no type that reached a
-    binder costs more than n.  Any other round is stable, but not exact,
-    when the last `window` increments of n all left the polynomial
-    unchanged.  Gives up (stable=False) after max_rounds rounds.  Raises
-    ValueError unless window and max_rounds are at least 1.
+    product `_Search._products` dropped for its more than n fixpoint uses
+    lies pointwise above one of a kept row of that rule with its context
+    and type, and no type that reached a binder costs more than n.  A
+    program with no Fix node and no charged call drops nothing and its
+    types cost 0, so its first round is exact.  Any other round is stable,
+    but not exact, when the last `window` increments of n all left the
+    polynomial unchanged.  Gives up (stable=False) after max_rounds rounds.
+    Raises ValueError unless window and max_rounds are at least 1.
 
     Soundness: order polynomials by region R(P) = conv(support) + R^d_{≥0};
     minimizing keeps R, and products and sums are monotone in R.  Induct on
@@ -725,5 +709,5 @@ def stabilize(
         if judgement.exact or (
             len(history) > window and all(h == poly for h in history[-(window + 1):])
         ):
-            return StabilizeResult(judgement, poly, True, judgement.exact, rounds)
-    return StabilizeResult(judgement, poly, False, False, rounds)
+            return StabilizeResult(poly, True, judgement.exact, rounds)
+    return StabilizeResult(poly, False, False, rounds)

@@ -47,6 +47,19 @@ class TestCheck:
         assert "unexpected 'params' at line 1, column 11" in res.output
 
 
+    @pytest.mark.parametrize("command", [
+        ["check"], ["enumerate"], ["analyze"], ["i1", "--probs", "1/2"],
+        ["i2", "--monomial", "1,0"],
+    ])
+    def test_arrow_type_refused(self, runner, tmp_path, command):
+        # Every command refuses a program of arrow type with one message.
+        bad = tmp_path / "arrow.pcfx"
+        bad.write_text("params 1; \\x. succ x\n")
+        res = runner.invoke(main, [command[0], str(bad), *command[1:]])
+        assert res.exit_code == 1
+        assert "program has an arrow type; a ground type is required" in res.output
+
+
 class TestEnumerate:
     def test_trajectory_table(self, runner):
         res = runner.invoke(main, ["enumerate", M1])

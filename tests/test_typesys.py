@@ -96,6 +96,14 @@ class TestMerge:
         assert out[0].poly.support() == [(1, 0)]
 
 
+def products(premises, n=1, fix=0):
+    """The merged rows of `_Search._products` at bound n, and whether the
+    pass is still certified after it."""
+    bounded = typesys._Search(1, n, typesys.RowTable(load("m3")))
+    rows = bounded._products(premises, fix)
+    return rows, bounded.certified
+
+
 class TestApplyRule:
     def test_choice_shifts_weight(self):
         unit = Entry((), 1, Poly.unit(2), 0)
@@ -108,9 +116,17 @@ class TestApplyRule:
         nz = Entry((), 2, monomial((0, 1)), 0)
         then = Entry((), 1, Poly.unit(2), 0)
         orelse = Entry((), 0, Poly.unit(2), 0)
-        out = _rule_ifz([z, nz], [then], [orelse], max_fixes=0, memo={})
+        premises = list(_rule_ifz([z, nz], [then], [orelse]))
+        assert premises == [([z, then], 1), ([nz, orelse], 0)]
+        out, certified = products(premises, n=0)
         got = {(e.itype, e.poly.support()[0]) for e in out}
         assert got == {(1, (1, 0)), (0, (0, 1))}
+        assert certified
+
+    def test_ifz_scrutinee_must_be_an_atom(self):
+        fun = Entry((), iarrow([0], 1), Poly.unit(2), 0)
+        with pytest.raises(typesys.TypesysError, match="non-atom"):
+            list(_rule_ifz([fun], [], []))
 
 
 class TestBetaRedexFlow:
@@ -304,10 +320,14 @@ class TestChargedCalls:
             assert stabilize(program, target).poly == oracle
 
     def test_self_call_is_charged(self):
-        table = typesys.RowTable(parse(SELF_CALLS[0][0]))
+        program = parse(SELF_CALLS[0][0])
+        table = typesys.RowTable(program)
         steps = {step for feeds in table.sources.values() for _, step in feeds}
         assert steps == {0, 1}
-        assert table.n_matters
+        # The charged call makes a type reach a binder at a cost of 2, so
+        # round n = 1 is not exact.
+        assert not search(program, 1, table=table).exact
+        assert max(c for costs in table.reach.values() for c in costs.values()) == 2
 
 
 class TestNoMultisetBound:
@@ -489,8 +509,11 @@ class TestStabilize:
             stabilize(load("m1"), 1, **bounds)
 
     def test_result_keeps_the_last_root_merge(self):
-        res = stabilize(load("m4_3"), 1)
-        assert res.poly == conclusion_poly(res.judgement, 1)
+        # The polynomial is the root merge of the last round's search.
+        for name in ("m2", "m4_3"):
+            program = load(name)
+            res = stabilize(program, 1)
+            assert res.poly == conclusion_poly(search(program, res.rounds[-1]), 1)
 
     def test_random_programs_match_enumeration(self, rng):
         for _ in range(15):
@@ -530,42 +553,71 @@ class TestDominanceCertificate:
     with its context and type, and whose binders take no type costing more
     than n, has the polynomial of the whole family at every target."""
 
-    @staticmethod
-    def certify(over, rows):
-        bounded = typesys._Search(1, 1, typesys.RowTable(load("m3")))
-        bounded.over = over
-        bounded._certify(rows)
-        return bounded.over
-
     def test_dominated_drop_keeps_the_pass_certified(self):
         # At n = 1 the scrutinee's fixpoint use and the second branch row's
         # make two; the dropped product X1*~X1^2 lies above the kept X1*~X1.
         s = Entry((), 0, monomial((1, 0)), 1)
         kept = Entry((), 1, monomial((0, 1)), 0)
         drop = Entry((), 1, monomial((0, 2)), 1)
-        over = []
-        rows = _rule_ifz([s], [kept, drop], [], max_fixes=1, memo={}, over=over)
-        assert [e.poly.support() for e in rows] == [[(1, 1)]]
-        assert over == [([s, drop], 1)]
-        assert self.certify(over, rows) == []
+        rows, certified = products(_rule_ifz([s], [kept, drop], []))
+        assert [(e.fixes, e.poly.support()) for e in rows] == [(1, [(1, 1)])]
+        assert certified
 
     def test_undominated_drop_ends_the_certificate(self):
         # The dropped product X1 lies below the kept X1*~X1.
         s = Entry((), 0, monomial((1, 0)), 1)
         kept = Entry((), 1, monomial((0, 1)), 0)
         drop = Entry((), 1, Poly.unit(2), 1)
-        over = []
-        rows = _rule_ifz([s], [kept, drop], [], max_fixes=1, memo={}, over=over)
-        assert over == [([s, drop], 1)]
-        assert self.certify(over, rows) is None
+        rows, certified = products(_rule_ifz([s], [kept, drop], []))
+        assert [(e.fixes, e.poly.support()) for e in rows] == [(1, [(1, 1)])]
+        assert not certified
 
     def test_drop_of_another_type_ends_the_certificate(self):
         s = Entry((), 0, monomial((1, 0)), 1)
         kept = Entry((), 1, monomial((0, 1)), 0)
         drop = Entry((), 2, monomial((0, 2)), 1)
-        over = []
-        rows = _rule_ifz([s], [kept, drop], [], max_fixes=1, memo={}, over=over)
-        assert self.certify(over, rows) is None
+        rows, certified = products(_rule_ifz([s], [kept, drop], []))
+        assert [(e.itype, e.fixes) for e in rows] == [(1, 1)]
+        assert not certified
+
+    def test_unfolding_counts_one_more_use(self, monkeypatch):
+        # With fix = 1 the premise costs 2 at n = 1: it is dropped, with no
+        # kept row above it, and an uncertified pass computes no product of
+        # what it drops.
+        s = Entry((), 0, monomial((1, 0)), 1)
+        kept = Entry((), 1, monomial((0, 1)), 0)
+        rows, certified = products(_rule_ifz([s], [kept], []))
+        assert [(e.fixes, e.poly.support()) for e in rows] == [(1, [(1, 1)])]
+        assert certified
+        assert products(_rule_ifz([s], [kept], []), fix=1) == ([], False)
+        bounded = typesys._Search(1, 1, typesys.RowTable(load("m3")))
+        bounded.certified = False
+        calls = []
+        real = typesys._combine
+        monkeypatch.setattr(
+            typesys, "_combine", lambda *args: calls.append(args) or real(*args)
+        )
+        assert bounded._products(_rule_ifz([s], [kept], []), 1) == []
+        assert calls == [] and not bounded.certified
+
+    def test_fix_free_programs_without_a_charged_call_are_exact_at_once(self, rng):
+        # With no Fix node and no charged call nothing is dropped and every
+        # type costs 0, so the certificate holds at n = 1.
+        drawn = 0
+        with alarm(60):
+            for i in range(80):
+                if i % 2:
+                    program = random_higher_order_program(rng)
+                    table = typesys.RowTable(program)
+                    if any(step for feeds in table.sources.values() for _, step in feeds):
+                        continue
+                else:
+                    program = random_program(rng, max_nodes=14)
+                drawn += 1
+                for target in (0, 1, 2):
+                    res = stabilize(program, target)
+                    assert res.exact and res.rounds == [1], (program, target)
+        assert drawn >= 60
 
     @pytest.mark.parametrize("source, target, text, rounds", UNCERTIFIED)
     def test_uncertified_programs_keep_the_window(self, source, target, text, rounds):
@@ -750,21 +802,26 @@ class TestRowTable:
         assert self.rows(again) == self.rows(first)
 
     @pytest.mark.parametrize(
-        "source, n_matters, exact, rounds",
+        "source, has_fix, charged, exact, rounds",
         [
-            (load_source("m4_3"), False, True, [1]),
-            (load_source("m3"), True, True, [2]),
-            (SELF_CALLS[0][0], True, False, [1, 2]),
+            (load_source("m4_3"), False, False, True, [1]),
+            (load_source("m3"), True, False, True, [2]),
+            (SELF_CALLS[0][0], False, True, False, [1, 2]),
         ],
         ids=["m4_3", "m3", "charged-call"],
     )
-    def test_round_that_n_cannot_change(self, source, n_matters, exact, rounds):
-        # m4_3 has neither fix nor a charged call, so no n changes its rows
-        # and stabilize runs one exact round.  m3 has fix, and the dominance
-        # certificate settles its first round; the first self-calling
-        # program has a charged call, and the certificate settles no round.
+    def test_round_that_n_cannot_change(self, source, has_fix, charged, exact, rounds):
+        # m4_3 has neither fix nor a charged call, so no n changes its rows,
+        # the certificate holds at n = 1 and stabilize runs one round.  m3
+        # has fix, and the dominance certificate settles its first round;
+        # the first self-calling program has a charged call, and the
+        # certificate settles no round.
         program = parse(source)
-        assert typesys.RowTable(program).n_matters is n_matters
+        table = typesys.RowTable(program)
+        assert table.has_fix is has_fix
+        assert any(step for feeds in table.sources.values() for _, step in feeds) is charged
+        if not (has_fix or charged):
+            assert self.rows(search(program, 1)) == self.rows(search(program, 4))
         with alarm(20):
             res = stabilize(program, 1)
         assert res.exact is exact
