@@ -29,6 +29,8 @@ def _load(path: str) -> tuple:
             source = handle.read()
     except OSError as exc:
         raise CliError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}")
     try:
         program = lang.parse(source)
     except LangError as exc:

@@ -6,11 +6,12 @@ weak-head call-by-name, with reduction allowed under succ/pred and in the
 scrutinee of ifz.  It runs on an environment machine (`_explore`): a β step
 binds the argument, unevaluated, in an environment instead of copying the body
 with the argument substituted, so every state shares the program's term.  A
-step is a β step, a fix unfolding, `pred` of `succ M` or of 0, an ifz that
-selects a branch, or a choice.  `enumerate_trajectories` yields the runs of a
-program in word order as they end; `find_words` finds the smallest run to a
-target for each of several weights in one depth-first search of the choice
-tree.
+step is a β step, a fix unfolding, `pred` of `succ M` or of a numeral, an ifz
+that selects a branch, or a choice.  A numeral is one node, `Num(k)`, and the
+parser reads `succ` of a literal as the next literal.
+`enumerate_trajectories` yields the runs of a program in word order as they
+end; `find_words` finds the smallest run to a target for each of several
+weights in one depth-first search of the choice tree.
 
 The front end reads a program once.  `parse` is one recursive descent that
 checks the depth, parameter indices and scope of each node as it builds it;
@@ -49,8 +50,10 @@ class Term:
 
 
 @dataclass(frozen=True)
-class Zero(Term):
-    pass
+class Num(Term):
+    """The numeral k, a value."""
+
+    value: int
 
 
 @dataclass(frozen=True)
@@ -99,22 +102,6 @@ class Choice(Term):
     right: Term
 
 
-def numeral(n: int) -> Term:
-    t: Term = Zero()
-    for _ in range(n):
-        t = Succ(t)
-    return t
-
-
-def numeral_value(t: Term) -> int | None:
-    """The natural number a term denotes literally, or None."""
-    n = 0
-    while isinstance(t, Succ):
-        n += 1
-        t = t.body
-    return n if isinstance(t, Zero) else None
-
-
 @dataclass(frozen=True)
 class Program:
     """A term together with its number of choice parameters."""
@@ -124,9 +111,8 @@ class Program:
 
 
 def term_to_text(t: Term) -> str:
-    n = numeral_value(t)
-    if n is not None:
-        return str(n)
+    if isinstance(t, Num):
+        return str(t.value)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Succ):
@@ -151,7 +137,7 @@ def term_to_text(t: Term) -> str:
 
 
 def _atom_text(t: Term) -> str:
-    if numeral_value(t) is not None or isinstance(t, Var):
+    if isinstance(t, (Num, Var)):
         return term_to_text(t)
     return f"({term_to_text(t)})"
 
@@ -163,9 +149,10 @@ def _atom_text(t: Term) -> str:
 _KEYWORDS = {"succ", "pred", "fix", "ifz", "then", "else", "params"}
 
 # Deepest nesting a program may have, both in its source (parentheses,
-# binders, choices, succ/pred/fix, ifz) and in its syntax tree.  The parser,
-# type checker and search recurse once or a few times per level, so this
-# keeps every pass well inside Python's default recursion limit.
+# binders, choices, succ/pred/fix, ifz) and in the height of its syntax tree,
+# where a numeral is one node.  The parser, type checker and search recurse
+# once or a few times per level, so this keeps every pass well inside
+# Python's default recursion limit.
 MAX_DEPTH = 100
 
 # Most choice parameters a program may declare or use.  A monomial has two
@@ -299,8 +286,7 @@ class _Parser:
             )
         if self.height > MAX_DEPTH:
             raise ParseError(
-                f"term nesting depth {self.height} exceeds the limit of {MAX_DEPTH} "
-                "(the numeral n nests n + 1 levels)"
+                f"term nesting depth {self.height} exceeds the limit of {MAX_DEPTH}"
             )
         used = self.used
         if declared is not None:
@@ -372,15 +358,8 @@ class _Parser:
         kind, text, pos = self.tokens[self.i]
         if kind == "int":
             self.i += 1
-            # Checked before the numeral is built: it nests n + 1 levels.
-            n = _count(text, "numeral", pos)
-            if n >= MAX_DEPTH:
-                raise ParseError(
-                    f"numeral {n} at line {pos[0]}, column {pos[1]}: term nesting "
-                    f"depth {n + 1} exceeds the limit of {MAX_DEPTH}"
-                )
-            self.height = n + 1
-            return numeral(n)
+            self.height = 1
+            return Num(_count(text, "numeral", pos))
         if kind == "ident":
             self.i += 1
             if text not in self.scope:
@@ -398,6 +377,8 @@ class _Parser:
             if text in ("succ", "pred", "fix"):
                 self.next()
                 body = self.nested(self.parse_atom, pos)
+                if text == "succ" and type(body) is Num:  # the next literal
+                    return Num(body.value + 1)
                 self.height += 1
                 return {"succ": Succ, "pred": Pred, "fix": Fix}[text](body)
             if text == "ifz":
@@ -562,9 +543,8 @@ class _Inference:
 
     def infer(self, t: Term, env: dict) -> TypedTerm:
         kind = type(t)
-        n = numeral_value(t) if kind is Zero or kind is Succ else None
-        if n is not None:
-            return TypedTerm(t, BOOL if n <= 1 else NAT, (), _NO_FREE)
+        if kind is Num:
+            return TypedTerm(t, BOOL if t.value <= 1 else NAT, (), _NO_FREE)
         if kind is Var:
             ty = env.get(t.name)
             if ty is None:
@@ -735,9 +715,9 @@ def _explore(term: Term, max_steps: int, data, branch):
     term, env, rest); environments and stacks are persistent, so a choice
     forks a state without copying anything.  These are the steps: a β step, a
     fix unfolding, `pred` of a literal `succ M` (which cancels before M is
-    evaluated), `pred 0`, the selection of an ifz branch once the scrutinee
-    is a numeral, and a choice.  Looking up a variable, pushing a frame and
-    returning a numeral through succ frames are free.
+    evaluated), `pred` of a numeral, the selection of an ifz branch once the
+    scrutinee is a numeral, and a choice.  Looking up a variable, pushing a
+    frame and returning a numeral through succ frames are free.
 
     Each path carries data of its caller's: at a choice of parameter i,
     `branch(data, i)` gives the data of the left and of the right branch, or
@@ -788,8 +768,8 @@ def _explore(term: Term, max_steps: int, data, branch):
             elif kind is Pred:
                 stack = (_PRED, stack)
                 t = t.body
-            elif kind is Zero:
-                n = 0
+            elif kind is Num:
+                n = t.value
                 while stack is not None and stack[0] == _SUCC:
                     n += 1
                     stack = stack[1]
@@ -797,12 +777,14 @@ def _explore(term: Term, max_steps: int, data, branch):
                     value = n
                     break
                 if stack[0] == _ARG:
-                    value = numeral(n)
+                    value = Num(n)
                     break
                 if steps >= max_steps:
                     break
                 steps += 1
-                if stack[0] == _PRED:  # no succ frame sits on a pred frame, so n is 0
+                if stack[0] == _PRED:  # no succ frame sits on a pred frame
+                    if n:
+                        t = Num(n - 1)
                     stack = stack[1]
                 else:
                     t, env = stack[1] if n == 0 else stack[2], stack[3]

@@ -59,13 +59,13 @@ from .lang import (
     Fix,
     Ifz,
     Lam,
+    Num,
     Pred,
     Program,
     Succ,
     TypedTerm,
     Var,
     annotate,
-    numeral_value,
     require_ground,
 )
 
@@ -503,8 +503,8 @@ class _Search:
         term = tt.term
         if type(term) is Var:
             rows = [Entry(ctx_of(term.name, a), a, self.unit, 0) for a, _ in env[term.name]]
-        elif (value := numeral_value(term)) is not None:
-            rows = [Entry((), value, self.unit, 0)]
+        elif type(term) is Num:
+            rows = [Entry((), term.value, self.unit, 0)]
         elif node in self.plain:
             if env:
                 # A binder not free in tt never reaches its rows.

@@ -7,6 +7,9 @@ term again to build a finished tree; `free_vars` walks a term for its free
 variables.  Tests compare `tropinf.lang.annotate` against them: both must give
 every node the same simple type and free variables, and raise the same
 exception with the same message up to the numbering of type variables.
+The reference types the unary encoding of a term (`replay_reference.unary`),
+where the numeral k is k succs around 0, so each node it gives is the unary
+encoding of the node `tropinf.lang.annotate` gives.
 `tropinf.lang` checks no constraint after solving, since its solver leaves
 none unsatisfied; the re-check here is what would catch one that it did.
 """
@@ -27,8 +30,8 @@ from tropinf.lang import (
     Succ,
     TypeCheckError,
     Var,
-    numeral_value,
 )
+from replay_reference import numeral_value, unary
 
 
 def free_vars(t) -> frozenset:
@@ -251,8 +254,9 @@ class _Inference:
 
 
 def annotate(term) -> Typed:
-    """Infer simple types for a closed term, annotating every subterm."""
+    """Infer simple types for a closed term, annotating every subterm of its
+    unary encoding, where the numeral k is k succs around 0."""
     inf = _Inference()
-    tt = inf.infer(term, {})
+    tt = inf.infer(unary(term), {})
     inf.solve()
     return inf.finish(tt)

@@ -10,12 +10,12 @@ from tropinf.lang import (
     Fix,
     Ifz,
     Lam,
+    Num,
     Pred,
     Program,
     Succ,
     TypeCheckError,
     Var,
-    numeral,
     parse,
     type_check,
 )
@@ -49,11 +49,15 @@ def term_size(t) -> int:
 
 
 def term_depth(t) -> int:
-    """The height of a term's syntax tree; the numeral n nests n + 1 levels
-    (n succs around 0)."""
+    """The height of a term's syntax tree; a numeral is one node."""
     children = [getattr(t, a, None) for a in ("body", "fun", "arg", "scrutinee",
                                               "then", "orelse", "left", "right")]
     return 1 + max((term_depth(c) for c in children if c is not None), default=0)
+
+
+def succ(t):
+    """succ t, read as the parser reads it: succ of a numeral is a numeral."""
+    return Num(t.value + 1) if isinstance(t, Num) else Succ(t)
 
 
 def random_ground_term(rng: random.Random, budget: int, k: int = 2, var=None):
@@ -62,7 +66,7 @@ def random_ground_term(rng: random.Random, budget: int, k: int = 2, var=None):
     budget bounds the number of AST nodes; var, when given, is a variable
     name that may be used as a ground leaf.
     """
-    leaves = [lambda: numeral(rng.randint(0, 2))]
+    leaves = [lambda: Num(rng.randint(0, 2))]
     if var is not None:
         leaves.append(lambda: Var(var))
     if budget <= 2:
@@ -82,7 +86,7 @@ def random_ground_term(rng: random.Random, budget: int, k: int = 2, var=None):
             random_ground_term(rng, third, k, var),
         )
     if kind == 3:
-        return Succ(random_ground_term(rng, budget - 1, k, var))
+        return succ(random_ground_term(rng, budget - 1, k, var))
     if kind == 4:
         return Pred(random_ground_term(rng, budget - 1, k, var))
     if kind == 5 and budget >= 5:
@@ -106,7 +110,7 @@ def random_recursive_term(rng: random.Random, budget: int, k: int = 2):
     if shape == 0:
         half = (budget - 4) // 2
         left = random_ground_term(rng, half, k, "x")
-        right = Succ(random_ground_term(rng, half, k, "x"))
+        right = succ(random_ground_term(rng, half, k, "x"))
         return Fix(Lam("x", Choice(rng.randint(1, k), left, right)))
     third = (budget - 8) // 3
     then = random_ground_term(rng, third, k, "x")

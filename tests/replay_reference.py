@@ -7,12 +7,18 @@ weak-head step, copying the body of every β and fix step through
 are `enumerate_trajectories` and `find_words` on that reducer, with the same
 step budgets, so tests can check the machine against them path for path.
 
+The references read a program in the unary encoding (`unary`): the numeral
+k is k succs around `Num(0)`.  So `reduce_once` takes a `pred` step on a
+literal by cancelling its outer succ, and tests that compare the machine
+with it also check that the one-node numeral changes no run.
+
 `replay_word` follows one given word, so tests can check that every word a
 report names reaches its target with its monomial, and that
 `enumerate_trajectories` agrees with it.  `find_word` is `find_words` for one
 weight, so tests can check the shared search against one search per weight.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 from tropinf.lang import (
@@ -22,18 +28,46 @@ from tropinf.lang import (
     Ifz,
     Lam,
     LangError,
+    Num,
     Pred,
     Program,
     Succ,
     Term,
     Trajectory,
     Var,
-    Zero,
     find_words,
-    numeral_value,
     term_to_text,
     word_monomial,
 )
+
+
+def map_numerals(t: Term, f) -> Term:
+    """t with every numeral Num(k) replaced by the term f(k)."""
+    if isinstance(t, Num):
+        return f(t.value)
+    children = {field.name: map_numerals(getattr(t, field.name), f)
+                for field in dataclasses.fields(t) if isinstance(getattr(t, field.name), Term)}
+    return dataclasses.replace(t, **children) if children else t
+
+
+def unary(t: Term) -> Term:
+    """t with every numeral k written as k succs around Num(0)."""
+    def succs(k: int) -> Term:
+        out: Term = Num(0)
+        for _ in range(k):
+            out = Succ(out)
+        return out
+    return map_numerals(t, succs)
+
+
+def numeral_value(t: Term) -> int | None:
+    """The natural number a term denotes literally, in either encoding, or
+    None."""
+    n = 0
+    while isinstance(t, Succ):
+        n += 1
+        t = t.body
+    return n + t.value if isinstance(t, Num) else None
 
 
 @dataclass(frozen=True)
@@ -86,8 +120,9 @@ def substitute(t: Term, name: str, value: Term) -> Term:
 
 
 def reduce_once(t: Term):
-    """One weak-head step: NormalForm, Deterministic, or BranchStep."""
-    if isinstance(t, (Zero, Lam, Var)):
+    """One weak-head step of a term in the unary encoding: NormalForm,
+    Deterministic, or BranchStep."""
+    if isinstance(t, (Num, Lam, Var)):
         return NormalForm()
     if isinstance(t, Choice):
         return BranchStep(t.param, t.left, t.right)
@@ -99,8 +134,8 @@ def reduce_once(t: Term):
     if isinstance(t, Pred):
         if isinstance(t.body, Succ):
             return Deterministic(t.body.body)
-        if isinstance(t.body, Zero):
-            return Deterministic(Zero())
+        if isinstance(t.body, Num):  # 0 in the unary encoding
+            return Deterministic(t.body)
         step = reduce_once(t.body)
         if isinstance(step, NormalForm):
             return NormalForm()
@@ -135,7 +170,7 @@ def enumerate_by_substitution(program: Program, max_steps: int) -> list:
     """`enumerate_trajectories` on `reduce_once`."""
     k = program.params
     out = []
-    stack = [(program.term, 0, ())]
+    stack = [(unary(program.term), 0, ())]
     while stack:
         term, steps, word = stack.pop()
         finished = False
@@ -173,7 +208,7 @@ def find_words_by_substitution(
     found = {}
     if not wanted:
         return found
-    stack = [(program.term, 0, (), [0] * (2 * program.params), list(wanted))]
+    stack = [(unary(program.term), 0, (), [0] * (2 * program.params), list(wanted))]
     while stack:
         term, steps, word, used, open_ = stack.pop()
         while steps < max_steps:
@@ -212,7 +247,7 @@ def replay_word(program: Program, word: tuple, max_steps: int):
     Returns (normal_form, monomial, steps); normal_form is None when the word
     is inconsistent with the program or the step budget runs out.
     """
-    term = program.term
+    term = unary(program.term)
     k = program.params
     steps = 0
     pos = 0

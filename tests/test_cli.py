@@ -39,6 +39,14 @@ class TestCheck:
         res = runner.invoke(main, ["check", str(bad)])
         assert res.exit_code == 1
 
+    def test_not_utf8(self, runner, tmp_path):
+        # A file the UTF-8 codec cannot read is a user error, not an internal one.
+        bad = tmp_path / "bytes.pcfx"
+        bad.write_bytes(b"params 1; 0 +[X1] 1 \xff\n")
+        res = runner.invoke(main, ["check", str(bad)])
+        assert res.exit_code == 1
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff in position 20" in res.output
+
     def test_second_params_declaration(self, runner, tmp_path):
         bad = tmp_path / "twice.pcfx"
         bad.write_text("params 1; params 3; 0 +[X1] 1\n")
@@ -231,9 +239,9 @@ class TestDigitStrings:
     @pytest.mark.parametrize(
         "source",
         ["params 1; \u00b2\n", "params 1; \u0663\n", "params 1; 0 +[X\u00b2] 1\n",
-         "params 1; 2000000\n", "params 1; " + "9" * 5000 + "\n",
+         "params 1; " + "9" * 5000 + "\n",
          "params " + "1" * 5000 + "; 0\n", "params 1; 0 +[X" + "1" * 5000 + "] 1\n"],
-        ids=["superscript", "arabic", "superscript-index", "seven-digits",
+        ids=["superscript", "arabic", "superscript-index",
              "literal-5000-digits", "count-5000-digits", "index-5000-digits"],
     )
     def test_check_exits_1(self, tmp_path, source):
@@ -247,6 +255,34 @@ class TestDigitStrings:
         )
         assert proc.returncode == 1, proc.stderr
         assert "line 1, column" in proc.stderr and "internal error" not in proc.stderr
+
+
+class TestLargeLiterals:
+    """A numeral is one node, so a literal of any value within 640 digits
+    checks, analyzes and enumerates like a small one."""
+
+    @staticmethod
+    def _run(tmp_path, source, *args):
+        path = tmp_path / "literal.pcfx"
+        path.write_text(source)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropinf.cli", args[0], str(path), *args[1:]],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("source", ["params 1; 150\n", "params 1; 2000000\n"],
+                             ids=["three-digits", "seven-digits"])
+    def test_check_ok(self, tmp_path, source):
+        assert self._run(tmp_path, source, "check") == "ok: Nat with 1 parameter(s)\n"
+
+    def test_pred_of_a_large_argument(self, tmp_path):
+        source = "params 1; (\\x. pred x) 100000\n"
+        assert "polynomial: 1\n" in self._run(tmp_path, source, "analyze", "--target", "99999")
+        assert "-> 99999  [2 steps]" in self._run(tmp_path, source, "enumerate")
 
 
 class TestBadBounds:

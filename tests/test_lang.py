@@ -15,6 +15,7 @@ from conftest import (
     random_higher_order_program,
     random_lambda_argument_program,
     random_program,
+    succ,
     term_depth,
     term_size,
 )
@@ -23,7 +24,9 @@ from replay_reference import (
     enumerate_by_substitution,
     find_word,
     find_words_by_substitution,
+    map_numerals,
     replay_word,
+    unary,
 )
 from tropinf import lang
 from tropinf.algebra import ProbAssignment, Poly
@@ -38,16 +41,14 @@ from tropinf.lang import (
     Lam,
     LangError,
     NAT,
+    Num,
     ParseError,
     Succ,
     Term,
     TypeCheckError,
     Var,
-    Zero,
     enumerate_trajectories,
     find_words,
-    numeral,
-    numeral_value,
     parse,
     term_to_text,
     type_check,
@@ -77,8 +78,7 @@ ERRORS = {
     "source-nesting": ("(" * 101 + "0" + ")" * 101, ParseError,
                        "nesting deeper than the limit of 100 levels at line 1, column 101"),
     "tree-depth": ("\\f. f" + " 0" * 100, ParseError,
-                   "term nesting depth 102 exceeds the limit of 100 "
-                   "(the numeral n nests n + 1 levels)"),
+                   "term nesting depth 102 exceeds the limit of 100"),
     "expected-after-comment": ("ifz 0 then 1 1 # c", ParseError,
                                "expected 'else' at line 1, column 16, found ''"),
     "end-of-input": ("(1", ParseError, "expected ), found end of input"),
@@ -98,12 +98,6 @@ ERRORS = {
     "arrow-program": (r"\x. succ x", TypeCheckError,
                       "program has an arrow type; a ground type is required"),
     # over a limit
-    "literal-100": ("100", ParseError,
-                    "numeral 100 at line 1, column 1: term nesting depth 101 exceeds "
-                    "the limit of 100"),
-    "literal-2000000": ("params 1; 2000000", ParseError,
-                        "numeral 2000000 at line 1, column 11: term nesting depth "
-                        "2000001 exceeds the limit of 100"),
     "literal-5000-digits": ("params 1; " + "9" * 5000, ParseError,
                             "numeral at line 1, column 11 has more than 640 digits"),
     "count-5000-digits": ("params " + "1" * 5000 + "; 0", ParseError,
@@ -127,12 +121,24 @@ ERRORS = {
 
 class TestParser:
     def test_numerals(self):
-        assert parse("3").term == Succ(Succ(Succ(Zero())))
-        assert numeral_value(parse("3").term) == 3
+        # A numeral is one node, and succ of a literal is the next literal.
+        assert parse("3").term == Num(3)
+        assert parse("succ 2").term == parse("succ (succ (1))").term == Num(3)
+        assert parse("pred 3").term == lang.Pred(Num(3))
+
+    @pytest.mark.parametrize("source, value", [("100", 100), ("params 1; 2000000", 2000000)],
+                             ids=["literal-100", "literal-2000000"])
+    def test_large_literal(self, source, value):
+        # A literal of any value within 640 digits is one node: it parses,
+        # types and runs like a small one.
+        program = parse(source)
+        assert program.term == Num(value)
+        assert RowTable(program).tt.ty == NAT
+        assert [t.normal_form for t in enumerate_trajectories(program, 1)] == [value]
 
     def test_lambda_and_app(self):
         p = parse("(\\x. x) 0")
-        assert p.term == App(Lam("x", Var("x")), Zero())
+        assert p.term == App(Lam("x", Var("x")), Num(0))
 
     def test_app_left_assoc(self):
         p = parse("(\\f. \\x. f x) (\\y. y) 1")
@@ -146,7 +152,7 @@ class TestParser:
         assert isinstance(t.right, Choice) and t.right.param == 2
 
     def test_bare_x_is_x1(self):
-        assert parse("0 +[X] 1").term == Choice(1, Zero(), numeral(1))
+        assert parse("0 +[X] 1").term == Choice(1, Num(0), Num(1))
         assert parse("0 +[X] 1").params == 1
 
     def test_params_decl(self):
@@ -163,11 +169,11 @@ class TestParser:
 
     def test_fix(self):
         assert parse("fix (\\x. x +[X1] 1)").term == Fix(
-            Lam("x", Choice(1, Var("x"), numeral(1)))
+            Lam("x", Choice(1, Var("x"), Num(1)))
         )
 
     def test_comments_and_whitespace(self):
-        assert parse("# hello\n  1  # trailing\n").term == numeral(1)
+        assert parse("# hello\n  1  # trailing\n").term == Num(1)
 
     def test_errors(self):
         with pytest.raises(ParseError):
@@ -188,26 +194,33 @@ class TestParser:
             RowTable(parse(source))
         assert str(info.value) == message
 
-    def test_literal_checked_before_it_is_built(self, monkeypatch):
-        built = []
-        real = lang.numeral
-        monkeypatch.setattr(lang, "numeral", lambda n: built.append(n) or real(n))
-        with pytest.raises(ParseError, match="line 1, column 11"):
-            parse("params 1; 2000000")
-        assert built == []
-        assert parse("0" * 5000 + "5").term == numeral(5)
+    def test_literal_checked_before_it_is_built(self):
+        # Its digits are counted, without leading zeros, before they are
+        # converted; its value is not limited.  A literal built by succs
+        # nests in the source, one level per succ, like parentheses.
+        with pytest.raises(ParseError, match="line 1, column 11 has more than 640 digits"):
+            parse("params 1; " + "9" * 5000)
+        assert parse("params 1; " + "9" * 640).term == Num(int("9" * 640))
+        assert parse("0" * 5000 + "5").term == Num(5)
         assert parse("params 0" + "0" * 5000 + "2; 0 +[X0" + "0" * 5000 + "2] 1").params == 2
+        assert parse("succ " * MAX_DEPTH + "0").term == Num(MAX_DEPTH)
+        with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH} levels at line 1, column"):
+            parse("succ " * (MAX_DEPTH + 1) + "0")
 
     def test_nesting_limit(self):
         nested = "(" * MAX_DEPTH + "0" + ")" * MAX_DEPTH
-        assert parse(nested).term == Zero()
-        assert term_depth(parse(str(MAX_DEPTH - 1)).term) == MAX_DEPTH
+        assert parse(nested).term == Num(0)
         with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH} levels at line 1, column"):
             parse("(" + nested + ")")
-        with pytest.raises(ParseError, match=f"depth {MAX_DEPTH + 1} exceeds the limit"):
-            parse(str(MAX_DEPTH))
+        # A numeral is one node of the tree, however it is written.
+        assert term_depth(parse(str(10**6)).term) == 1
+        assert term_depth(parse("succ " * MAX_DEPTH + "0").term) == 1
         with pytest.raises(ParseError, match="nesting"):
-            parse("succ " * MAX_DEPTH + "0")
+            parse("succ " * (MAX_DEPTH + 1) + "0")
+        # Applications nest in the tree, not in the source.
+        assert term_depth(parse("\\f. f" + " 0" * (MAX_DEPTH - 2)).term) == MAX_DEPTH
+        with pytest.raises(ParseError, match=f"depth {MAX_DEPTH + 1} exceeds the limit"):
+            parse("\\f. f" + " 0" * (MAX_DEPTH - 1))
 
     def test_roundtrip_through_text(self, rng):
         for _ in range(50):
@@ -220,9 +233,9 @@ class TestParser:
 
 class TestTypeCheck:
     def test_numerals_overloaded(self):
-        assert type_check(Zero()) == BOOL
-        assert type_check(numeral(1)) == BOOL
-        assert type_check(numeral(2)) == NAT
+        assert type_check(Num(0)) == BOOL
+        assert type_check(Num(1)) == BOOL
+        assert type_check(Num(2)) == NAT
 
     def test_succ_casts_bool(self):
         # succ 0 is the numeral 1, so it stays overloaded as Bool; applying
@@ -280,7 +293,8 @@ def _annotation(annotate, term):
 
 
 def _replaced(t: Term, k: int, new: Term) -> Term:
-    """t with its subterm number k in pre-order replaced by new."""
+    """t with its subterm number k in pre-order replaced by new, read as the
+    parser reads it: succ of a numeral is a numeral."""
     if k == 0:
         return new
     k -= 1
@@ -289,7 +303,8 @@ def _replaced(t: Term, k: int, new: Term) -> Term:
         if isinstance(child, Term):
             size = term_size(child)
             if k < size:
-                return dataclasses.replace(t, **{field.name: _replaced(child, k, new)})
+                t = dataclasses.replace(t, **{field.name: _replaced(child, k, new)})
+                return succ(t.body) if isinstance(t, Succ) else t
             k -= size
     raise IndexError(k)
 
@@ -313,8 +328,8 @@ def _mutant(rng, t: Term) -> Term:
         Lam("m", Var("m")),
         Lam("m", Succ(Var("m"))),
         Lam("m", App(Var("m"), Var("m"))),
-        App(numeral(2), numeral(0)),
-        Fix(numeral(1)),
+        App(Num(2), Num(0)),
+        Fix(Num(1)),
         App(Var("f"), Lam("m", Var("m"))),
         Var(rng.choice(["x", "f", "y", "zz"])),
         rng.choice(subterms),
@@ -335,7 +350,7 @@ class TestAnnotate:
         pairs = [(new, ref)]
         while pairs:
             a, b = pairs.pop()
-            assert a.term is b.term and a.ty == b.ty, term_to_text(term)
+            assert unary(a.term) == b.term and a.ty == b.ty, term_to_text(term)
             assert a.free == annotate_reference.free_vars(b.term)
             assert len(a.children) == len(b.children)
             pairs.extend(zip(a.children, b.children))
@@ -478,16 +493,16 @@ class TestReplay:
         assert found > 40
 
 
-def _assert_runs_match_substitution(program, budget, extra=()):
+def _assert_runs_match_substitution(program, budget, extra=(), targets=(0, 1, 2)):
     """The machine's runs of program within budget steps are the substitution
-    reducer's, field for field, and so are its words at targets 0-2 for the
+    reducer's, field for field, and so are its words at the targets for the
     weights of those runs and extra, at budgets 0, 1 and 10000 and on both
     sides of every run's step count.  Returns the runs."""
     runs = list(enumerate_trajectories(program, budget))
     assert runs == enumerate_by_substitution(program, budget), term_to_text(program.term)
     monomials = {t.monomial for t in runs} | set(extra)
     budgets = {0, 1, 10000} | {t.steps for t in runs} | {t.steps + 1 for t in runs}
-    for target in (0, 1, 2):
+    for target in targets:
         for max_steps in sorted(budgets):
             assert find_words(program, target, monomials, max_steps) == (
                 find_words_by_substitution(program, target, monomials, max_steps)
@@ -505,6 +520,9 @@ STEP_ORDER = [
     r"succ (pred 0) +[X1] pred (succ (succ 0))",
     r"(fix (\f. \x. ifz x then 0 +[X1] 1 else f (pred x))) (2 +[X1] 3)",
     r"(\f. f (f (0 +[X1] 1))) (\x. pred (succ (succ x)))",
+    r"(\x. pred x) 5",
+    r"succ (pred 3)",
+    r"(\x. pred (succ x)) (2 +[X1] 0)",
 ]
 
 
@@ -555,3 +573,38 @@ class TestMachine:
         # A fixpoint may branch at each unfolding: its runs double every few
         # steps.
         _assert_runs_match_substitution(program, 24 if draw == "fix" else 40, [extra])
+
+    @pytest.mark.parametrize("draw", ["ground", "fix", "lambda-argument", "higher-order"])
+    def test_literals_to_99_match_unary_reference(self, rng, draw):
+        # Each numeral of a drawn program is redrawn from 0-99, half of them
+        # from 0-2 so that ifz takes both branches.  The machine's runs and
+        # words, and the simple type, are those of the references on the
+        # unary encoding, where the numeral k is k + 1 nested nodes.
+        def redraw(_):
+            return Num(rng.randrange(100) if rng.random() < 0.5 else rng.randrange(3))
+
+        # A loop with a large literal runs the whole 10000-step budget of
+        # `_assert_runs_match_substitution` on the substitution reducer.
+        count = 10 if draw == "fix" else 20
+        typed = 0
+        for _ in range(count):
+            if draw == "lambda-argument":
+                program = random_lambda_argument_program(rng)
+            elif draw == "higher-order":
+                program = random_higher_order_program(rng)
+            else:
+                program = random_program(rng, max_nodes=20, fix=draw == "fix")
+            program = lang.Program(map_numerals(program.term, redraw), program.params)
+            new, error = _annotation(lang.annotate, program.term)
+            ref, ref_error = _annotation(annotate_reference.annotate, program.term)
+            assert error == ref_error, term_to_text(program.term)
+            if ref is None:
+                continue  # two λs of ground results Bool and Nat may meet
+            assert new.ty == ref.ty, term_to_text(program.term)
+            typed += 1
+            budget = 20 if draw == "fix" else 40
+            ends = sorted({t.normal_form for t in enumerate_trajectories(program, budget)
+                           if t.normal_form is not None})
+            targets = {0, 1, 2} | set(rng.sample(ends, min(2, len(ends))))
+            _assert_runs_match_substitution(program, budget, targets=sorted(targets))
+        assert typed >= count * 3 // 4

@@ -471,13 +471,13 @@ class TestStabilize:
     def test_wide_multiset_typed_in_one_exact_round(self):
         # The target is only reachable with multisets of size 2, which the
         # one exact round of this fix-free program types.
-        from tropinf.lang import App, Choice, Ifz, Lam, Program, Succ, Var, Zero
+        from tropinf.lang import App, Choice, Ifz, Lam, Num, Program, Succ, Var
 
         prog = Program(
             Succ(
                 App(
                     Lam("v", Ifz(Var("v"), Var("v"), Var("v"))),
-                    Choice(2, Succ(Zero()), Zero()),
+                    Choice(2, Num(1), Num(0)),
                 )
             ),
             2,
