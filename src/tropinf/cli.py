@@ -16,7 +16,7 @@ import click
 
 from . import algebra, geometry, infer, lang
 from .algebra import ProbAssignment
-from .lang import LangError
+from .lang import _MAX_DIGITS, LangError
 
 
 class CliError(click.ClickException):
@@ -40,6 +40,15 @@ def _load(path: str) -> tuple:
 
 def _parse_probs(text: str, k: int) -> ProbAssignment:
     parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    for i, p in enumerate(parts, 1):
+        # Checked before `Fraction` converts it: 1e-100000000 would not end,
+        # and the digits of 1e100000 exceed what Python converts to text.
+        exponent = "".join(filter(str.isdecimal, p.lower().partition("e")[2]))
+        if sum(map(str.isdecimal, p)) > _MAX_DIGITS or int(exponent or 0) > _MAX_DIGITS:
+            raise CliError(
+                f"bad probability list: item {i} has more than {_MAX_DIGITS} digits "
+                f"or an exponent beyond {_MAX_DIGITS}"
+            )
     try:
         ps = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:

@@ -6,10 +6,12 @@ singleton type of the numeral n is the int n, and an arrow is an IArrow of a
 sorted multiset of argument types and a result type.  Refinements of one
 simple type are all ints or all IArrows, so sorting, grouping and hashing
 need no key function.  Contexts map variables to multisets of refinement types;
-weight polynomials are kept minimal throughout by replacing every product
-with its Minkowski-sum minimization and re-minimizing after every merge of
-equal (context, type) rows.  The family computed for the whole program under
-bound n collects every derivation that uses at most n fixpoint rule
+weight polynomials are kept minimal throughout.  A single monomial only
+translates the Newton polytope of a product, so a product of minimized rows
+is the minimized Minkowski sum of its factors of two or more monomials,
+translated by the others, and every merge of equal (context, type) rows is
+re-minimized.  The family computed for the whole program under bound n
+collects every derivation that uses at most n fixpoint rule
 applications.  A binder is typed only at the types that reach it: a row of
 λx. M whose multiset holds any other type is never picked by the application
 rule.  The binder of a β-redex (λx. M) N takes the types of N's rows.  Every
@@ -33,21 +35,23 @@ of the annotated tree finds the plain subterms, those holding neither a Fix
 node nor a flow λ, and the flow of types to binders.  A plain subterm has
 only rows of fixpoint count 0, which n never changes, so its rows are kept
 for the table's whole life, keyed by the types of the binders free in it.
-Every other subterm, and every Fix unfolding, is rebuilt each time a search
-reaches it.  Application, unfolding and ifz share one product rule
-(`_Search._products`), which checks the dominance certificate on what it
-drops; `stabilize` stops at the first round whose certificate holds, n = 1
-for a program with no Fix node and no charged call.
-Polynomials do not depend on n, and the table maps the inputs of every
-product, sum and choice shift to its result, so one `stabilize` minimizes
-each distinct product, sum and shift once, whichever subterm, unfolding or
-round asks for it.
+Every other subterm is rebuilt each time a search reaches it, and so is
+every Fix unfolding, but an unfolding reuses the previous one's rows of the
+fix body when no binder's pairs have changed since they were built.
+Application, unfolding and ifz share one product rule (`_Search._products`),
+which checks the dominance certificate on what it drops; `stabilize` stops
+at the first round whose certificate holds, n = 1 for a program with no Fix
+node and no charged call.  Polynomials do not depend on n, and the table
+maps the inputs of every hull of a product, sum and choice shift to its
+result, so one `stabilize` minimizes each distinct product, sum and shift
+once, whichever subterm, unfolding or round asks for it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
 from .algebra import Poly, dominated
@@ -160,9 +164,10 @@ class TropJudgement:
 
 
 # A memo maps the inputs of a minimization to its result: ("*", polys) to the
-# minimized product, ("+", set of polys) to the minimized sum, and (poly,
-# param, bit) to the shift of a choice branch.  A polynomial does not depend
-# on n, so one memo serves every round of a `stabilize` (see `RowTable`).
+# minimized product of factors of several monomials, ("+", set of polys) to
+# the minimized sum, and (poly, param, bit) to the shift of a choice branch.
+# A polynomial does not depend on n, so one memo serves every round of a
+# `stabilize` (see `RowTable`).
 
 
 def _sum_min(polys: tuple, memo: dict) -> Poly:
@@ -209,12 +214,33 @@ def merge(entries, memo: dict | None = None) -> list:
 
 def _combine(entries, itype, fixes: int, memo: dict) -> Entry:
     """Multiply a list of rows into a row of type itype: contexts add,
-    polynomials multiply minimized."""
+    polynomials multiply minimized.
+
+    Row polynomials are minimized, and a single monomial only translates
+    the lower hull of a product.  So the product is `vn` of its factors of
+    two or more monomials (memoized), the one such factor, or the unit when
+    there is none, shifted by the sum of the other factors' monomials: unit
+    factors drop out, and only two or more factors of several monomials
+    reach a hull.
+    """
     ctx = ctx_sum(*(e.ctx for e in entries))
-    key = ("*", tuple(e.poly for e in entries))
-    poly = memo.get(key)
-    if poly is None:
-        poly = memo[key] = vn(key[1])
+    many, shift = [], None
+    for e in entries:
+        if len(e.poly.coeffs) != 1:
+            many.append(e.poly)
+        else:
+            (m,) = e.poly.coeffs
+            if any(m):
+                shift = m if shift is None else tuple(map(add, shift, m))
+    if len(many) > 1:
+        key = ("*", tuple(many))
+        poly = memo.get(key)
+        if poly is None:
+            poly = memo[key] = vn(many)
+    else:
+        poly = many[0] if many else Poly.unit(entries[0].poly.dim)
+    if shift is not None:
+        poly = Poly._of(poly.dim, frozenset(tuple(map(add, shift, m)) for m in poly.coeffs))
     return Entry(ctx, itype, poly, fixes)
 
 
@@ -274,6 +300,14 @@ def _assignments(args, pool):
     candidate entries with that type.  Yields lists of entries aligned with
     args (used both by application and by fixpoint unfolding).
     """
+    # A multiset of at most one type, the common case, needs no grouping.
+    if not args:
+        yield []
+        return
+    if len(args) == 1:
+        for e in pool.get(args[0], ()):
+            yield [e]
+        return
     choices_per_type = []
     for itype, group in itertools.groupby(args):
         candidates = pool.get(itype)
@@ -488,6 +522,7 @@ class _Search:
         self.unit = Poly.unit(self.dim)
         self.read: set = set()  # flow λs whose pairs this pass has used
         self.stale: set = set()  # ... and that have grown since
+        self.grown = 0  # how many times `_feed` has changed `reach`
         self.certified = True  # every product this pass dropped is dominated
 
     def build(self, tt: TypedTerm, env: dict) -> list:
@@ -531,6 +566,7 @@ class _Search:
                 cost = c + step
                 if cost < costs.get(a, cost + 1):
                     costs[a] = cost
+                    self.grown += 1
                     if cost <= n and lam in self.read:
                         self.stale.add(lam)
 
@@ -600,14 +636,21 @@ class _Search:
         """Unfold fix M until an unfolding reproduces the previous one's rows
         and no flow λ inside grew on the way.  fix M is M applied to fix M,
         so each unfolding's rows reach the binders that fix M feeds, such as
-        the f of fix (λf. B), before the next unfolding."""
+        the f of fix (λf. B), before the next unfolding.  M's rows depend
+        only on env and on the pairs in `reach`, so an unfolding reuses the
+        previous one's rows of M when no pair has changed since they were
+        built (`grown`): a build that changed one, or a feed after it, makes
+        the next unfolding build M again."""
         inner = self.inner.get(id(tt), ())
         feeds = self.sources.get(id(tt))
         entries = []
+        built = None  # `grown` when M's rows were last built
         while True:
-            self.read.difference_update(inner)
-            self.stale.difference_update(inner)
-            fun = self.build(tt.children[0], env)
+            if built != self.grown:
+                built = self.grown
+                self.read.difference_update(inner)
+                self.stale.difference_update(inner)
+                fun = self.build(tt.children[0], env)
             unfolded = self._products(_rule_app(fun, entries), 1)
             if feeds:
                 self._feed(unfolded, env, feeds)

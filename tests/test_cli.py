@@ -306,7 +306,10 @@ class TestBadArguments:
     @staticmethod
     def _run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "tropinf.cli", *args], capture_output=True, text=True
+            [sys.executable, "-m", "tropinf.cli", *args],
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
 
     @pytest.mark.parametrize(
@@ -355,6 +358,18 @@ class TestBadArguments:
         proc = self._run(*args)
         assert proc.returncode == 1, proc.stderr
         assert "bad probability list" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "query", [["i1", M1], ["i2", M1, "--monomial", "0,3"]], ids=["i1", "i2"]
+    )
+    @pytest.mark.parametrize("probs", ["1e100000", "1e-100000000"], ids=["large", "small"])
+    def test_probability_beyond_the_digit_limit(self, query, probs):
+        # Converted unchecked, the large literal overflowed the digits Python
+        # writes as text in the "outside [0, 1]" message, and the small one
+        # made Fraction compute 10**100000000.
+        proc = self._run(*query, "--probs", probs)
+        assert proc.returncode == 1, proc.stderr
+        assert "bad probability list" in proc.stderr and "640 digits" in proc.stderr
 
     def test_negative_budget(self):
         proc = self._run("enumerate", M1, "--budget", "-5")

@@ -882,3 +882,116 @@ class TestPolyMemo:
         for _ in range(20):
             program = random_program(rng, max_nodes=18 if fix else 14, fix=fix)
             self.assert_each_input_minimized_once(monkeypatch, program)
+
+
+class TestMinimizedRows:
+    """Every row polynomial is minimized, the invariant that lets `_combine`
+    translate a product by its single-monomial factors instead of taking a
+    hull; every product it returns is `vn` of all its factors, units and
+    single monomials included, memoized or not."""
+
+    @staticmethod
+    def assert_rows_minimized(monkeypatch, program) -> list:
+        """Search program at n = 1..3 on one table, check every row and
+        product, and return the factor supports of every product."""
+        products = []
+        real = typesys._combine
+
+        def recording(entries, itype, fixes, memo):
+            row = real(entries, itype, fixes, memo)
+            products.append(([e.poly for e in entries], row.poly))
+            return row
+
+        monkeypatch.setattr(typesys, "_combine", recording)
+        table = typesys.RowTable(program)
+        for n in (1, 2, 3):
+            with alarm(20):
+                judgement = search(program, n, table=table)
+            for e in judgement.entries:
+                assert np_min(e.poly) == e.poly, (program, n, e)
+        monkeypatch.undo()
+        for factors, poly in products:
+            assert poly == geometry.vn(factors), (program, factors)
+        return [[len(s.coeffs) for s in factors] for factors, _ in products]
+
+    @staticmethod
+    def shapes(sizes) -> set:
+        """The paths of `_combine` that products of these factor sizes take."""
+        out = set()
+        for factor_sizes in sizes:
+            many = sum(size > 1 for size in factor_sizes)
+            out.add("hull" if many > 1 else "translate" if many else "monomial")
+        return out
+
+    def test_corpus(self, monkeypatch):
+        sizes = []
+        for name in CORPUS_NAMES:
+            sizes += self.assert_rows_minimized(monkeypatch, load(name))
+        # m2, m4_2, m4_3 and m4_4 multiply two factors of several monomials.
+        assert self.shapes(sizes) == {"hull", "translate", "monomial"}
+
+    def test_random_programs(self, monkeypatch, rng):
+        sizes = []
+        for kind in ["fix-free", "recursive", "higher-order"]:
+            for _ in range(30):
+                if kind == "higher-order":
+                    program = random_higher_order_program(rng)
+                else:
+                    fix = kind == "recursive"
+                    program = random_program(rng, max_nodes=18 if fix else 14, fix=fix)
+                sizes += self.assert_rows_minimized(monkeypatch, program)
+        # Fix-free draws seldom translate; recursive ones do in most draws.
+        assert "translate" in self.shapes(sizes)
+
+
+class TestUnfoldingReuse:
+    """An unfolding of fix M reuses the previous one's rows of M when no
+    binder's (type, cost) pairs changed since they were built."""
+
+    @staticmethod
+    def counts(monkeypatch, program, n) -> dict:
+        """The builds of the body M of every fix M, and the unfoldings, in
+        one search at n."""
+        table = typesys.RowTable(program)
+        bodies = set()
+
+        def walk(tt):
+            if isinstance(tt.term, Fix):
+                bodies.add(id(tt.children[0]))
+            for child in tt.children:
+                walk(child)
+
+        walk(table.tt)
+        counts = {"builds": 0, "unfoldings": 0}
+        real_build, real_products = typesys._Search.build, typesys._Search._products
+
+        def build(self, tt, env):
+            counts["builds"] += id(tt) in bodies
+            return real_build(self, tt, env)
+
+        def products(self, premises, fix=0):
+            counts["unfoldings"] += fix
+            return real_products(self, premises, fix)
+
+        monkeypatch.setattr(typesys._Search, "build", build)
+        monkeypatch.setattr(typesys._Search, "_products", products)
+        with alarm(20):
+            search(program, n, table=table)
+        monkeypatch.undo()
+        return counts
+
+    def test_m2_builds_its_fix_body_twice(self, monkeypatch):
+        # The second unfolding feeds no new pair, so the third reuses the
+        # second's rows of the body.
+        assert self.counts(monkeypatch, load("m2"), 2) == {"builds": 2, "unfoldings": 3}
+
+    @pytest.mark.parametrize("source, target, text", LATE_RUNS)
+    def test_growing_binders_rebuild_every_unfolding(self, monkeypatch, source, target, text):
+        # Each unfolding hands the binders a type they did not have, so every
+        # unfolding builds the body again, and the answers stand.
+        program = parse(source)
+        for n in (1, 2, 3, 4):
+            counts = self.counts(monkeypatch, program, n)
+            assert counts["builds"] == counts["unfoldings"] > 0, n
+        with alarm(20):
+            assert poly_to_text(stabilize(program, target).poly) == text
