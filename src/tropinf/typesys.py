@@ -37,21 +37,20 @@ only rows of fixpoint count 0, which n never changes, so its rows are kept
 for the table's whole life, keyed by the types of the binders free in it.
 Every other subterm is rebuilt each time a search reaches it, and so is
 every Fix unfolding, but an unfolding reuses the previous one's rows of the
-fix body when no binder's pairs have changed since they were built.
+fix body while no flow λ inside it has grown since they were built.
 Application, unfolding and ifz share one product rule (`_Search._products`),
 which checks the dominance certificate on what it drops; `stabilize` stops
 at the first round whose certificate holds, n = 1 for a program with no Fix
 node and no charged call.  Polynomials do not depend on n, and the table
-maps the inputs of every hull of a product, sum and choice shift to its
-result, so one `stabilize` minimizes each distinct product, sum and shift
-once, whichever subterm, unfolding or round asks for it.
+maps the inputs of every product, sum and choice shift to its result, so
+one `stabilize` minimizes each distinct product, sum and shift once,
+whichever subterm, unfolding or round asks for it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
 from typing import NamedTuple
 
 from .algebra import Poly, dominated
@@ -164,10 +163,9 @@ class TropJudgement:
 
 
 # A memo maps the inputs of a minimization to its result: ("*", polys) to the
-# minimized product of factors of several monomials, ("+", set of polys) to
-# the minimized sum, and (poly, param, bit) to the shift of a choice branch.
-# A polynomial does not depend on n, so one memo serves every round of a
-# `stabilize` (see `RowTable`).
+# minimized product, ("+", set of polys) to the minimized sum, and (poly,
+# param, bit) to the shift of a choice branch.  A polynomial does not depend
+# on n, so one memo serves every round of a `stabilize` (see `RowTable`).
 
 
 def _sum_min(polys: tuple, memo: dict) -> Poly:
@@ -217,30 +215,26 @@ def _combine(entries, itype, fixes: int, memo: dict) -> Entry:
     polynomials multiply minimized.
 
     Row polynomials are minimized, and a single monomial only translates
-    the lower hull of a product.  So the product is `vn` of its factors of
-    two or more monomials (memoized), the one such factor, or the unit when
-    there is none, shifted by the sum of the other factors' monomials: unit
-    factors drop out, and only two or more factors of several monomials
-    reach a hull.
+    the lower hull of a product.  So a product not yet in the memo is `vn`
+    of its factors of two or more monomials (memoized too), the one such
+    factor, or the unit when there is none, shifted by the other factors'
+    monomials: only two or more factors of several monomials reach a hull.
     """
     ctx = ctx_sum(*(e.ctx for e in entries))
-    many, shift = [], None
-    for e in entries:
-        if len(e.poly.coeffs) != 1:
-            many.append(e.poly)
+    key = ("*", tuple(e.poly for e in entries))
+    poly = memo.get(key)
+    if poly is None:
+        many = tuple(p for p in key[1] if len(p.coeffs) != 1)
+        if len(many) > 1:
+            poly = memo.get(("*", many))
+            if poly is None:
+                poly = memo[("*", many)] = vn(many)
         else:
-            (m,) = e.poly.coeffs
-            if any(m):
-                shift = m if shift is None else tuple(map(add, shift, m))
-    if len(many) > 1:
-        key = ("*", tuple(many))
-        poly = memo.get(key)
-        if poly is None:
-            poly = memo[key] = vn(many)
-    else:
-        poly = many[0] if many else Poly.unit(entries[0].poly.dim)
-    if shift is not None:
-        poly = Poly._of(poly.dim, frozenset(tuple(map(add, shift, m)) for m in poly.coeffs))
+            poly = many[0] if many else Poly.unit(key[1][0].dim)
+        for p in key[1]:
+            if len(p.coeffs) == 1:
+                poly = poly.shift(*p.coeffs)
+        memo[key] = poly
     return Entry(ctx, itype, poly, fixes)
 
 
@@ -300,14 +294,6 @@ def _assignments(args, pool):
     candidate entries with that type.  Yields lists of entries aligned with
     args (used both by application and by fixpoint unfolding).
     """
-    # A multiset of at most one type, the common case, needs no grouping.
-    if not args:
-        yield []
-        return
-    if len(args) == 1:
-        for e in pool.get(args[0], ()):
-            yield [e]
-        return
     choices_per_type = []
     for itype, group in itertools.groupby(args):
         candidates = pool.get(itype)
@@ -522,7 +508,6 @@ class _Search:
         self.unit = Poly.unit(self.dim)
         self.read: set = set()  # flow λs whose pairs this pass has used
         self.stale: set = set()  # ... and that have grown since
-        self.grown = 0  # how many times `_feed` has changed `reach`
         self.certified = True  # every product this pass dropped is dominated
 
     def build(self, tt: TypedTerm, env: dict) -> list:
@@ -566,7 +551,6 @@ class _Search:
                 cost = c + step
                 if cost < costs.get(a, cost + 1):
                     costs[a] = cost
-                    self.grown += 1
                     if cost <= n and lam in self.read:
                         self.stale.add(lam)
 
@@ -637,17 +621,15 @@ class _Search:
         and no flow λ inside grew on the way.  fix M is M applied to fix M,
         so each unfolding's rows reach the binders that fix M feeds, such as
         the f of fix (λf. B), before the next unfolding.  M's rows depend
-        only on env and on the pairs in `reach`, so an unfolding reuses the
-        previous one's rows of M when no pair has changed since they were
-        built (`grown`): a build that changed one, or a feed after it, makes
-        the next unfolding build M again."""
+        only on env and on the pairs of the flow λs inside M that cost at
+        most n, and each build of M reads all of them, so an unfolding
+        reuses the previous one's rows of M unless one of those λs is stale:
+        it grew during or after that build."""
         inner = self.inner.get(id(tt), ())
         feeds = self.sources.get(id(tt))
-        entries = []
-        built = None  # `grown` when M's rows were last built
+        entries, fun = [], None
         while True:
-            if built != self.grown:
-                built = self.grown
+            if fun is None or not self.stale.isdisjoint(inner):
                 self.read.difference_update(inner)
                 self.stale.difference_update(inner)
                 fun = self.build(tt.children[0], env)

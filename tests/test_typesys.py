@@ -888,7 +888,7 @@ class TestMinimizedRows:
     """Every row polynomial is minimized, the invariant that lets `_combine`
     translate a product by its single-monomial factors instead of taking a
     hull; every product it returns is `vn` of all its factors, units and
-    single monomials included, memoized or not."""
+    single monomials included."""
 
     @staticmethod
     def assert_rows_minimized(monkeypatch, program) -> list:
@@ -945,8 +945,8 @@ class TestMinimizedRows:
 
 
 class TestUnfoldingReuse:
-    """An unfolding of fix M reuses the previous one's rows of M when no
-    binder's (type, cost) pairs changed since they were built."""
+    """An unfolding of fix M reuses the previous one's rows of M while no
+    flow λ inside M has grown since they were built."""
 
     @staticmethod
     def counts(monkeypatch, program, n) -> dict:
