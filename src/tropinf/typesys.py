@@ -50,6 +50,7 @@ whichever subterm, unfolding or round asks for it.
 from __future__ import annotations
 
 import itertools
+from operator import add
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -217,8 +218,9 @@ def _combine(entries, itype, fixes: int, memo: dict) -> Entry:
     Row polynomials are minimized, and a single monomial only translates
     the lower hull of a product.  So a product not yet in the memo is `vn`
     of its factors of two or more monomials (memoized too), the one such
-    factor, or the unit when there is none, shifted by the other factors'
-    monomials: only two or more factors of several monomials reach a hull.
+    factor, or the unit when there is none, shifted by the sum of the other
+    factors' monomials: unit factors drop out, and only two or more factors
+    of several monomials reach a hull.
     """
     ctx = ctx_sum(*(e.ctx for e in entries))
     key = ("*", tuple(e.poly for e in entries))
@@ -231,9 +233,14 @@ def _combine(entries, itype, fixes: int, memo: dict) -> Entry:
                 poly = memo[("*", many)] = vn(many)
         else:
             poly = many[0] if many else Poly.unit(key[1][0].dim)
+        shift = None
         for p in key[1]:
             if len(p.coeffs) == 1:
-                poly = poly.shift(*p.coeffs)
+                (m,) = p.coeffs
+                if any(m):
+                    shift = m if shift is None else tuple(map(add, shift, m))
+        if shift is not None:
+            poly = poly.shift(shift)
         memo[key] = poly
     return Entry(ctx, itype, poly, fixes)
 
@@ -294,6 +301,15 @@ def _assignments(args, pool):
     candidate entries with that type.  Yields lists of entries aligned with
     args (used both by application and by fixpoint unfolding).
     """
+    # Most multisets hold at most one type (all on corpus m2, 92% on
+    # generated programs), and those need no grouping.
+    if not args:
+        yield []
+        return
+    if len(args) == 1:
+        for e in pool.get(args[0], ()):
+            yield [e]
+        return
     choices_per_type = []
     for itype, group in itertools.groupby(args):
         candidates = pool.get(itype)
